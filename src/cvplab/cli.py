@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seeds")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="record-only flag: all stages are deterministic")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -127,27 +125,25 @@ def _stage_linfield(cfg, rho, nu, state, out_dir, log):
     return sol
 
 
-def _stage_osi(cfg, rho, nu, state, out_dir, log):
-    sol = solve_linfield(assemble_linfield(rho, cfg.kernel, nu))
+def _stage_osi(cfg, rho, nu, sol, state, log):
     if rho.manifold.dim == 1 and rho.count >= 2:
         regions = arc_regions(rho)
     else:
         regions = random_regions(rho, count=32, seed=0)
-    worst = np.inf
     reports = []
     for k, jf in enumerate(sol.solutions):
         rep = osi_report(rho, cfg.kernel, nu, jf, regions)
         reports.append({"solution_index": k, **rep.to_dict()})
-        worst = min(worst, rep.min_value)
-    if not sol.solutions:
-        worst = 0.0
+    # with no solution jet nothing is checked, so the verdict fails
+    worst = min((r["min_value"] for r in reports), default=None)
     scale = max(1.0, max((abs(val["osi"]) for r in reports
                           for val in r["values"]), default=0.0))
-    ok = worst >= -cfg.tolerances["tau_psd"] * scale
+    ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     state.osi_summary = {"reports": reports, "min_value": worst}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
-        f"{worst:.3e} ({'pass' if ok else 'FAIL'})")
+        f"{'none' if worst is None else f'{worst:.3e}'} "
+        f"({'pass' if ok else 'FAIL'})")
 
 
 def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
@@ -170,9 +166,11 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         if stage in ("fragment", "verify-all"):
             _stage_fragment(cfg, rho, nu, state, out, seed, log)
         if stage in ("linfield", "verify-all"):
-            _stage_linfield(cfg, rho, nu, state, out, log)
+            sol = _stage_linfield(cfg, rho, nu, state, out, log)
+        elif stage == "osi":
+            sol = solve_linfield(assemble_linfield(rho, cfg.kernel, nu))
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, rho, nu, state, out, log)
+            _stage_osi(cfg, rho, nu, sol, state, log)
         save_state(state, out / "state.json")
     except CvpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -135,15 +135,17 @@ class FormEvaluator:
                      + jet2.a * (jet1.u @ self.grad_ell[i])
                      + jet1.u @ self.hess_ell[i] @ jet2.u)
 
-    def q1(self, jf1: JetField, jf2: JetField) -> float:
+    def q1_terms(self, jf1: JetField, jf2: JetField) -> np.ndarray:
+        """Per-point terms nabla2_ell(i, u_i, v_i) of q1, as one (n,) array."""
         for jf in (jf1, jf2):
             _check_field(self.rho, jf)
-        w = self.rho.weights
-        terms = (jf1.scalar * jf2.scalar * self.ell
-                 + jf1.scalar * np.einsum("ia,ia->i", jf2.vector, self.grad_ell)
-                 + jf2.scalar * np.einsum("ia,ia->i", jf1.vector, self.grad_ell)
-                 + np.einsum("ia,iab,ib->i", jf1.vector, self.hess_ell, jf2.vector))
-        return float(w @ terms)
+        return (jf1.scalar * jf2.scalar * self.ell
+                + jf1.scalar * np.einsum("ia,ia->i", jf2.vector, self.grad_ell)
+                + jf2.scalar * np.einsum("ia,ia->i", jf1.vector, self.grad_ell)
+                + np.einsum("ia,iab,ib->i", jf1.vector, self.hess_ell, jf2.vector))
+
+    def q1(self, jf1: JetField, jf2: JetField) -> float:
+        return float(self.rho.weights @ self.q1_terms(jf1, jf2))
 
     def double_sum(self, jf1: JetField, jf2: JetField) -> float:
         """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included."""

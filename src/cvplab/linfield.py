@@ -148,10 +148,15 @@ def solve_linfield(op: LinearizedOperator,
                             threshold=float(cut), residuals=residuals)
 
 
-def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
-                           region: RegionMask, jf: JetField) -> float:
-    """Boundary-pair double sum of the jet-differentiated kernel over Omega."""
-    if region.inside.size != rho.count:
+def _region_osi(rho: DiscreteMeasure, kernel: RadialKernel,
+                regions: list[RegionMask], jf: JetField) -> np.ndarray:
+    """Surface-layer integrals of one jet over a family of regions.
+
+    The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
+    is built once; each region is the masked sum of P over inside rows
+    and outside columns.
+    """
+    if any(r.inside.size != rho.count for r in regions):
         raise DimensionMismatchError("region mask does not match the measure")
     if jf.count != rho.count or jf.dim != rho.manifold.dim:
         raise DimensionMismatchError("jet field does not match the measure")
@@ -163,8 +168,16 @@ def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
             + np.einsum("ia,ija,j->ij", u, t.G, a)
             - np.einsum("ia,ijab,jb->ij", u, t.H11, u))
     pair *= rho.weights[:, None] * rho.weights[None, :]
-    inside = region.inside
-    return -float(pair[np.ix_(inside, ~inside)].sum())
+    mask = np.array([r.inside for r in regions], dtype=float)
+    inside_rows = mask @ pair
+    outside = np.subtract(1.0, mask, out=mask)  # reuses the mask buffer
+    return -np.einsum("rj,rj->r", inside_rows, outside)
+
+
+def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
+                           region: RegionMask, jf: JetField) -> float:
+    """Boundary-pair double sum of the jet-differentiated kernel over Omega."""
+    return float(_region_osi(rho, kernel, [region], jf)[0])
 
 
 def arc_regions(rho: DiscreteMeasure, axis: int = 0) -> list[RegionMask]:
@@ -237,10 +250,8 @@ def osi_report(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
     residual = linfield_residual(rho, kernel, nu, jf)
     report = OSIReport(residual=residual,
                        solution_hypothesis=bool(residual <= residual_tolerance))
-    for region in regions:
-        val = surface_layer_integral(rho, kernel, region, jf)
-        report.values.append((region.label, val))
-        if val < report.min_value:
-            report.min_value = val
-            report.min_region = region.label
+    values = _region_osi(rho, kernel, regions, jf)
+    report.values = [(r.label, float(v)) for r, v in zip(regions, values)]
+    k = int(np.argmin(values))
+    report.min_value, report.min_region = float(values[k]), regions[k].label
     return report

@@ -174,6 +174,11 @@ def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
     return rho.replace(points=np.vstack(pts), weights=np.concatenate(ws))
 
 
+def _diagonals(ev: FormEvaluator, jets) -> np.ndarray:
+    """(n, L) array of nabla2_ell(i, u_a(i), u_a(i)) for each fragment jet u_a."""
+    return np.column_stack([ev.q1_terms(jf, jf) for jf in jets])
+
+
 def frag_second_variation(rho: DiscreteMeasure, kernel: RadialKernel,
                           nu: float, scheme: FragmentationScheme) -> float:
     """Half the second variation of a fragmented curve (weights inside).
@@ -183,13 +188,8 @@ def frag_second_variation(rho: DiscreteMeasure, kernel: RadialKernel,
     """
     ev = FormEvaluator(rho, kernel, nu)
     total = ev.double_sum(scheme.averaged_jet(), scheme.averaged_jet())
-    w = rho.weights
-    for a in range(scheme.fragment_count):
-        jf = scheme.jets[a]
-        diag = np.array([ev.nabla2_ell(i, jf.jet(i), jf.jet(i))
-                         for i in range(rho.count)])
-        total += float(w @ (scheme.weights[:, a] * diag))
-    return total
+    diag = _diagonals(ev, scheme.jets)
+    return total + float(rho.weights @ (scheme.weights * diag).sum(axis=1))
 
 
 def frag_second_variation_rescaled(rho: DiscreteMeasure, kernel: RadialKernel,
@@ -204,9 +204,7 @@ def frag_second_variation_rescaled(rho: DiscreteMeasure, kernel: RadialKernel,
     total = ev.double_sum(summed, summed)
     c = np.atleast_2d(np.asarray(weights, dtype=float))
     w = rho.weights
-    for a, jf in enumerate(jets):
-        diag = np.array([ev.nabla2_ell(i, jf.jet(i), jf.jet(i))
-                         for i in range(rho.count)])
+    for a, diag in enumerate(_diagonals(ev, jets).T):
         ratio = np.zeros(rho.count)
         live = c[:, a] > 0
         ratio[live] = diag[live] / c[live, a]
@@ -244,9 +242,7 @@ def frag_lower_bound(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
     clipped to zero, larger ones abort.
     """
     ev = FormEvaluator(rho, kernel, nu)
-    n = rho.count
-    diag = np.array([[ev.nabla2_ell(i, jf.jet(i), jf.jet(i)) for jf in jets]
-                     for i in range(n)])  # (n, L)
+    diag = _diagonals(ev, jets)
     scale = max(float(np.abs(diag).max()), 1e-300)
     if (diag < -tau_psd * scale).any():
         worst = float(diag.min())

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cvplab import SchemaError, load_config, load_state, parse_config, save_state
-from cvplab.cli import main, run
+from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
+from cvplab.linfield import LinfieldSolution
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -164,3 +165,25 @@ def test_cli_main_entry_point(tmp_path):
     code = main(["report", "--config", cfg_path,
                  "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
+
+
+def test_osi_stage_fails_without_solution_jet(tmp_path):
+    cfg = parse_config(BASE_CONFIG)
+    state = RunState(config_hash=cfg.hash)
+    empty = LinfieldSolution(solutions=(), singular_values=np.array([1.0]),
+                             threshold=1e-10, residuals=())
+    _stage_osi(cfg, cfg.initial_measure(), 0.0, empty, state, lambda msg: None)
+    assert state.verdicts["osi_nonnegative"] is False
+    assert state.osi_summary == {"reports": [], "min_value": None}
+    save_state(state, tmp_path / "state.json")
+    assert load_state(tmp_path / "state.json").osi_summary["min_value"] is None
+
+
+def test_cli_osi_stage_matches_verify_all(tmp_path):
+    cfg_path = _write_config(tmp_path)
+    assert run("osi", cfg_path, str(tmp_path / "osi"), quiet=True) == 0
+    assert run("verify-all", cfg_path, str(tmp_path / "all"), quiet=True) == 0
+    alone = load_state(tmp_path / "osi" / "state.json")
+    full = load_state(tmp_path / "all" / "state.json")
+    assert alone.osi_summary == full.osi_summary
+    assert alone.verdicts["osi_nonnegative"] is True

@@ -106,6 +106,14 @@ def test_pointwise_forms_and_index_errors(csp5):
         assert abs(nabla_ell(f.rho, f.kernel, f.nu, i, jet)) <= 2e-6
     with pytest.raises(IndexError):
         nabla_ell(f.rho, f.kernel, f.nu, 99, jet)
+    # the batched q1 terms are the pointwise nabla2_ell diagonals
+    ev = FormEvaluator(f.rho, f.kernel, f.nu)
+    u = _random_field(f.rho.count, 1, np.random.default_rng(5))
+    terms = ev.q1_terms(u, u)
+    assert terms.shape == (f.rho.count,)
+    for i in range(f.rho.count):
+        assert terms[i] == pytest.approx(
+            ev.nabla2_ell(i, u.jet(i), u.jet(i)), rel=1e-12, abs=1e-14)
 
 
 def test_nabla1_nabla2_consistent_with_double_sum(csp5):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (DimensionMismatchError, JetField, RegionMask, arc_regions,
-                    assemble_linfield, linfield_residual, osi_report,
+from cvplab import (ChartManifold, DimensionMismatchError, GaussianKernel,
+                    JetField, RegionMask, arc_regions, assemble_linfield,
+                    calibrate_nu, linfield_residual, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral)
 from cvplab.errors import SchemaError
+from cvplab.jets import nabla1_nabla2_L
 
 
 def test_operator_shape_and_zero_jet(csp5):
@@ -143,3 +145,42 @@ def test_osi_report_flags_non_solution(csp5):
     assert not rep.solution_hypothesis
     with pytest.raises(SchemaError):
         osi_report(csp5.rho, csp5.kernel, csp5.nu, jf, [])
+
+
+def _pointwise_osi(rho, kernel, region, jf):
+    """Oracle: boundary double sum of the pointwise analytic D1 D2 L."""
+    w = rho.weights
+    return -sum(
+        w[i] * w[j] * nabla1_nabla2_L(kernel, rho.manifold, rho.points[i],
+                                      rho.points[j], jf.jet(i), jf.jet(j))
+        for i in np.flatnonzero(region.inside)
+        for j in np.flatnonzero(~region.inside))
+
+
+def _assert_osi_matches_oracle(rho, kernel, nu, jf, regions):
+    rep = osi_report(rho, kernel, nu, jf, regions)
+    assert [lab for lab, _ in rep.values] == [r.label for r in regions]
+    for (_, val), region in zip(rep.values, regions):
+        assert val == pytest.approx(_pointwise_osi(rho, kernel, region, jf),
+                                    rel=1e-12)
+    k = int(np.argmin([val for _, val in rep.values]))
+    assert (rep.min_region, rep.min_value) == rep.values[k]
+
+
+def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
+    rng = np.random.default_rng(7)
+    n = csp5.rho.count
+    for jf in (JetField.translation(n, 1),
+               JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))):
+        _assert_osi_matches_oracle(csp5.rho, csp5.kernel, csp5.nu, jf,
+                                   arc_regions(csp5.rho))
+
+
+def test_osi_report_matches_pointwise_oracle_in_2d():
+    manifold = ChartManifold(kind="torus", dim=2, periods=(6.0, 6.0))
+    rho = random_measure(manifold, count=12, total_volume=12.0, seed=4)
+    kernel = GaussianKernel(sigma=1.0)
+    rng = np.random.default_rng(8)
+    jf = JetField(scalar=rng.normal(size=12), vector=rng.normal(size=(12, 2)))
+    _assert_osi_matches_oracle(rho, kernel, calibrate_nu(rho, kernel), jf,
+                               random_regions(rho, count=16, seed=3))
