@@ -15,11 +15,13 @@ basis (ordering: point-major blocks [scalar, e_1, ..., e_m]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CvpError, DimensionMismatchError, SchemaError
-from .kernels import RadialKernel, lagrangian_derivatives, lagrangian_eval, pair_tables
+from .kernels import (PairTables, RadialKernel, lagrangian_derivatives,
+                      lagrangian_eval, pair_tables)
 from .measure import DiscreteMeasure
 
 FORM_Q1 = "Q1"
@@ -108,8 +110,25 @@ def _check_field(rho: DiscreteMeasure, jf: JetField) -> None:
             f"{rho.count} points in dimension {rho.manifold.dim}")
 
 
+def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
+    """B[i, a, j, b] = w_i w_j D1_{e_a} D2_{e_b} L(x_i, x_j) over the unit jets.
+
+    The kernel double sum of two jet fields is c1 . B . c2 over their
+    stacked coefficients.  grad2 = -grad1 and hess12 = -hess11 for radial
+    kernels on flat charts.
+    """
+    n, _, m = tables.G.shape
+    block = np.empty((n, 1 + m, n, 1 + m))
+    block[:, 0, :, 0] = tables.L
+    block[:, 0, :, 1:] = -tables.G
+    block[:, 1:, :, 0] = tables.G.transpose(0, 2, 1)
+    block[:, 1:, :, 1:] = -tables.H11.transpose(0, 2, 1, 3)
+    block *= weights[:, None, None, None] * weights[None, None, :, None]
+    return block
+
+
 class FormEvaluator:
-    """Precomputed pairwise tables and ell data for the jet forms.
+    """Pair tables, ell data and the jet-pair block for the jet forms.
 
     All the module-level form functions route through this class; build
     one instance when evaluating many forms on the same measure.
@@ -121,10 +140,20 @@ class FormEvaluator:
         self.nu = float(nu)
         t = pair_tables(kernel, rho.manifold, rho.points)
         w = rho.weights
+        n, m = rho.count, rho.manifold.dim
         self.tables = t
-        self.ell = t.L @ w - self.nu / 2.0
-        self.grad_ell = np.einsum("ija,j->ia", t.G, w)
-        self.hess_ell = np.einsum("ijab,j->iab", t.H11, w)
+        # ell, grad ell and Hess ell at each point over the unit jets
+        self.ell_jet = np.empty((n, 1 + m, 1 + m))
+        self.ell_jet[:, 0, 0] = t.L @ w - self.nu / 2.0
+        self.ell_jet[:, 0, 1:] = self.ell_jet[:, 1:, 0] = np.einsum("ija,j->ia", t.G, w)
+        self.ell_jet[:, 1:, 1:] = np.einsum("ijab,j->iab", t.H11, w)
+        self.ell = self.ell_jet[:, 0, 0]
+        self.grad_ell = self.ell_jet[:, 0, 1:]
+        self.hess_ell = self.ell_jet[:, 1:, 1:]
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        return jet_pair_block(self.tables, self.rho.weights)
 
     def nabla_ell(self, i: int, jet: Jet) -> float:
         return float(jet.a * self.ell[i] + jet.u @ self.grad_ell[i])
@@ -139,10 +168,8 @@ class FormEvaluator:
         """Per-point terms nabla2_ell(i, u_i, v_i) of q1, as one (n,) array."""
         for jf in (jf1, jf2):
             _check_field(self.rho, jf)
-        return (jf1.scalar * jf2.scalar * self.ell
-                + jf1.scalar * np.einsum("ia,ia->i", jf2.vector, self.grad_ell)
-                + jf2.scalar * np.einsum("ia,ia->i", jf1.vector, self.grad_ell)
-                + np.einsum("ia,iab,ib->i", jf1.vector, self.hess_ell, jf2.vector))
+        c1, c2 = (jf.stacked().reshape(jf.count, -1) for jf in (jf1, jf2))
+        return np.einsum("ia,iab,ib->i", c1, self.ell_jet, c2)
 
     def q1(self, jf1: JetField, jf2: JetField) -> float:
         return float(self.rho.weights @ self.q1_terms(jf1, jf2))
@@ -151,18 +178,8 @@ class FormEvaluator:
         """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included."""
         for jf in (jf1, jf2):
             _check_field(self.rho, jf)
-        t = self.tables
-        w = self.rho.weights
-        a, u = jf1.scalar, jf1.vector
-        b, v = jf2.scalar, jf2.vector
-        # grad2 = -grad1 and hess12 = -hess11 for radial kernels on flat charts
-        aw, uw = a * w, u * w[:, None]
-        bw, vw = b * w, v * w[:, None]
-        val = (np.einsum("i,ij,j", aw, t.L, bw)
-               - np.einsum("i,ija,ja", aw, t.G, vw)
-               + np.einsum("ia,ija,j", uw, t.G, bw)
-               - np.einsum("ia,ijab,jb", uw, t.H11, vw))
-        return float(val)
+        c1, c2 = jf1.stacked(), jf2.stacked()
+        return float(c1 @ self.block.reshape(c1.size, c2.size) @ c2)
 
     def sp1(self, jf1: JetField, jf2: JetField) -> float:
         return self.double_sum(jf1, jf2) + self.q1(jf1, jf2)
@@ -170,43 +187,21 @@ class FormEvaluator:
     def sp2(self, jf1: JetField, jf2: JetField) -> float:
         return self.sp1(jf1, jf2) + self.q1(jf1, jf2)
 
-    def _block_matrix_double(self) -> np.ndarray:
-        """Gram matrix of the kernel double sum over the unit-jet basis."""
-        n, m = self.rho.count, self.rho.manifold.dim
-        t = self.tables
-        w = self.rho.weights
-        blocks = np.zeros((n, 1 + m, n, 1 + m))
-        blocks[:, 0, :, 0] = t.L
-        blocks[:, 0, :, 1:] = -t.G  # grad2 of the (i, j) pair
-        blocks[:, 1:, :, 0] = t.G.transpose(0, 2, 1)
-        blocks[:, 1:, :, 1:] = -t.H11.transpose(0, 2, 1, 3)
-        blocks *= w[:, None, None, None] * w[None, None, :, None]
-        return blocks.reshape(n * (1 + m), n * (1 + m))
-
-    def _block_matrix_q1(self) -> np.ndarray:
-        n, m = self.rho.count, self.rho.manifold.dim
-        w = self.rho.weights
-        out = np.zeros((n * (1 + m), n * (1 + m)))
-        for i in range(n):
-            block = np.empty((1 + m, 1 + m))
-            block[0, 0] = self.ell[i]
-            block[0, 1:] = self.grad_ell[i]
-            block[1:, 0] = self.grad_ell[i]
-            block[1:, 1:] = self.hess_ell[i]
-            sl = slice(i * (1 + m), (i + 1) * (1 + m))
-            out[sl, sl] = w[i] * block
-        return out
-
     def form_matrix(self, form_id: str) -> np.ndarray:
-        q1 = self._block_matrix_q1()
+        """Gram matrix over the unit jets: Q1, block + Q1 or block + 2 Q1."""
+        n, m = self.rho.count, self.rho.manifold.dim
+        points = np.arange(n)
+        q1 = np.zeros((n, 1 + m, n, 1 + m))
+        q1[points, :, points, :] = self.rho.weights[:, None, None] * self.ell_jet
         if form_id == FORM_Q1:
-            return q1
-        double = self._block_matrix_double()
-        if form_id == FORM_SP1:
-            return double + q1
-        if form_id == FORM_SP2:
-            return double + 2.0 * q1
-        raise SchemaError(f"unknown form id {form_id!r}")
+            out = q1
+        elif form_id == FORM_SP1:
+            out = self.block + q1
+        elif form_id == FORM_SP2:
+            out = self.block + 2.0 * q1
+        else:
+            raise SchemaError(f"unknown form id {form_id!r}")
+        return out.reshape(n * (1 + m), n * (1 + m))
 
 
 def nabla_ell(rho, kernel, nu, i: int, jet: Jet) -> float:

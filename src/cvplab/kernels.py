@@ -15,6 +15,7 @@ with d = displacement(x, y) and s = |d|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,31 +181,42 @@ def lagrangian_derivatives(kernel: RadialKernel, manifold: ChartManifold,
     raise UnsupportedOrderError(f"unknown derivative order {order!r}")
 
 
-@dataclass(frozen=True)
 class PairTables:
     """Pairwise kernel data over a point configuration.
 
     L[i, j] = L(x_i, x_j); G[i, j] = grad1 L(x_i, x_j) (n, n, m);
     H11[i, j] = hess11 L(x_i, x_j) (n, n, m, m).  hess12 = -H11.
+    Each table is computed from the displacements D on first read.
     """
 
-    L: np.ndarray
-    G: np.ndarray
-    H11: np.ndarray
+    def __init__(self, kernel: RadialKernel, displacements: np.ndarray):
+        self.kernel = kernel
+        self.D = displacements
+        self.s = np.einsum("ijk,ijk->ij", displacements, displacements)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return self.kernel.profile(self.s)
+
+    @cached_property
+    def _g1(self) -> np.ndarray:
+        return self.kernel.profile_d1(self.s)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return 2.0 * self._g1[:, :, None] * self.D
+
+    @cached_property
+    def H11(self) -> np.ndarray:
+        D = self.D
+        g2 = self.kernel.profile_d2(self.s)
+        return 2.0 * self._g1[:, :, None, None] * np.eye(D.shape[-1]) + \
+            4.0 * g2[:, :, None, None] * np.einsum("ija,ijb->ijab", D, D)
 
 
 def pair_tables(kernel: RadialKernel, manifold: ChartManifold,
                 points: np.ndarray) -> PairTables:
-    D = manifold.pairwise_displacement(points)
-    s = np.einsum("ijk,ijk->ij", D, D)
-    g1 = kernel.profile_d1(s)
-    g2 = kernel.profile_d2(s)
-    L = kernel.profile(s)
-    G = 2.0 * g1[:, :, None] * D
-    eye = np.eye(manifold.dim)
-    H11 = 2.0 * g1[:, :, None, None] * eye + 4.0 * g2[:, :, None, None] * \
-        np.einsum("ija,ijb->ijab", D, D)
-    return PairTables(L=L, G=G, H11=H11)
+    return PairTables(kernel, manifold.pairwise_displacement(points))
 
 
 @dataclass(frozen=True)

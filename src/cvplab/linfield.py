@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CvpError, DimensionMismatchError, SchemaError
-from .jets import JetField
+from .jets import FORM_SP1, FormEvaluator, JetField, jet_pair_block
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
@@ -54,34 +54,21 @@ class RegionMask:
 class LinearizedOperator:
     """Matrix of the linearized field equations over the unit-jet basis.
 
-    Row blocks follow the same point-major [scalar, e_1, ..., e_m]
-    ordering as the jet coefficient vector, so `matrix @ jf.stacked()`
-    gives the stacked bracket values and bracket gradients.
+    The equations are the Euler-Lagrange equations of sp1, so the matrix
+    is W^-1 SP1: the SP1 Gram of `evaluator`, each row divided by the
+    weight of its point.  Row
+    blocks follow the point-major [scalar, e_1, ..., e_m] ordering of the
+    jet coefficients, so `matrix @ jf.stacked()` gives the stacked
+    bracket values and bracket gradients.
     """
 
     def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel, nu: float):
         self.rho = rho
         self.kernel = kernel
         self.nu = float(nu)
-        n, m = rho.count, rho.manifold.dim
-        t = pair_tables(kernel, rho.manifold, rho.points)
-        w = rho.weights
-        ell = t.L @ w - self.nu / 2.0
-        grad_ell = np.einsum("ija,j->ia", t.G, w)
-        hess_ell = np.einsum("ijab,j->iab", t.H11, w)
-
-        blocks = np.zeros((n, 1 + m, n, 1 + m))
-        # scalar bracket rows
-        blocks[:, 0, :, 0] = t.L * w[None, :]
-        blocks[np.arange(n), 0, np.arange(n), 0] += ell
-        blocks[:, 0, :, 1:] = -t.G * w[None, :, None]
-        blocks[np.arange(n), 0, np.arange(n), 1:] += grad_ell
-        # gradient-of-bracket rows
-        blocks[:, 1:, :, 0] = (t.G * w[None, :, None]).transpose(0, 2, 1)
-        blocks[np.arange(n), 1:, np.arange(n), 0] += grad_ell
-        blocks[:, 1:, :, 1:] = -(t.H11 * w[None, :, None, None]).transpose(0, 2, 1, 3)
-        blocks[np.arange(n), 1:, np.arange(n), 1:] += hess_ell
-        self.matrix = blocks.reshape(n * (1 + m), n * (1 + m))
+        self.evaluator = FormEvaluator(rho, kernel, nu)
+        row_weights = np.repeat(rho.weights, 1 + rho.manifold.dim)
+        self.matrix = self.evaluator.form_matrix(FORM_SP1) / row_weights[:, None]
 
     def apply(self, jf: JetField) -> np.ndarray:
         if jf.count != self.rho.count or jf.dim != self.rho.manifold.dim:
@@ -148,26 +135,21 @@ def solve_linfield(op: LinearizedOperator,
                             threshold=float(cut), residuals=residuals)
 
 
-def _region_osi(rho: DiscreteMeasure, kernel: RadialKernel,
-                regions: list[RegionMask], jf: JetField) -> np.ndarray:
+def _region_osi(block: np.ndarray, regions: list[RegionMask],
+                jf: JetField) -> np.ndarray:
     """Surface-layer integrals of one jet over a family of regions.
 
     The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
-    is built once; each region is the masked sum of P over inside rows
-    and outside columns.
+    is the jet-pair block contracted with the jet at both ends; each
+    region is the masked sum of P over inside rows and outside columns.
     """
-    if any(r.inside.size != rho.count for r in regions):
+    n, dim = block.shape[0], block.shape[1] - 1
+    if any(r.inside.size != n for r in regions):
         raise DimensionMismatchError("region mask does not match the measure")
-    if jf.count != rho.count or jf.dim != rho.manifold.dim:
+    if jf.count != n or jf.dim != dim:
         raise DimensionMismatchError("jet field does not match the measure")
-    t = pair_tables(kernel, rho.manifold, rho.points)
-    a, u = jf.scalar, jf.vector
-    # D1_{u_i} D2_{u_j} L(x_i, x_j) for every pair, using grad2 = -grad1
-    pair = (np.einsum("i,ij,j->ij", a, t.L, a)
-            - np.einsum("i,ija,ja->ij", a, t.G, u)
-            + np.einsum("ia,ija,j->ij", u, t.G, a)
-            - np.einsum("ia,ijab,jb->ij", u, t.H11, u))
-    pair *= rho.weights[:, None] * rho.weights[None, :]
+    c = jf.stacked().reshape(n, 1 + dim)
+    pair = np.einsum("ia,iajb,jb->ij", c, block, c)
     mask = np.array([r.inside for r in regions], dtype=float)
     inside_rows = mask @ pair
     outside = np.subtract(1.0, mask, out=mask)  # reuses the mask buffer
@@ -177,24 +159,25 @@ def _region_osi(rho: DiscreteMeasure, kernel: RadialKernel,
 def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
                            region: RegionMask, jf: JetField) -> float:
     """Boundary-pair double sum of the jet-differentiated kernel over Omega."""
-    return float(_region_osi(rho, kernel, [region], jf)[0])
+    block = jet_pair_block(pair_tables(kernel, rho.manifold, rho.points),
+                           rho.weights)
+    return float(_region_osi(block, [region], jf)[0])
 
 
 def arc_regions(rho: DiscreteMeasure, axis: int = 0) -> list[RegionMask]:
     """All proper contiguous arcs in the sorted order along one chart axis.
 
     Intended for one-dimensional supports, where arcs exhaust the
-    connected regions up to cyclic relabeling.
+    connected regions up to cyclic relabeling.  Arc (start, length)
+    holds the points of rank start, ..., start + length - 1 (mod n).
     """
     n = rho.count
-    order = np.argsort(rho.points[:, axis])
-    regions = []
-    for start in range(n):
-        for length in range(1, n):
-            idx = order[(start + np.arange(length)) % n]
-            regions.append(RegionMask.from_indices(
-                n, idx, label=f"arc(start={start}, length={length})"))
-    return regions
+    rank = np.argsort(np.argsort(rho.points[:, axis]))
+    start = np.repeat(np.arange(n), n - 1)
+    length = np.tile(np.arange(1, n), n)
+    inside = (rank[None, :] - start[:, None]) % n < length[:, None]
+    return [RegionMask(inside=mask, label=f"arc(start={s}, length={k})")
+            for mask, s, k in zip(inside, start.tolist(), length.tolist())]
 
 
 def random_regions(rho: DiscreteMeasure, count: int, seed: int) -> list[RegionMask]:
@@ -247,10 +230,11 @@ def osi_report(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
     """
     if not regions:
         raise SchemaError("need at least one region")
-    residual = linfield_residual(rho, kernel, nu, jf)
+    op = LinearizedOperator(rho, kernel, nu)
+    residual = op.residual(jf)
     report = OSIReport(residual=residual,
                        solution_hypothesis=bool(residual <= residual_tolerance))
-    values = _region_osi(rho, kernel, regions, jf)
+    values = _region_osi(op.evaluator.block, regions, jf)
     report.values = [(r.label, float(v)) for r, v in zip(regions, values)]
     k = int(np.argmin(values))
     report.min_value, report.min_region = float(values[k]), regions[k].label

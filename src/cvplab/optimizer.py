@@ -100,8 +100,7 @@ def project_volume(weights: np.ndarray, target_volume: float,
     return np.full(n, target_volume / n)  # unreachable for consistent input
 
 
-def _gradients(rho_points, weights, kernel, manifold):
-    tables = pair_tables(kernel, manifold, rho_points)
+def _gradients(tables, weights):
     rows = tables.L @ weights
     grad_ell = np.einsum("ija,j->ia", tables.G, weights)
     # dS/dx_i = 2 w_i sum_j w_j grad1 L(x_i, x_j); dS/dw_i = 2 row_sum_i
@@ -128,7 +127,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     floor = config.weight_floor_rel * volume / rho0.count
     trace = OptimizerTrace()
     step = config.step_size_initial
-    act, gx, gw, residual = _gradients(x, w, kernel, manifold)
+    act, gx, gw, residual = _gradients(pair_tables(kernel, manifold, x), w)
     trace.rows.append((0, act, residual, step))
     if residual <= config.tolerance_weak_el:
         trace.status = "converged"
@@ -144,9 +143,10 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
         for _ in range(config.max_backtracks):
             xn = x - step * gx
             wn = project_volume(w - step * gw, volume, floor)
-            tables_act = float(wn @ pair_tables(kernel, manifold, xn).L @ wn)
+            trial = pair_tables(kernel, manifold, xn)
+            trial_act = float(wn @ trial.L @ wn)
             moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
-            if tables_act <= act - config.armijo_slope / step * moved:
+            if trial_act <= act - config.armijo_slope / step * moved:
                 accepted = True
                 break
             step *= config.armijo_factor
@@ -154,7 +154,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
             trace.status = "stalled"
             break
         x, w = xn, wn
-        act, gx, gw, residual = _gradients(x, w, kernel, manifold)
+        act, gx, gw, residual = _gradients(trial, w)
         if it % config.trace_period == 0:
             trace.rows.append((it, act, residual, step))
         if residual <= config.tolerance_weak_el:
@@ -164,7 +164,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     else:
         trace.status = "budget-exhausted"
 
-    act, _, _, residual = _gradients(x, w, kernel, manifold)
+    # act and residual belong to the last accepted (x, w)
     if not trace.rows or trace.rows[-1][0] != it:
         trace.rows.append((it, act, residual, step))
     trace.floored_points = [int(i) for i in np.flatnonzero(w <= floor * (1 + 1e-12))]

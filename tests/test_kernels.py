@@ -77,6 +77,18 @@ def test_pair_tables_structure():
             assert t.L[i, j] == lagrangian_eval(k, EUC1, pts[i], pts[j])
             g = lagrangian_derivatives(k, EUC1, pts[i], pts[j], "grad1")
             assert np.array_equal(t.G[i, j], g)
+    # 2-D input, so the off-diagonal Hessian entries are exercised too
+    k = InversePowerKernel(sigma=0.8, exponent=3.0)
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 2))
+    t = pair_tables(k, EUC2, pts)
+    assert t.G.shape == (4, 4, 2) and t.H11.shape == (4, 4, 2, 2)
+    assert np.array_equal(t.H11, t.H11.transpose(0, 1, 3, 2))
+    for i in range(4):
+        for j in range(4):
+            assert t.L[i, j] == lagrangian_eval(k, EUC2, pts[i], pts[j])
+            for order, table in (("grad1", t.G), ("hess11", t.H11)):
+                exact = lagrangian_derivatives(k, EUC2, pts[i], pts[j], order)
+                np.testing.assert_allclose(table[i, j], exact, rtol=1e-14, atol=0)
 
 
 def test_param_validation_and_orders():

@@ -9,6 +9,7 @@ from cvplab import (ChartManifold, DimensionMismatchError, GaussianKernel,
                     random_regions, solve_linfield, surface_layer_integral)
 from cvplab.errors import SchemaError
 from cvplab.jets import nabla1_nabla2_L
+from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
 def test_operator_shape_and_zero_jet(csp5):
@@ -70,6 +71,40 @@ def test_solve_linfield_threshold_validation(csp5):
     assert exact.dimension <= solve_linfield(op, 1e-8).dimension
 
 
+def _pointwise_brackets(rho, kernel, nu, jf):
+    """Oracle: the bracket and its chart gradient at every point, pair by pair."""
+    w, x, a, u = rho.weights, rho.points, jf.scalar, jf.vector
+    out = np.zeros((rho.count, 1 + rho.manifold.dim))
+    for i in range(rho.count):
+        for j in range(rho.count):
+            L = lagrangian_eval(kernel, rho.manifold, x[i], x[j])
+            G = lagrangian_derivatives(kernel, rho.manifold, x[i], x[j], "grad1")
+            H11 = lagrangian_derivatives(kernel, rho.manifold, x[i], x[j], "hess11")
+            out[i, 0] += w[j] * ((a[i] + a[j]) * L + (u[i] - u[j]) @ G)
+            out[i, 1:] += w[j] * ((a[i] + a[j]) * G + H11 @ (u[i] - u[j]))
+        out[i, 0] -= a[i] * nu / 2.0
+    return out.ravel()
+
+
+def _gauss_2d():
+    manifold = ChartManifold(kind="torus", dim=2, periods=(6.0, 6.0))
+    rho = random_measure(manifold, count=12, total_volume=12.0, seed=4)
+    kernel = GaussianKernel(sigma=1.0)
+    return rho, kernel, calibrate_nu(rho, kernel)
+
+
+def test_operator_matches_pointwise_brackets(csp5):
+    rng = np.random.default_rng(10)
+    for rho, kernel, nu in ((csp5.rho, csp5.kernel, csp5.nu), _gauss_2d()):
+        op = assemble_linfield(rho, kernel, nu)
+        for _ in range(3):
+            jf = JetField(scalar=rng.normal(size=rho.count),
+                          vector=rng.normal(size=(rho.count, rho.manifold.dim)))
+            oracle = _pointwise_brackets(rho, kernel, nu, jf)
+            err = np.abs(op.apply(jf) - oracle).max()
+            assert err <= 1e-12 * np.abs(oracle).max()
+
+
 def test_surface_layer_trivial_cases(csp5):
     n = csp5.rho.count
     zero = JetField.zero(n, 1)
@@ -123,6 +158,20 @@ def test_arc_regions_enumeration(csp5):
     n = csp5.rho.count
     assert len(arcs) == n * (n - 1)
     assert all(0 < a.size < n for a in arcs)
+    # on a shuffled point order, each arc is its run of sorted positions
+    order = np.random.default_rng(5).permutation(n)
+    rho = csp5.rho.replace(points=csp5.rho.points[order],
+                           weights=csp5.rho.weights[order])
+    sorted_order = np.argsort(rho.points[:, 0])
+    arcs = iter(arc_regions(rho))
+    for start in range(n):
+        for length in range(1, n):
+            arc = next(arcs)
+            expected = RegionMask.from_indices(
+                n, sorted_order[(start + np.arange(length)) % n])
+            assert np.array_equal(arc.inside, expected.inside)
+            assert arc.label == f"arc(start={start}, length={length})"
+    assert next(arcs, None) is None
 
 
 def test_osi_report_translation_positive(csp5):
@@ -177,10 +226,8 @@ def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
 
 
 def test_osi_report_matches_pointwise_oracle_in_2d():
-    manifold = ChartManifold(kind="torus", dim=2, periods=(6.0, 6.0))
-    rho = random_measure(manifold, count=12, total_volume=12.0, seed=4)
-    kernel = GaussianKernel(sigma=1.0)
+    rho, kernel, nu = _gauss_2d()
     rng = np.random.default_rng(8)
     jf = JetField(scalar=rng.normal(size=12), vector=rng.normal(size=(12, 2)))
-    _assert_osi_matches_oracle(rho, kernel, calibrate_nu(rho, kernel), jf,
+    _assert_osi_matches_oracle(rho, kernel, nu, jf,
                                random_regions(rho, count=16, seed=3))
