@@ -18,20 +18,19 @@ from .errors import (CvpError, DimensionMismatchError,
                      WeightPositivityError)
 from .geometry import ChartManifold
 from .jets import (FormEvaluator, GramReport, Jet, JetField, gram_spectrum,
-                   nabla1_nabla2_L, nabla2_ell_form, nabla_ell, q1, sp1_inner,
-                   sp2_inner)
+                   nabla1_nabla2_L)
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
                       RadialKernel, kernel_from_dict, lagrangian_derivatives,
                       lagrangian_eval, pair_tables, verify_lagrangian)
 from .linfield import (LinearizedOperator, RegionMask, arc_regions,
-                       assemble_linfield, linfield_residual, osi_report,
-                       random_regions, solve_linfield, surface_layer_integral)
+                       assemble_linfield, osi_report, random_regions,
+                       solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
 from .variations import (FragmentationScheme, VariationCurve, deform,
                          frag_lower_bound, frag_second_variation,
                          frag_second_variation_rescaled, fragment_deform,
-                         optimal_weights, second_variation_analytic,
-                         second_variation_fd, stability_probe)
+                         optimal_weights, second_variation_fd,
+                         stability_probe)
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ from .action import el_report
 from .config import (ExperimentConfig, RunState, load_config, load_state,
                      save_state)
 from .errors import CvpError, SchemaError
-from .jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, gram_spectrum
+from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
+                   gram_spectrum)
 from .linfield import (arc_regions, assemble_linfield, osi_report,
                        random_regions, solve_linfield)
 from .measure import DiscreteMeasure
@@ -76,12 +77,12 @@ def _stage_report(cfg, rho, state, out_dir, log):
     return rep.nu
 
 
-def _stage_spectrum(cfg, rho, nu, state, out_dir, log):
+def _stage_spectrum(cfg, ev, state, out_dir, log):
     tau = cfg.tolerances["tau_psd"]
     rows = []
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
                            (FORM_SP1, BASIS_SCALAR)):
-        rep = gram_spectrum(rho, cfg.kernel, nu, form_id, basis, tau_psd=tau)
+        rep = gram_spectrum(ev, form_id, basis, tau_psd=tau)
         state.gram_reports.append(rep.to_dict(include_matrix=False))
         key = f"{form_id.lower()}_{basis}_psd"
         state.verdicts[key] = rep.psd
@@ -96,10 +97,10 @@ def _stage_spectrum(cfg, rho, nu, state, out_dir, log):
             writer.writerow([form_id, basis, k, repr(float(lam))])
 
 
-def _stage_fragment(cfg, rho, nu, state, out_dir, seed, log):
+def _stage_fragment(cfg, ev, state, out_dir, seed, log):
     probe = cfg.probe
     rep = stability_probe(
-        rho, cfg.kernel, nu,
+        ev,
         fragments=int(probe["fragments"]),
         tau_grid=probe["tau_grid"],
         trials=int(probe["trials"]),
@@ -113,8 +114,7 @@ def _stage_fragment(cfg, rho, nu, state, out_dir, seed, log):
         f"deviation {rep.max_fit_deviation:.3%} ({'pass' if stable else 'FAIL'})")
 
 
-def _stage_linfield(cfg, rho, nu, state, out_dir, log):
-    op = assemble_linfield(rho, cfg.kernel, nu)
+def _stage_linfield(op, state, out_dir, log):
     sol = solve_linfield(op)
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
@@ -125,14 +125,15 @@ def _stage_linfield(cfg, rho, nu, state, out_dir, log):
     return sol
 
 
-def _stage_osi(cfg, rho, nu, sol, state, log):
+def _stage_osi(cfg, op, sol, state, log):
+    rho = op.rho
     if rho.manifold.dim == 1 and rho.count >= 2:
         regions = arc_regions(rho)
     else:
         regions = random_regions(rho, count=32, seed=0)
     reports = []
     for k, jf in enumerate(sol.solutions):
-        rep = osi_report(rho, cfg.kernel, nu, jf, regions)
+        rep = osi_report(op, jf, regions)
         reports.append({"solution_index": k, **rep.to_dict()})
     # with no solution jet nothing is checked, so the verdict fails
     worst = min((r["min_value"] for r in reports), default=None)
@@ -161,16 +162,20 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
                               reuse=stage != "minimize")
         state.measure = rho.to_dict()
         nu = _stage_report(cfg, rho, state, out, log)
+        if stage not in ("minimize", "report"):
+            ev = FormEvaluator(rho, cfg.kernel, nu)  # shared by every later stage
         if stage in ("spectrum", "verify-all"):
-            _stage_spectrum(cfg, rho, nu, state, out, log)
+            _stage_spectrum(cfg, ev, state, out, log)
         if stage in ("fragment", "verify-all"):
-            _stage_fragment(cfg, rho, nu, state, out, seed, log)
-        if stage in ("linfield", "verify-all"):
-            sol = _stage_linfield(cfg, rho, nu, state, out, log)
-        elif stage == "osi":
-            sol = solve_linfield(assemble_linfield(rho, cfg.kernel, nu))
+            _stage_fragment(cfg, ev, state, out, seed, log)
+        if stage in ("linfield", "osi", "verify-all"):
+            op = assemble_linfield(ev)
+            if stage == "osi":
+                sol = solve_linfield(op)
+            else:
+                sol = _stage_linfield(op, state, out, log)
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, rho, nu, sol, state, log)
+            _stage_osi(cfg, op, sol, state, log)
         save_state(state, out / "state.json")
     except CvpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,8 +130,8 @@ def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
 class FormEvaluator:
     """Pair tables, ell data and the jet-pair block for the jet forms.
 
-    All the module-level form functions route through this class; build
-    one instance when evaluating many forms on the same measure.
+    The one handle for the forms on a measure: every function that
+    evaluates a form takes an instance, so build one per measure.
     """
 
     def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel, nu: float):
@@ -155,10 +155,16 @@ class FormEvaluator:
     def block(self) -> np.ndarray:
         return jet_pair_block(self.tables, self.rho.weights)
 
+    def _check_point(self, i: int) -> None:
+        if not 0 <= i < self.rho.count:
+            raise IndexError(f"point index {i} out of range")
+
     def nabla_ell(self, i: int, jet: Jet) -> float:
+        self._check_point(i)
         return float(jet.a * self.ell[i] + jet.u @ self.grad_ell[i])
 
     def nabla2_ell(self, i: int, jet1: Jet, jet2: Jet) -> float:
+        self._check_point(i)
         return float(jet1.a * jet2.a * self.ell[i]
                      + jet1.a * (jet2.u @ self.grad_ell[i])
                      + jet2.a * (jet1.u @ self.grad_ell[i])
@@ -188,32 +194,25 @@ class FormEvaluator:
         return self.sp1(jf1, jf2) + self.q1(jf1, jf2)
 
     def form_matrix(self, form_id: str) -> np.ndarray:
-        """Gram matrix over the unit jets: Q1, block + Q1 or block + 2 Q1."""
+        """Gram matrix over the unit jets: Q1, block + Q1 or block + 2 Q1.
+
+        Q1 is block diagonal, so its point blocks w_i ell_jet_i are added
+        onto the diagonal of one new (n(1+m))^2 array.
+        """
+        if form_id not in (FORM_Q1, FORM_SP1, FORM_SP2):
+            raise SchemaError(f"unknown form id {form_id!r}")
         n, m = self.rho.count, self.rho.manifold.dim
         points = np.arange(n)
-        q1 = np.zeros((n, 1 + m, n, 1 + m))
-        q1[points, :, points, :] = self.rho.weights[:, None, None] * self.ell_jet
+        q1 = self.rho.weights[:, None, None] * self.ell_jet
         if form_id == FORM_Q1:
-            out = q1
-        elif form_id == FORM_SP1:
-            out = self.block + q1
-        elif form_id == FORM_SP2:
-            out = self.block + 2.0 * q1
+            out = np.zeros((n, 1 + m, n, 1 + m))
+            out[points, :, points, :] = q1
         else:
-            raise SchemaError(f"unknown form id {form_id!r}")
+            # a new array whose zeros are all +0.0: LAPACK picks Householder
+            # signs from signed zeros, and the block has -0.0 where G = 0
+            out = self.block + 0.0
+            out[points, :, points, :] += 2.0 * q1 if form_id == FORM_SP2 else q1
         return out.reshape(n * (1 + m), n * (1 + m))
-
-
-def nabla_ell(rho, kernel, nu, i: int, jet: Jet) -> float:
-    if not 0 <= i < rho.count:
-        raise IndexError(f"point index {i} out of range")
-    return FormEvaluator(rho, kernel, nu).nabla_ell(i, jet)
-
-
-def nabla2_ell_form(rho, kernel, nu, i: int, jet1: Jet, jet2: Jet) -> float:
-    if not 0 <= i < rho.count:
-        raise IndexError(f"point index {i} out of range")
-    return FormEvaluator(rho, kernel, nu).nabla2_ell(i, jet1, jet2)
 
 
 def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y,
@@ -226,18 +225,6 @@ def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y,
                  + jet_x.a * (jet_y.u @ (-g1))
                  + jet_y.a * (jet_x.u @ g1)
                  + jet_x.u @ h12 @ jet_y.u)
-
-
-def q1(rho, kernel, nu, jf1: JetField, jf2: JetField) -> float:
-    return FormEvaluator(rho, kernel, nu).q1(jf1, jf2)
-
-
-def sp1_inner(rho, kernel, nu, jf1: JetField, jf2: JetField) -> float:
-    return FormEvaluator(rho, kernel, nu).sp1(jf1, jf2)
-
-
-def sp2_inner(rho, kernel, nu, jf1: JetField, jf2: JetField) -> float:
-    return FormEvaluator(rho, kernel, nu).sp2(jf1, jf2)
 
 
 @dataclass(frozen=True)
@@ -280,14 +267,12 @@ def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:
     raise SchemaError(f"unknown basis {basis!r}")
 
 
-def gram_spectrum(rho, kernel, nu, form_id: str, basis: str = BASIS_FULL,
+def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                   tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum."""
-    n, m = rho.count, rho.manifold.dim
-    idx = _basis_indices(n, m, basis)
+    idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
     if idx.size > max_dim:
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
-    ev = FormEvaluator(rho, kernel, nu)
     full = ev.form_matrix(form_id)
     matrix = full[np.ix_(idx, idx)]
     matrix = 0.5 * (matrix + matrix.T)

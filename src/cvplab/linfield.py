@@ -62,13 +62,12 @@ class LinearizedOperator:
     bracket values and bracket gradients.
     """
 
-    def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel, nu: float):
-        self.rho = rho
-        self.kernel = kernel
-        self.nu = float(nu)
-        self.evaluator = FormEvaluator(rho, kernel, nu)
-        row_weights = np.repeat(rho.weights, 1 + rho.manifold.dim)
-        self.matrix = self.evaluator.form_matrix(FORM_SP1) / row_weights[:, None]
+    def __init__(self, evaluator: FormEvaluator):
+        self.evaluator = evaluator
+        self.rho = evaluator.rho
+        row_weights = np.repeat(self.rho.weights, 1 + self.rho.manifold.dim)
+        self.matrix = evaluator.form_matrix(FORM_SP1)  # a new array: divide in place
+        self.matrix /= row_weights[:, None]
 
     def apply(self, jf: JetField) -> np.ndarray:
         if jf.count != self.rho.count or jf.dim != self.rho.manifold.dim:
@@ -80,14 +79,8 @@ class LinearizedOperator:
         return float(np.abs(self.apply(jf)).max())
 
 
-def assemble_linfield(rho: DiscreteMeasure, kernel: RadialKernel,
-                      nu: float) -> LinearizedOperator:
-    return LinearizedOperator(rho, kernel, nu)
-
-
-def linfield_residual(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
-                      jf: JetField) -> float:
-    return LinearizedOperator(rho, kernel, nu).residual(jf)
+def assemble_linfield(ev: FormEvaluator) -> LinearizedOperator:
+    return LinearizedOperator(ev)
 
 
 @dataclass(frozen=True)
@@ -219,18 +212,16 @@ class OSIReport:
         }
 
 
-def osi_report(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
-               jf: JetField, regions: list[RegionMask],
+def osi_report(op: LinearizedOperator, jf: JetField, regions: list[RegionMask],
                residual_tolerance: float = 1e-6) -> OSIReport:
     """Evaluate the surface-layer integral of one jet over many regions.
 
     Positivity is only expected when the jet solves the linearized field
-    equations; the report records the residual and whether it is below
-    the stated tolerance, without enforcing anything.
+    equations of `op`; the report records the residual and whether it is
+    below the stated tolerance, without enforcing anything.
     """
     if not regions:
         raise SchemaError("need at least one region")
-    op = LinearizedOperator(rho, kernel, nu)
     residual = op.residual(jf)
     report = OSIReport(residual=residual,
                        solution_hypothesis=bool(residual <= residual_tolerance))

@@ -64,16 +64,6 @@ def deform(curve: VariationCurve, tau: float) -> DiscreteMeasure:
                         weights=base.weights * factors)
 
 
-def second_variation_analytic(rho: DiscreteMeasure, kernel: RadialKernel,
-                              nu: float, jf: JetField) -> float:
-    """Half the second tau-derivative of the action along the linear curve.
-
-    Identical to sp1_inner(jf, jf); valid as a second derivative when the
-    base satisfies the weak EL equations and the jet is volume-preserving.
-    """
-    return FormEvaluator(rho, kernel, nu).sp1(jf, jf)
-
-
 def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
                         curve: VariationCurve, tau_step: float) -> float:
     """Richardson-extrapolated centered second difference of the action.
@@ -179,33 +169,34 @@ def _diagonals(ev: FormEvaluator, jets) -> np.ndarray:
     return np.column_stack([ev.q1_terms(jf, jf) for jf in jets])
 
 
-def frag_second_variation(rho: DiscreteMeasure, kernel: RadialKernel,
-                          nu: float, scheme: FragmentationScheme) -> float:
+def _summed_double_sum(ev: FormEvaluator, jets) -> float:
+    """Kernel double sum of the summed jet field sum_a u_a with itself."""
+    summed = JetField(scalar=sum(jf.scalar for jf in jets),
+                      vector=sum(jf.vector for jf in jets))
+    return ev.double_sum(summed, summed)
+
+
+def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> float:
     """Half the second variation of a fragmented curve (weights inside).
 
     Double-sum term over the c-averaged jet (exact by bilinearity) plus
     the c-weighted diagonal Hessian-of-ell term.
     """
-    ev = FormEvaluator(rho, kernel, nu)
-    total = ev.double_sum(scheme.averaged_jet(), scheme.averaged_jet())
+    averaged = scheme.averaged_jet()
+    total = ev.double_sum(averaged, averaged)
     diag = _diagonals(ev, scheme.jets)
-    return total + float(rho.weights @ (scheme.weights * diag).sum(axis=1))
+    return total + float(ev.rho.weights @ (scheme.weights * diag).sum(axis=1))
 
 
-def frag_second_variation_rescaled(rho: DiscreteMeasure, kernel: RadialKernel,
-                                   nu: float, jets: list[JetField],
+def frag_second_variation_rescaled(ev: FormEvaluator, jets: list[JetField],
                                    weights: np.ndarray) -> float:
     """The transformed fragmented second variation: weights only divide
     the diagonal term (with 0/0 := 0)."""
-    ev = FormEvaluator(rho, kernel, nu)
-    summed = JetField(
-        scalar=sum(jf.scalar for jf in jets),
-        vector=sum(jf.vector for jf in jets))
-    total = ev.double_sum(summed, summed)
+    total = _summed_double_sum(ev, jets)
     c = np.atleast_2d(np.asarray(weights, dtype=float))
-    w = rho.weights
+    w = ev.rho.weights
     for a, diag in enumerate(_diagonals(ev, jets).T):
-        ratio = np.zeros(rho.count)
+        ratio = np.zeros(ev.rho.count)
         live = c[:, a] > 0
         ratio[live] = diag[live] / c[live, a]
         dead_mass = np.abs(diag[~live])
@@ -233,15 +224,14 @@ def optimal_weights(values) -> tuple[np.ndarray, float]:
     return roots / total, float(total**2)
 
 
-def frag_lower_bound(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
-                     jets: list[JetField], tau_psd: float = 1e-8) -> float:
+def frag_lower_bound(ev: FormEvaluator, jets: list[JetField],
+                     tau_psd: float = 1e-8) -> float:
     """Fragmented second variation at the pointwise-optimal weights.
 
     Requires every per-point diagonal value nabla2_ell(u_a, u_a) to be
     non-negative up to tau_psd times its scale; small negatives are
     clipped to zero, larger ones abort.
     """
-    ev = FormEvaluator(rho, kernel, nu)
     diag = _diagonals(ev, jets)
     scale = max(float(np.abs(diag).max()), 1e-300)
     if (diag < -tau_psd * scale).any():
@@ -250,12 +240,8 @@ def frag_lower_bound(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
             f"nabla2_ell diagonal reaches {worst:g}; base is not a "
             f"Q1-positive point")
     diag = np.maximum(diag, 0.0)
-    summed = JetField(
-        scalar=sum(jf.scalar for jf in jets),
-        vector=sum(jf.vector for jf in jets))
-    total = ev.double_sum(summed, summed)
-    total += float(rho.weights @ (np.sqrt(diag).sum(axis=1) ** 2))
-    return total
+    return _summed_double_sum(ev, jets) + float(
+        ev.rho.weights @ (np.sqrt(diag).sum(axis=1) ** 2))
 
 
 @dataclass
@@ -298,15 +284,15 @@ def sample_scheme(rho: DiscreteMeasure, fragments: int,
     return FragmentationScheme.volume_preserved(rho, c, jets)
 
 
-def stability_probe(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
-                    fragments: int, tau_grid, trials: int,
+def stability_probe(ev: FormEvaluator, fragments: int, tau_grid, trials: int,
                     seed: int, jet_scale: float = 1.0) -> ProbeReport:
     """Evaluate the true action difference along random fragmented curves.
 
-    For each sampled scheme, records S(deformed) - S(base) on the tau grid
-    and compares the least-squares quadratic coefficient with the analytic
-    fragmented second variation.
+    For each sampled scheme around the evaluator's measure, records
+    S(deformed) - S(base) on the tau grid and compares the least-squares
+    quadratic coefficient with the analytic fragmented second variation.
     """
+    rho, kernel = ev.rho, ev.kernel
     taus = np.asarray(list(tau_grid), dtype=float)
     base_action = action(rho, kernel)
     rng = np.random.default_rng(seed)
@@ -322,7 +308,7 @@ def stability_probe(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
         report.min_delta = min(report.min_delta, float(deltas.min()))
         t2 = taus**2
         fitted = float((deltas @ t2) / (t2 @ t2))
-        predicted = frag_second_variation(rho, kernel, nu, scheme)
+        predicted = frag_second_variation(ev, scheme)
         report.fits.append((trial, fitted, predicted))
         if predicted != 0.0:
             report.max_fit_deviation = max(

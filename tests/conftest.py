@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
-                    GaussianKernel, OptimizerConfig, RadialKernel,
-                    calibrate_nu, minimize)
+                    FormEvaluator, GaussianKernel, OptimizerConfig,
+                    RadialKernel, calibrate_nu, minimize)
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,11 @@ class Fixture:
     kernel: RadialKernel
     nu: float
     status: str = "converged"
+
+    @cached_property
+    def ev(self) -> FormEvaluator:
+        """The one form evaluator of this fixture's measure."""
+        return FormEvaluator(self.rho, self.kernel, self.nu)
 
 
 def _converge(rho0, kernel, tol=1e-6, max_iterations=20_000):

@@ -10,15 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
-                    GaussianKernel, JetField, OptimizerConfig, VariationCurve,
-                    action, action_difference, arc_regions, assemble_linfield,
+from cvplab import (ChartManifold, FragmentationScheme, GaussianKernel,
+                    JetField, OptimizerConfig, VariationCurve, action,
+                    action_difference, arc_regions, assemble_linfield,
                     calibrate_nu, el_report, frag_lower_bound,
                     frag_second_variation_rescaled, fragment_deform,
-                    gram_spectrum, minimize, optimal_weights, q1,
-                    random_measure, second_variation_analytic,
-                    second_variation_fd, solve_linfield, sp1_inner, sp2_inner,
-                    stability_probe, surface_layer_integral)
+                    gram_spectrum, minimize, optimal_weights, random_measure,
+                    second_variation_fd, solve_linfield, stability_probe,
+                    surface_layer_integral)
 from cvplab.jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1
 from cvplab.variations import sample_scheme, volume_project_scalar
 
@@ -53,7 +52,7 @@ def test_criterion_02_q1_sp1_positivity(csp5, csp8):
     details = []
     for name, f in (("csp5", csp5), ("csp8", csp8)):
         for form_id in (FORM_Q1, FORM_SP1):
-            rep = gram_spectrum(f.rho, f.kernel, f.nu, form_id, BASIS_FULL)
+            rep = gram_spectrum(f.ev, form_id, BASIS_FULL)
             ratio = rep.min_eigenvalue / rep.scale
             worst = min(worst, ratio)
             details.append(f"{name}/{form_id}: {ratio:.2e}")
@@ -74,7 +73,7 @@ def test_criterion_03_second_variation_oracle(csp5):
         norm = max(np.abs(jf.scalar).max(), np.abs(jf.vector).max())
         curve = VariationCurve.volume_preserved(f.rho, jf)
         fd = second_variation_fd(f.rho, f.kernel, curve, tau_step=1e-3 / norm)
-        an = second_variation_analytic(f.rho, f.kernel, f.nu, jf)
+        an = f.ev.sp1(jf, jf)
         worst = max(worst, abs(an - fd) / max(abs(fd), scale))
     ok = worst <= 1e-5
     _verdict(3, ok, f"worst relative analytic/FD deviation {worst:.2e} "
@@ -86,7 +85,7 @@ def test_criterion_04_scalar_inequality(gauss5, csp5, csp8):
     worst = np.inf
     details = []
     for name, f in (("gauss5", gauss5), ("csp5", csp5), ("csp8", csp8)):
-        rep = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_SCALAR)
+        rep = gram_spectrum(f.ev, FORM_SP1, BASIS_SCALAR)
         ratio = rep.min_eigenvalue / rep.scale
         worst = min(worst, ratio)
         details.append(f"{name}: {ratio:.2e}")
@@ -110,25 +109,24 @@ def test_criterion_05_fragmentation_algebra(csp5):
                              vector=cw[:, a][:, None] * jf.vector)
                     for a, jf in enumerate(scheme.jets)]
         from cvplab import frag_second_variation
-        pre = frag_second_variation(f.rho, f.kernel, f.nu, scheme)
-        post = frag_second_variation_rescaled(f.rho, f.kernel, f.nu,
-                                              rescaled, cw)
+        pre = frag_second_variation(f.ev, scheme)
+        post = frag_second_variation_rescaled(f.ev, rescaled, cw)
         sub_dev = max(sub_dev, abs(pre - post) / max(abs(pre), 1e-300))
     # minimality of the lower bound over random weights, equality at optimum
     jets = [volume_project_scalar(f.rho, JetField(
         scalar=rng.normal(size=f.rho.count),
         vector=rng.normal(size=(f.rho.count, 1)))) for _ in range(3)]
-    lb = frag_lower_bound(f.rho, f.kernel, f.nu, jets)
+    lb = frag_lower_bound(f.ev, jets)
     min_gap = np.inf
     for _ in range(50):
         cw = rng.dirichlet(np.ones(3), size=f.rho.count)
-        val = frag_second_variation_rescaled(f.rho, f.kernel, f.nu, jets, cw)
+        val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
-    ev = FormEvaluator(f.rho, f.kernel, f.nu)
+    ev = f.ev
     diag = np.array([[max(ev.nabla2_ell(i, jf.jet(i), jf.jet(i)), 0.0)
                       for jf in jets] for i in range(f.rho.count)])
     c_opt = np.array([optimal_weights(row)[0] for row in diag])
-    at_opt = frag_second_variation_rescaled(f.rho, f.kernel, f.nu, jets, c_opt)
+    at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)
     eq_dev = abs(at_opt - lb) / max(abs(lb), 1e-300)
     ok = closed and sub_dev <= 1e-12 and min_gap >= -1e-10 and eq_dev <= 1e-10
     _verdict(5, ok, f"closed form {'ok' if closed else 'BAD'}, substitution "
@@ -139,10 +137,10 @@ def test_criterion_05_fragmentation_algebra(csp5):
 def test_criterion_06_stability_probe(csp5):
     """100 fragmented variations never lower the action; quadratic fit holds."""
     f = csp5
-    rep = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_FULL)
+    rep = gram_spectrum(f.ev, FORM_SP1, BASIS_FULL)
     # strict positivity off the translation symmetry mode
     second_smallest = float(np.sort(rep.eigenvalues)[1]) / rep.scale
-    probe = stability_probe(f.rho, f.kernel, f.nu, fragments=3,
+    probe = stability_probe(f.ev, fragments=3,
                             tau_grid=[-0.02, -0.01, 0.01, 0.02],
                             trials=100, seed=2026)
     stable = probe.min_delta >= -1e-12 * abs(probe.base_action)
@@ -159,10 +157,10 @@ def test_criterion_07_symmetry_kernel(gauss5, csp5):
     worst_sp1, worst_rel = 0.0, 0.0
     for f in (gauss5, csp5):
         u = JetField.translation(f.rho.count, 1)
-        rep = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_FULL)
-        s1 = sp1_inner(f.rho, f.kernel, f.nu, u, u)
-        s2 = sp2_inner(f.rho, f.kernel, f.nu, u, u)
-        qq = q1(f.rho, f.kernel, f.nu, u, u)
+        rep = gram_spectrum(f.ev, FORM_SP1, BASIS_FULL)
+        s1 = f.ev.sp1(u, u)
+        s2 = f.ev.sp2(u, u)
+        qq = f.ev.q1(u, u)
         worst_sp1 = max(worst_sp1, abs(s1) / rep.scale)
         worst_rel = max(worst_rel, abs(s2 - qq) / max(abs(qq), 1e-300))
     ok = worst_sp1 <= 1e-8 and worst_rel <= 1e-10
@@ -173,7 +171,7 @@ def test_criterion_07_symmetry_kernel(gauss5, csp5):
 def test_criterion_08_linfield_and_osi(csp5):
     """Translation solves the linearized equations; OSI positive on arcs."""
     f = csp5
-    op = assemble_linfield(f.rho, f.kernel, f.nu)
+    op = assemble_linfield(f.ev)
     scale = float(np.abs(op.matrix).max())
     res = op.residual(JetField.translation(f.rho.count, 1)) / scale
     sol = solve_linfield(op, sigma_threshold_rel=1e-8)
@@ -196,7 +194,7 @@ def test_criterion_09_negative_control(single_gauss):
     f = single_gauss
     rep = el_report(f.rho, f.kernel)
     weak_ok = rep.weak_residual <= 1e-12
-    spec = gram_spectrum(f.rho, f.kernel, f.nu, FORM_Q1, BASIS_FULL)
+    spec = gram_spectrum(f.ev, FORM_Q1, BASIS_FULL)
     q1_fails = spec.min_eigenvalue <= -1.0
     jets = [JetField(scalar=np.zeros(1), vector=np.array([[1.0]])),
             JetField(scalar=np.zeros(1), vector=np.array([[-1.0]]))]

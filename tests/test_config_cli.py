@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cvplab import SchemaError, load_config, load_state, parse_config, save_state
+from cvplab import (FormEvaluator, SchemaError, assemble_linfield, load_config,
+                    load_state, parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
 from cvplab.linfield import LinfieldSolution
@@ -172,18 +173,50 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     state = RunState(config_hash=cfg.hash)
     empty = LinfieldSolution(solutions=(), singular_values=np.array([1.0]),
                              threshold=1e-10, residuals=())
-    _stage_osi(cfg, cfg.initial_measure(), 0.0, empty, state, lambda msg: None)
+    op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel, 0.0))
+    _stage_osi(cfg, op, empty, state, lambda msg: None)
     assert state.verdicts["osi_nonnegative"] is False
     assert state.osi_summary == {"reports": [], "min_value": None}
     save_state(state, tmp_path / "state.json")
     assert load_state(tmp_path / "state.json").osi_summary["min_value"] is None
 
 
-def test_cli_osi_stage_matches_verify_all(tmp_path):
+# The state section and the verdicts each stage writes on its own.
+STAGE_OUTPUTS = {
+    "spectrum": ("gram_reports",
+                 ["q1_full_psd", "sp1_full_psd", "sp1_scalar_only_psd"]),
+    "fragment": ("probe_summary", ["probe_stable"]),
+    "linfield": ("linfield_summary", ["linfield_kernel_nonempty"]),
+    "osi": ("osi_summary", ["osi_nonnegative"]),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_OUTPUTS))
+def test_cli_osi_stage_matches_verify_all(tmp_path, stage):
+    section, verdicts = STAGE_OUTPUTS[stage]
     cfg_path = _write_config(tmp_path)
-    assert run("osi", cfg_path, str(tmp_path / "osi"), quiet=True) == 0
+    assert run(stage, cfg_path, str(tmp_path / stage), quiet=True) == 0
     assert run("verify-all", cfg_path, str(tmp_path / "all"), quiet=True) == 0
-    alone = load_state(tmp_path / "osi" / "state.json")
+    alone = load_state(tmp_path / stage / "state.json")
     full = load_state(tmp_path / "all" / "state.json")
-    assert alone.osi_summary == full.osi_summary
-    assert alone.verdicts["osi_nonnegative"] is True
+    assert getattr(alone, section) == getattr(full, section)
+    assert alone.verdicts == {k: full.verdicts[k] for k in alone.verdicts}
+    for key in verdicts:
+        assert alone.verdicts[key] is True
+
+
+def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
+    builds = []
+    init = FormEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormEvaluator, "__init__", counting_init)
+    out = tmp_path / "out"
+    assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
+    assert len(builds) == 1
+    state = load_state(out / "state.json")
+    residuals = [r["residual"] for r in state.osi_summary["reports"]]
+    assert residuals and residuals == state.linfield_summary["residuals"]

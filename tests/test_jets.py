@@ -3,10 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import FormEvaluator, Jet, JetField, SchemaError, gram_spectrum
+from cvplab import Jet, JetField, SchemaError, gram_spectrum
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
-                         FORM_SP1, FORM_SP2, nabla1_nabla2_L, nabla_ell, q1,
-                         sp1_inner, sp2_inner)
+                         FORM_SP1, FORM_SP2, nabla1_nabla2_L)
 
 
 def _random_field(n, m, rng, scale=1.0):
@@ -42,16 +41,15 @@ def test_forms_symmetric_and_bilinear(csp5):
     n, m = f.rho.count, f.rho.manifold.dim
     rng = np.random.default_rng(1)
     u, v, w = (_random_field(n, m, rng) for _ in range(3))
-    for form in (q1, sp1_inner, sp2_inner):
-        a = form(f.rho, f.kernel, f.nu, u, v)
-        b = form(f.rho, f.kernel, f.nu, v, u)
+    for form in (f.ev.q1, f.ev.sp1, f.ev.sp2):
+        a = form(u, v)
+        b = form(v, u)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
         # linearity in the first slot
         combo = JetField(scalar=2.0 * u.scalar + 3.0 * w.scalar,
                          vector=2.0 * u.vector + 3.0 * w.vector)
-        lhs = form(f.rho, f.kernel, f.nu, combo, v)
-        rhs = 2.0 * form(f.rho, f.kernel, f.nu, u, v) \
-            + 3.0 * form(f.rho, f.kernel, f.nu, w, v)
+        lhs = form(combo, v)
+        rhs = 2.0 * form(u, v) + 3.0 * form(w, v)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -59,9 +57,9 @@ def test_sp2_is_sp1_plus_q1(csp5):
     f = csp5
     rng = np.random.default_rng(2)
     u = _random_field(f.rho.count, 1, rng)
-    s1 = sp1_inner(f.rho, f.kernel, f.nu, u, u)
-    s2 = sp2_inner(f.rho, f.kernel, f.nu, u, u)
-    q = q1(f.rho, f.kernel, f.nu, u, u)
+    s1 = f.ev.sp1(u, u)
+    s2 = f.ev.sp2(u, u)
+    q = f.ev.q1(u, u)
     assert s2 == pytest.approx(s1 + q, rel=1e-12, abs=1e-14)
 
 
@@ -69,7 +67,7 @@ def test_gram_matrix_matches_direct_evaluation(csp5):
     """Dual route: matrix entries vs evaluating the form on basis fields."""
     f = csp5
     n, m = f.rho.count, f.rho.manifold.dim
-    ev = FormEvaluator(f.rho, f.kernel, f.nu)
+    ev = f.ev
     dim = n * (1 + m)
     basis = [JetField.from_stacked(np.eye(dim)[k], m) for k in range(dim)]
     for form_id, func in ((FORM_Q1, ev.q1), (FORM_SP1, ev.sp1),
@@ -81,7 +79,7 @@ def test_gram_matrix_matches_direct_evaluation(csp5):
 
 def test_quadratic_form_via_matrix(csp5):
     f = csp5
-    ev = FormEvaluator(f.rho, f.kernel, f.nu)
+    ev = f.ev
     rng = np.random.default_rng(3)
     u = _random_field(f.rho.count, 1, rng)
     c = u.stacked()
@@ -92,9 +90,8 @@ def test_quadratic_form_via_matrix(csp5):
 def test_translation_annihilates_sp1(csp5):
     f = csp5
     u = JetField.translation(f.rho.count, 1)
-    val = sp1_inner(f.rho, f.kernel, f.nu, u, u)
-    scale = float(np.abs(FormEvaluator(f.rho, f.kernel, f.nu)
-                         .form_matrix(FORM_SP1)).max())
+    val = f.ev.sp1(u, u)
+    scale = float(np.abs(f.ev.form_matrix(FORM_SP1)).max())
     assert abs(val) <= 1e-10 * scale
 
 
@@ -102,12 +99,15 @@ def test_pointwise_forms_and_index_errors(csp5):
     f = csp5
     jet = Jet(a=0.5, u=np.array([1.0]))
     # weak EL: first-order jet derivative of ell vanishes on the support
+    ev = f.ev
     for i in range(f.rho.count):
-        assert abs(nabla_ell(f.rho, f.kernel, f.nu, i, jet)) <= 2e-6
-    with pytest.raises(IndexError):
-        nabla_ell(f.rho, f.kernel, f.nu, 99, jet)
+        assert abs(ev.nabla_ell(i, jet)) <= 2e-6
+    for i in (99, -1, f.rho.count):
+        with pytest.raises(IndexError):
+            ev.nabla_ell(i, jet)
+        with pytest.raises(IndexError):
+            ev.nabla2_ell(i, jet, jet)
     # the batched q1 terms are the pointwise nabla2_ell diagonals
-    ev = FormEvaluator(f.rho, f.kernel, f.nu)
     u = _random_field(f.rho.count, 1, np.random.default_rng(5))
     terms = ev.q1_terms(u, u)
     assert terms.shape == (f.rho.count,)
@@ -120,7 +120,7 @@ def test_nabla1_nabla2_consistent_with_double_sum(csp5):
     f = csp5
     rng = np.random.default_rng(4)
     u = _random_field(f.rho.count, 1, rng)
-    ev = FormEvaluator(f.rho, f.kernel, f.nu)
+    ev = f.ev
     w = f.rho.weights
     brute = sum(
         w[i] * w[j] * nabla1_nabla2_L(f.kernel, f.rho.manifold,
@@ -132,9 +132,9 @@ def test_nabla1_nabla2_consistent_with_double_sum(csp5):
 
 def test_gram_spectrum_bases_and_errors(csp5):
     f = csp5
-    full = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_FULL)
-    scal = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_SCALAR)
-    vect = gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, BASIS_VECTOR)
+    full = gram_spectrum(f.ev, FORM_SP1, BASIS_FULL)
+    scal = gram_spectrum(f.ev, FORM_SP1, BASIS_SCALAR)
+    vect = gram_spectrum(f.ev, FORM_SP1, BASIS_VECTOR)
     n = f.rho.count
     assert full.matrix.shape == (2 * n, 2 * n)
     assert scal.matrix.shape == (n, n)
@@ -142,16 +142,16 @@ def test_gram_spectrum_bases_and_errors(csp5):
     assert full.psd and scal.psd
     assert scal.min_eigenvalue > 0  # weighted kernel matrix, strictly positive
     with pytest.raises(SchemaError):
-        gram_spectrum(f.rho, f.kernel, f.nu, "SP9")
+        gram_spectrum(f.ev, "SP9")
     with pytest.raises(SchemaError):
-        gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, basis="diagonal")
+        gram_spectrum(f.ev, FORM_SP1, basis="diagonal")
     with pytest.raises(SchemaError):
-        gram_spectrum(f.rho, f.kernel, f.nu, FORM_SP1, max_dim=3)
+        gram_spectrum(f.ev, FORM_SP1, max_dim=3)
 
 
 def test_gram_report_serialization(csp5):
     f = csp5
-    rep = gram_spectrum(f.rho, f.kernel, f.nu, FORM_Q1)
+    rep = gram_spectrum(f.ev, FORM_Q1)
     d = rep.to_dict(include_matrix=False)
     assert "matrix" not in d
     assert d["psd"] is True

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, DimensionMismatchError, GaussianKernel,
-                    JetField, RegionMask, arc_regions, assemble_linfield,
-                    calibrate_nu, linfield_residual, osi_report, random_measure,
+from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
+                    GaussianKernel, JetField, RegionMask, arc_regions,
+                    assemble_linfield, calibrate_nu, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral)
 from cvplab.errors import SchemaError
 from cvplab.jets import nabla1_nabla2_L
@@ -13,7 +13,7 @@ from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
 def test_operator_shape_and_zero_jet(csp5):
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     n = csp5.rho.count
     assert op.matrix.shape == (2 * n, 2 * n)
     assert np.isfinite(op.matrix).all()
@@ -21,7 +21,7 @@ def test_operator_shape_and_zero_jet(csp5):
 
 
 def test_translation_jet_solves_linearized_equations(csp5):
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     scale = float(np.abs(op.matrix).max())
     u = JetField.translation(csp5.rho.count, 1)
     assert op.residual(u) <= 1e-8 * scale
@@ -33,14 +33,14 @@ def test_constant_scalar_jet_is_not_a_solution(csp5):
     beta = 0.7
     jf = JetField(scalar=np.full(csp5.rho.count, beta),
                   vector=np.zeros((csp5.rho.count, 1)))
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     values = op.apply(jf).reshape(csp5.rho.count, 2)
     assert np.allclose(values[:, 0], beta * csp5.nu / 2.0, atol=1e-5)
     assert op.residual(jf) > 1.0
 
 
 def test_random_jets_have_positive_residual(csp5):
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         jf = JetField(scalar=rng.normal(size=csp5.rho.count),
@@ -49,7 +49,7 @@ def test_random_jets_have_positive_residual(csp5):
 
 
 def test_solve_linfield_contains_translation(csp5):
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     sol = solve_linfield(op, sigma_threshold_rel=1e-8)
     assert sol.dimension >= 1
     scale = float(np.abs(op.matrix).max())
@@ -64,7 +64,7 @@ def test_solve_linfield_contains_translation(csp5):
 
 
 def test_solve_linfield_threshold_validation(csp5):
-    op = assemble_linfield(csp5.rho, csp5.kernel, csp5.nu)
+    op = assemble_linfield(csp5.ev)
     with pytest.raises(SchemaError):
         solve_linfield(op, sigma_threshold_rel=1.5)
     exact = solve_linfield(op, sigma_threshold_rel=0.0)
@@ -96,7 +96,7 @@ def _gauss_2d():
 def test_operator_matches_pointwise_brackets(csp5):
     rng = np.random.default_rng(10)
     for rho, kernel, nu in ((csp5.rho, csp5.kernel, csp5.nu), _gauss_2d()):
-        op = assemble_linfield(rho, kernel, nu)
+        op = assemble_linfield(FormEvaluator(rho, kernel, nu))
         for _ in range(3):
             jf = JetField(scalar=rng.normal(size=rho.count),
                           vector=rng.normal(size=(rho.count, rho.manifold.dim)))
@@ -136,8 +136,7 @@ def test_additivity_splitting(csp5):
     n = csp5.rho.count
     rng = np.random.default_rng(3)
     jf = JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))
-    from cvplab import FormEvaluator
-    ev = FormEvaluator(csp5.rho, csp5.kernel, csp5.nu)
+    ev = csp5.ev
     full = ev.double_sum(jf, jf)
     omega = RegionMask.from_indices(n, [0, 2])
     cross = -surface_layer_integral(csp5.rho, csp5.kernel, omega, jf)
@@ -176,7 +175,7 @@ def test_arc_regions_enumeration(csp5):
 
 def test_osi_report_translation_positive(csp5):
     u = JetField.translation(csp5.rho.count, 1)
-    rep = osi_report(csp5.rho, csp5.kernel, csp5.nu, u, arc_regions(csp5.rho))
+    rep = osi_report(assemble_linfield(csp5.ev), u, arc_regions(csp5.rho))
     assert rep.solution_hypothesis
     assert rep.min_value > 0.0
     assert rep.all_positive
@@ -189,11 +188,11 @@ def test_osi_report_flags_non_solution(csp5):
     rng = np.random.default_rng(6)
     jf = JetField(scalar=rng.normal(size=csp5.rho.count),
                   vector=rng.normal(size=(csp5.rho.count, 1)))
-    rep = osi_report(csp5.rho, csp5.kernel, csp5.nu, jf,
-                     random_regions(csp5.rho, count=4, seed=1))
+    op = assemble_linfield(csp5.ev)
+    rep = osi_report(op, jf, random_regions(csp5.rho, count=4, seed=1))
     assert not rep.solution_hypothesis
     with pytest.raises(SchemaError):
-        osi_report(csp5.rho, csp5.kernel, csp5.nu, jf, [])
+        osi_report(op, jf, [])
 
 
 def _pointwise_osi(rho, kernel, region, jf):
@@ -207,7 +206,8 @@ def _pointwise_osi(rho, kernel, region, jf):
 
 
 def _assert_osi_matches_oracle(rho, kernel, nu, jf, regions):
-    rep = osi_report(rho, kernel, nu, jf, regions)
+    op = assemble_linfield(FormEvaluator(rho, kernel, nu))
+    rep = osi_report(op, jf, regions)
     assert [lab for lab, _ in rep.values] == [r.label for r in regions]
     for (_, val), region in zip(rep.values, regions):
         assert val == pytest.approx(_pointwise_osi(rho, kernel, region, jf),

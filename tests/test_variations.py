@@ -6,10 +6,10 @@ import pytest
 from cvplab import (ChartManifold, DiscreteMeasure, FragmentationScheme,
                     GaussianKernel, JetField, NegativeDiagonalError,
                     SchemaError, VariationCurve, WeightPositivityError, action,
-                    deform, frag_lower_bound, frag_second_variation,
-                    frag_second_variation_rescaled, fragment_deform,
-                    optimal_weights, second_variation_analytic,
-                    second_variation_fd, sp1_inner, stability_probe)
+                    FormEvaluator, deform, frag_lower_bound,
+                    frag_second_variation, frag_second_variation_rescaled,
+                    fragment_deform, optimal_weights, second_variation_fd,
+                    stability_probe)
 from cvplab.variations import sample_scheme, volume_project_scalar
 
 
@@ -63,9 +63,9 @@ def test_curve_flag_validation(csp5):
 def test_analytic_second_variation_equals_sp1(csp5):
     rng = np.random.default_rng(1)
     jf = _random_vp_field(csp5.rho, rng)
-    lhs = second_variation_analytic(csp5.rho, csp5.kernel, csp5.nu, jf)
-    rhs = sp1_inner(csp5.rho, csp5.kernel, csp5.nu, jf, jf)
-    assert lhs == rhs  # shared code path, bit-identical
+    lhs = csp5.ev.sp1(jf, jf)
+    rhs = FormEvaluator(csp5.rho, csp5.kernel, csp5.nu).sp1(jf, jf)
+    assert lhs == rhs  # shared and fresh evaluator, bit-identical
 
 
 def test_fd_oracle_agrees_with_analytic(csp5):
@@ -77,7 +77,7 @@ def test_fd_oracle_agrees_with_analytic(csp5):
         curve = VariationCurve.volume_preserved(csp5.rho, jf)
         fd = second_variation_fd(csp5.rho, csp5.kernel, curve,
                                  tau_step=1e-3 / norm)
-        an = second_variation_analytic(csp5.rho, csp5.kernel, csp5.nu, jf)
+        an = csp5.ev.sp1(jf, jf)
         assert abs(an - fd) <= 1e-5 * max(abs(fd), scale)
 
 
@@ -154,8 +154,8 @@ def test_frag_second_variation_single_fragment_reduces(csp5):
     jf = _random_vp_field(csp5.rho, rng)
     scheme = FragmentationScheme(weights=np.ones((csp5.rho.count, 1)),
                                  jets=[jf])
-    frag = frag_second_variation(csp5.rho, csp5.kernel, csp5.nu, scheme)
-    plain = second_variation_analytic(csp5.rho, csp5.kernel, csp5.nu, jf)
+    frag = frag_second_variation(csp5.ev, scheme)
+    plain = csp5.ev.sp1(jf, jf)
     assert frag == pytest.approx(plain, rel=1e-12)
 
 
@@ -167,9 +167,8 @@ def test_substitution_identity(csp5):
     rescaled_jets = [
         JetField(scalar=c[:, a] * jf.scalar, vector=c[:, a][:, None] * jf.vector)
         for a, jf in enumerate(scheme.jets)]
-    pre = frag_second_variation(csp5.rho, csp5.kernel, csp5.nu, scheme)
-    post = frag_second_variation_rescaled(csp5.rho, csp5.kernel, csp5.nu,
-                                          rescaled_jets, c)
+    pre = frag_second_variation(csp5.ev, scheme)
+    post = frag_second_variation_rescaled(csp5.ev, rescaled_jets, c)
     assert pre == pytest.approx(post, rel=1e-12)
 
 
@@ -192,19 +191,18 @@ def test_optimal_weights_closed_form():
 def test_frag_lower_bound_single_field_is_sp1(csp5):
     rng = np.random.default_rng(8)
     jf = _random_vp_field(csp5.rho, rng)
-    lb = frag_lower_bound(csp5.rho, csp5.kernel, csp5.nu, [jf])
-    sp = sp1_inner(csp5.rho, csp5.kernel, csp5.nu, jf, jf)
+    lb = frag_lower_bound(csp5.ev, [jf])
+    sp = csp5.ev.sp1(jf, jf)
     assert lb == pytest.approx(sp, rel=1e-10)
 
 
 def test_frag_lower_bound_is_minimum_over_weights(csp5):
     rng = np.random.default_rng(9)
     jets = [_random_vp_field(csp5.rho, rng) for _ in range(3)]
-    lb = frag_lower_bound(csp5.rho, csp5.kernel, csp5.nu, jets)
+    lb = frag_lower_bound(csp5.ev, jets)
     for _ in range(50):
         c = rng.dirichlet(np.ones(3), size=csp5.rho.count)
-        val = frag_second_variation_rescaled(csp5.rho, csp5.kernel, csp5.nu,
-                                             jets, c)
+        val = frag_second_variation_rescaled(csp5.ev, jets, c)
         assert val >= lb - 1e-10
 
 
@@ -212,19 +210,18 @@ def test_frag_lower_bound_rejects_indefinite_base(single_gauss):
     # vector jets see Hess ell = -4 at the single atom: significantly negative
     jf = JetField(scalar=np.zeros(1), vector=np.array([[1.0]]))
     with pytest.raises(NegativeDiagonalError):
-        frag_lower_bound(single_gauss.rho, single_gauss.kernel,
-                         single_gauss.nu, [jf])
+        frag_lower_bound(single_gauss.ev, [jf])
 
 
 def test_stability_probe_zero_jets(csp5):
-    rep = stability_probe(csp5.rho, csp5.kernel, csp5.nu, fragments=2,
+    rep = stability_probe(csp5.ev, fragments=2,
                           tau_grid=[-0.02, 0.02], trials=5, seed=0,
                           jet_scale=0.0)
     assert abs(rep.min_delta) <= 1e-14 * abs(rep.base_action)
 
 
 def test_stability_probe_report_and_csv(tmp_path, csp5):
-    rep = stability_probe(csp5.rho, csp5.kernel, csp5.nu, fragments=3,
+    rep = stability_probe(csp5.ev, fragments=3,
                           tau_grid=[-0.02, -0.01, 0.01, 0.02], trials=10,
                           seed=3)
     assert rep.min_delta >= -1e-12 * abs(rep.base_action)
