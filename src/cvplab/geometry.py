@@ -51,11 +51,16 @@ class ChartManifold:
                 f"points of dimension {x.shape[-1]}/{y.shape[-1]} on a "
                 f"{self.dim}-dimensional manifold"
             )
-        d = x - y
-        if self.kind == TORUS:
-            p = np.asarray(self.periods)
-            # round() ties-to-even keeps displacement antisymmetric at half period
-            d = d - p * np.round(d / p)
+        # One contiguous array per chart component: elementwise operations on
+        # the (..., dim) array would each run an inner loop of length dim.
+        d = np.empty(np.broadcast(x[..., 0], y[..., 0]).shape + (self.dim,))
+        for k in range(self.dim):
+            dk = x[..., k] - y[..., k]
+            if self.kind == TORUS:
+                p = self.periods[k]
+                # rint ties-to-even keeps displacement antisymmetric at half period
+                dk -= p * np.rint(dk / p)
+            d[..., k] = dk
         return d
 
     def pairwise_displacement(self, points: np.ndarray) -> np.ndarray:

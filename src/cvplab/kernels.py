@@ -124,7 +124,10 @@ class CompactSupportKernel(RadialKernel):
         return np.maximum(0.0, self.radius**2 - np.asarray(s))
 
     def profile(self, s):
-        return self._core(s) ** self.power
+        # pow only inside the cutoff: the +0.0 beyond it is already g(s)
+        core = np.asarray(self._core(s))
+        np.power(core, self.power, out=core, where=core > 0.0)
+        return core[()]
 
     def profile_d1(self, s):
         return -self.power * self._core(s) ** (self.power - 1)
@@ -192,7 +195,10 @@ class PairTables:
     def __init__(self, kernel: RadialKernel, displacements: np.ndarray):
         self.kernel = kernel
         self.D = displacements
-        self.s = np.einsum("ijk,ijk->ij", displacements, displacements)
+        # the per-component squares summed in component order
+        self.s = np.square(displacements[..., 0])
+        for k in range(1, displacements.shape[-1]):
+            self.s += np.square(displacements[..., k])
 
     @cached_property
     def L(self) -> np.ndarray:

@@ -118,7 +118,9 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     Projected gradient over the stacked variable with Armijo backtracking;
     the sufficient-decrease test uses the projected displacement, so it
     remains meaningful on the weight simplex.  Accepted steps never
-    increase the action.
+    increase the action.  An iteration that ends in exactly the state
+    (x, w, step) the previous one ended in would repeat forever, so the run
+    stops there as stalled.
     """
     manifold = rho0.manifold
     x = rho0.points.copy()
@@ -139,6 +141,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
             raise NonFiniteIterateError(
                 f"non-finite action or gradient at iteration {it}",
                 iteration=it, points=x, weights=w)
+        start = (x.tobytes(), w.tobytes(), step)
         accepted = False
         for _ in range(config.max_backtracks):
             xn = x - step * gx
@@ -159,6 +162,9 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
             trace.rows.append((it, act, residual, step))
         if residual <= config.tolerance_weak_el:
             trace.status = "converged"
+            break
+        if (x.tobytes(), w.tobytes(), step * grow) == start:
+            trace.status = "stalled"
             break
         step *= grow
     else:

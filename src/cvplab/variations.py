@@ -294,7 +294,8 @@ def stability_probe(ev: FormEvaluator, fragments: int, tau_grid, trials: int,
     """
     rho, kernel = ev.rho, ev.kernel
     taus = np.asarray(list(tau_grid), dtype=float)
-    base_action = action(rho, kernel)
+    w = rho.weights
+    base_action = float(w @ ev.tables.L @ w)
     rng = np.random.default_rng(seed)
     report = ProbeReport(base_action=base_action, min_delta=np.inf,
                          max_fit_deviation=0.0)

@@ -48,6 +48,50 @@ def test_pairwise_displacement_shape_and_diagonal():
     assert np.array_equal(D, -D.transpose(1, 0, 2))
 
 
+def _pair_reference(manifold, a, b):
+    """One displacement in Python floats, one chart component at a time."""
+    out = []
+    for k in range(manifold.dim):
+        d = float(a[k]) - float(b[k])
+        if manifold.periods is not None:
+            p = manifold.periods[k]
+            d -= p * round(d / p)  # round() ties to even, as np.rint does
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("manifold", [
+    ChartManifold(kind="torus", dim=1, periods=(5.0,)),
+    ChartManifold(kind="torus", dim=2, periods=(3.0, 7.0)),
+    ChartManifold(kind="torus", dim=3, periods=(2.0, 2.5, 4.0)),
+    ChartManifold(kind="euclidean", dim=1),
+    ChartManifold(kind="euclidean", dim=2),
+    ChartManifold(kind="euclidean", dim=3),
+], ids=["torus-1d", "torus-2d", "torus-3d",
+        "euclidean-1d", "euclidean-2d", "euclidean-3d"])
+def test_pairwise_displacement_matches_pair_loop(manifold):
+    m = manifold.dim
+    cell = np.asarray(manifold.periods or (4.0,) * m)
+    rng = np.random.default_rng(11)
+    # quarter-cell grid points, so that differences of exactly (j + 1/2)
+    # periods occur, plus random points up to two cells outside the cell
+    grid = rng.integers(-8, 12, size=(8, m)) * (cell / 4.0)
+    pts = np.vstack([grid, grid[0] + cell / 2.0, grid[1] - 1.5 * cell,
+                     rng.uniform(-2.0, 3.0, size=(8, m)) * cell])
+    D = manifold.pairwise_displacement(pts)
+    loop = np.array([[manifold.displacement(a, b) for b in pts] for a in pts])
+    ref = np.array([[_pair_reference(manifold, a, b) for b in pts] for a in pts])
+    assert D.shape == loop.shape == ref.shape == (len(pts), len(pts), m)
+    assert D.dtype == loop.dtype == np.float64
+    for other in (loop, ref):
+        assert np.array_equal(D, other)
+        assert np.array_equal(np.signbit(D), np.signbit(other))
+    if manifold.periods is not None:
+        # the half-period pairs really occur, and their sign flips bit for bit
+        assert (np.abs(D) == cell / 2.0).any()
+        assert np.array_equal(D, -D.transpose(1, 0, 2))
+
+
 def test_validation_errors():
     with pytest.raises(SchemaError):
         ChartManifold(kind="sphere", dim=2)

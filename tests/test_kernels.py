@@ -91,6 +91,50 @@ def test_pair_tables_structure():
                 np.testing.assert_allclose(table[i, j], exact, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("manifold", [
+    ChartManifold(kind="torus", dim=1, periods=(5.0,)),
+    ChartManifold(kind="torus", dim=2, periods=(3.0, 7.0)),
+    EUC2,
+    ChartManifold(kind="euclidean", dim=3),
+], ids=["torus-1d", "torus-2d", "euclidean-2d", "euclidean-3d"])
+def test_pair_tables_squared_distances(manifold):
+    pts = np.random.default_rng(4).uniform(-4.0, 9.0, size=(30, manifold.dim))
+    t = pair_tables(GaussianKernel(sigma=1.0), manifold, pts)
+    D = t.D
+    ordered = D[..., 0] * D[..., 0]
+    for k in range(1, manifold.dim):
+        ordered = ordered + D[..., k] * D[..., k]
+    assert np.array_equal(t.s, ordered)
+    einsum = np.einsum("ijk,ijk->ij", D, D)
+    if manifold.dim <= 2:
+        assert np.array_equal(t.s, einsum)
+    else:
+        # einsum adds three or more terms in another order
+        np.testing.assert_allclose(t.s, einsum, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_compact_support_profile_matches_plain_power():
+    k = CompactSupportKernel(radius=1.2, power=3)
+    r2 = 1.2**2
+    rng = np.random.default_rng(8)
+    # straddles the cutoff: inside, exactly at it, beyond it
+    s = np.concatenate([rng.uniform(0.0, 3.0 * r2, size=200),
+                        [0.0, r2, np.nextafter(r2, 0.0), np.nextafter(r2, 9.0)]])
+    for values in (s, s.reshape(12, 17)):
+        got = k.profile(values)
+        ref = np.maximum(0.0, r2 - values) ** 3
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert (s > r2).any() and (s < r2).any()
+    for scalar in (0.0, 0.7, r2, 2.0):
+        got = k.profile(scalar)
+        ref = np.maximum(0.0, r2 - np.asarray(scalar)) ** 3
+        assert type(got) is type(ref) and got == ref
+        assert np.signbit(got) == np.signbit(ref)
+    assert np.isnan(k.profile(np.array([np.nan, 0.5])))[0]
+
+
 def test_param_validation_and_orders():
     with pytest.raises(SchemaError):
         GaussianKernel(sigma=0.0)

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, GaussianKernel, InfeasibleProjectionError,
-                    OptimizerConfig, SchemaError, minimize, project_volume,
-                    random_measure)
+from cvplab import (ChartManifold, CompactSupportKernel, GaussianKernel,
+                    InfeasibleProjectionError, OptimizerConfig, SchemaError,
+                    minimize, project_volume, random_measure)
 
 
 def test_project_volume_frozen_example():
@@ -86,3 +86,19 @@ def test_minimize_returns_immediately_at_stationary_point(single_gauss):
     assert trace.status == "converged"
     assert trace.rows[-1][0] == 0
     assert rho is single_gauss.rho
+
+
+def test_minimize_stops_at_a_repeated_state():
+    # an 8-point README ring whose accepted steps stop moving the iterate
+    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
+    rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
+    kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
+    rho, trace = minimize(rho0, kernel, OptimizerConfig(max_iterations=1000))
+    stall = trace.rows[-1][0]
+    assert trace.status == "stalled" and 1 < stall < 1000
+    # the iteration before the stall already ended in the returned state
+    capped, capped_trace = minimize(rho0, kernel,
+                                    OptimizerConfig(max_iterations=stall - 1))
+    assert capped_trace.status == "budget-exhausted"
+    assert capped.points.tobytes() == rho.points.tobytes()
+    assert capped.weights.tobytes() == rho.weights.tobytes()
