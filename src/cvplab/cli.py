@@ -119,9 +119,9 @@ def _stage_linfield(op, state, out_dir, log):
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
-    np.savetxt(out_dir / "linfield_operator.csv", op.matrix, delimiter=",")
+    np.save(out_dir / "linfield_operator.npy", op.matrix)
     log(f"linfield: kernel dimension {sol.dimension}, "
-        f"sigma_max {sol.singular_values[0]:.3e}")
+        f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
     return sol
 
 

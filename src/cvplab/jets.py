@@ -155,6 +155,24 @@ class FormEvaluator:
     def block(self) -> np.ndarray:
         return jet_pair_block(self.tables, self.rho.weights)
 
+    @cached_property
+    def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The symmetrized full SP1 Gram, its eigenvalues and eigenvectors.
+
+        The one eigenvector solve on the measure: the spectrum stage reads
+        its eigenvalues, and since the linearized operator is W^-1 SP1 with
+        W positive and diagonal, its kernel is the near-null space of these
+        eigenvectors.
+        """
+        matrix = self.form_matrix(FORM_SP1)  # a new array: symmetrize in place
+        matrix += matrix.T
+        matrix *= 0.5
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise CvpError(f"eigendecomposition failed: {exc}") from exc
+        return matrix, eigenvalues, eigenvectors
+
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
             raise IndexError(f"point index {i} out of range")
@@ -238,7 +256,6 @@ class GramReport:
     tau_psd: float
     psd: bool
     strictly_positive: bool
-    near_null_vectors: np.ndarray  # eigenvectors with eigenvalue <= tau_psd*scale
 
     def to_dict(self, include_matrix: bool = True) -> dict:
         out = {
@@ -269,23 +286,33 @@ def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:
 
 def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                   tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
-    """Gram matrix of a form over the canonical unit-jet basis plus spectrum."""
+    """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
+
+    SP1 over the full basis reads the evaluator's one eigendecomposition.
+    Q1 over the full basis is block diagonal, so its spectrum is the
+    sorted union of the spectra of its point blocks w_i ell_jet_i.  Every
+    other Gram takes eigenvalues only.
+    """
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
     if idx.size > max_dim:
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
-    full = ev.form_matrix(form_id)
-    matrix = full[np.ix_(idx, idx)]
-    matrix = 0.5 * (matrix + matrix.T)
+    if form_id == FORM_SP1 and basis == BASIS_FULL:
+        matrix, eigenvalues, _ = ev.sp1_eigh
+    else:
+        matrix = ev.form_matrix(form_id)[np.ix_(idx, idx)]
+        matrix = 0.5 * (matrix + matrix.T)
+        if form_id == FORM_Q1 and basis == BASIS_FULL:
+            stack = ev.rho.weights[:, None, None] * ev.ell_jet
+        else:
+            stack = matrix
+        try:
+            eigenvalues = np.sort(np.linalg.eigvalsh(stack), axis=None)
+        except np.linalg.LinAlgError as exc:
+            raise CvpError(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.abs(matrix).max())
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise CvpError(f"eigendecomposition failed: {exc}") from exc
     min_eig = float(eigenvalues[0])
-    near_null = eigenvectors[:, eigenvalues <= tau_psd * scale]
     return GramReport(form_id=form_id, basis=basis, matrix=matrix,
                       eigenvalues=eigenvalues, min_eigenvalue=min_eig,
                       scale=scale, tau_psd=tau_psd,
                       psd=bool(min_eig >= -tau_psd * scale),
-                      strictly_positive=bool(min_eig > tau_psd * scale),
-                      near_null_vectors=near_null)
+                      strictly_positive=bool(min_eig > tau_psd * scale))

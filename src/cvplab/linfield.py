@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CvpError, DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, SchemaError
 from .jets import FORM_SP1, FormEvaluator, JetField, jet_pair_block
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
@@ -88,7 +88,7 @@ class LinfieldSolution:
     """Numerical kernel of the linearized operator."""
 
     solutions: tuple[JetField, ...]
-    singular_values: np.ndarray
+    eigenvalues: np.ndarray  # of the symmetrized SP1 Gram, ascending
     threshold: float
     residuals: tuple[float, ...]
 
@@ -99,7 +99,7 @@ class LinfieldSolution:
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,
-            "singular_values": self.singular_values.tolist(),
+            "eigenvalues": self.eigenvalues.tolist(),
             "threshold": self.threshold,
             "residuals": list(self.residuals),
             "solutions": [jf.to_dict() for jf in self.solutions],
@@ -107,24 +107,24 @@ class LinfieldSolution:
 
 
 def solve_linfield(op: LinearizedOperator,
-                   sigma_threshold_rel: float = 1e-10) -> LinfieldSolution:
-    """Kernel of the linearized operator via singular value decomposition.
+                   threshold_rel: float = 1e-10) -> LinfieldSolution:
+    """Kernel of the linearized operator from the SP1 eigendecomposition.
 
-    Right singular vectors with sigma <= sigma_threshold_rel * sigma_max
-    span the returned solution space (orthonormal in coefficient space).
+    W is positive and diagonal, so ker(W^-1 SP1) = ker(SP1): the
+    evaluator's SP1 eigenvectors with |lambda| <= threshold_rel *
+    max |lambda| span the returned solution space (orthonormal in
+    coefficient space).
     """
-    if not 0.0 <= sigma_threshold_rel < 1.0:
-        raise SchemaError("sigma threshold must lie in [0, 1)")
-    try:
-        _, sigma, vt = np.linalg.svd(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise CvpError(f"singular value decomposition failed: {exc}") from exc
-    cut = sigma_threshold_rel * (sigma[0] if sigma.size else 0.0)
-    null_rows = vt[sigma <= cut] if sigma.size else vt
+    if not 0.0 <= threshold_rel < 1.0:
+        raise SchemaError("kernel threshold must lie in [0, 1)")
+    _, eigenvalues, eigenvectors = op.evaluator.sp1_eigh
+    magnitude = np.abs(eigenvalues)
+    cut = threshold_rel * magnitude.max()
     dim = op.rho.manifold.dim
-    solutions = tuple(JetField.from_stacked(row, dim) for row in null_rows)
+    solutions = tuple(JetField.from_stacked(column, dim)
+                      for column in eigenvectors[:, magnitude <= cut].T)
     residuals = tuple(op.residual(jf) for jf in solutions)
-    return LinfieldSolution(solutions=solutions, singular_values=sigma,
+    return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
                             threshold=float(cut), residuals=residuals)
 
 

@@ -137,6 +137,8 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
 
     grow = 1.0 / config.armijo_factor
     for it in range(1, config.max_iterations + 1):
+        if it > 1:
+            step *= grow  # grown here, so every trace row keeps the accepted step
         if not (np.isfinite(act) and np.isfinite(gx).all() and np.isfinite(gw).all()):
             raise NonFiniteIterateError(
                 f"non-finite action or gradient at iteration {it}",
@@ -166,7 +168,6 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
         if (x.tobytes(), w.tobytes(), step * grow) == start:
             trace.status = "stalled"
             break
-        step *= grow
     else:
         trace.status = "budget-exhausted"
 

@@ -74,3 +74,21 @@ def single_gauss() -> Fixture:
     rho = DiscreteMeasure(manifold=manifold, points=np.array([[0.0]]),
                           weights=np.array([2.0]))
     return Fixture(rho=rho, kernel=kernel, nu=calibrate_nu(rho, kernel))
+
+
+@pytest.fixture(scope="session")
+def lattice2d() -> Fixture:
+    """Unit triangular lattice, 4 x 4 points on its torus, equal weights.
+
+    The kernel reaches nearest neighbours only, so the lattice is an exact
+    EL point, but its SP1 Gram is indefinite: a saddle whose only null
+    modes are the two translations.
+    """
+    i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    manifold = ChartManifold(kind="torus", dim=2,
+                             periods=(4.0, 2.0 * np.sqrt(3.0)))
+    pts = np.stack([(i + 0.5 * j).ravel() % 4.0,
+                    (j * np.sqrt(3.0) / 2.0).ravel()], axis=1)
+    rho = DiscreteMeasure(manifold=manifold, points=pts, weights=np.ones(16))
+    kernel = CompactSupportKernel(radius=1.5, power=3)
+    return Fixture(rho=rho, kernel=kernel, nu=calibrate_nu(rho, kernel))

@@ -174,7 +174,7 @@ def test_criterion_08_linfield_and_osi(csp5):
     op = assemble_linfield(f.ev)
     scale = float(np.abs(op.matrix).max())
     res = op.residual(JetField.translation(f.rho.count, 1)) / scale
-    sol = solve_linfield(op, sigma_threshold_rel=1e-8)
+    sol = solve_linfield(op, threshold_rel=1e-8)
     arcs = arc_regions(f.rho)
     worst = np.inf
     osi_scale = 1e-300

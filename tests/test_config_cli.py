@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from cvplab import (FormEvaluator, SchemaError, assemble_linfield, load_config,
-                    load_state, parse_config, save_state)
+from cvplab import (DiscreteMeasure, FormEvaluator, SchemaError,
+                    assemble_linfield, load_config, load_state, parse_config,
+                    save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
+from cvplab.jets import FORM_SP1
 from cvplab.linfield import LinfieldSolution
 
 BASE_CONFIG = {
@@ -171,7 +173,7 @@ def test_cli_main_entry_point(tmp_path):
 def test_osi_stage_fails_without_solution_jet(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     state = RunState(config_hash=cfg.hash)
-    empty = LinfieldSolution(solutions=(), singular_values=np.array([1.0]),
+    empty = LinfieldSolution(solutions=(), eigenvalues=np.array([1.0]),
                              threshold=1e-10, residuals=())
     op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel, 0.0))
     _stage_osi(cfg, op, empty, state, lambda msg: None)
@@ -220,3 +222,28 @@ def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
     state = load_state(out / "state.json")
     residuals = [r["residual"] for r in state.osi_summary["reports"]]
     assert residuals and residuals == state.linfield_summary["residuals"]
+
+
+def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    eigh_args, svd_args = [], []
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_args.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_args.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    # cvplab.jets and cvplab.linfield reach both through np.linalg
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    out = tmp_path / "out"
+    assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
+    assert svd_args == [] and len(eigh_args) == 1
+    state = load_state(out / "state.json")
+    cfg = parse_config(BASE_CONFIG)
+    rho = DiscreteMeasure.from_dict(state.measure)
+    sp1 = FormEvaluator(rho, cfg.kernel, state.nu).form_matrix(FORM_SP1)
+    assert np.array_equal(eigh_args[0], 0.5 * (sp1 + sp1.T))

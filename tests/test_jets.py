@@ -149,6 +149,15 @@ def test_gram_spectrum_bases_and_errors(csp5):
         gram_spectrum(f.ev, FORM_SP1, max_dim=3)
 
 
+def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss):
+    for f in (csp5, gauss5, lattice2d, single_gauss):
+        rep = gram_spectrum(f.ev, FORM_Q1)
+        dense = np.linalg.eigvalsh(f.ev.form_matrix(FORM_Q1))
+        assert np.abs(rep.eigenvalues - dense).max() <= 1e-13 * rep.scale
+    # the negative control keeps failing its Q1 verdict
+    assert gram_spectrum(single_gauss.ev, FORM_Q1).min_eigenvalue <= -1.0
+
+
 def test_gram_report_serialization(csp5):
     f = csp5
     rep = gram_spectrum(f.ev, FORM_Q1)

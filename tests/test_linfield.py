@@ -5,10 +5,11 @@ import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
                     GaussianKernel, JetField, RegionMask, arc_regions,
-                    assemble_linfield, calibrate_nu, osi_report, random_measure,
-                    random_regions, solve_linfield, surface_layer_integral)
+                    assemble_linfield, calibrate_nu, gram_spectrum, osi_report,
+                    random_measure, random_regions, solve_linfield,
+                    surface_layer_integral)
 from cvplab.errors import SchemaError
-from cvplab.jets import nabla1_nabla2_L
+from cvplab.jets import FORM_SP1, nabla1_nabla2_L
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
@@ -50,7 +51,7 @@ def test_random_jets_have_positive_residual(csp5):
 
 def test_solve_linfield_contains_translation(csp5):
     op = assemble_linfield(csp5.ev)
-    sol = solve_linfield(op, sigma_threshold_rel=1e-8)
+    sol = solve_linfield(op, threshold_rel=1e-8)
     assert sol.dimension >= 1
     scale = float(np.abs(op.matrix).max())
     for res in sol.residuals:
@@ -66,9 +67,36 @@ def test_solve_linfield_contains_translation(csp5):
 def test_solve_linfield_threshold_validation(csp5):
     op = assemble_linfield(csp5.ev)
     with pytest.raises(SchemaError):
-        solve_linfield(op, sigma_threshold_rel=1.5)
-    exact = solve_linfield(op, sigma_threshold_rel=0.0)
+        solve_linfield(op, threshold_rel=1.5)
+    exact = solve_linfield(op, threshold_rel=0.0)
     assert exact.dimension <= solve_linfield(op, 1e-8).dimension
+
+
+def _svd_null_projector(matrix, threshold_rel=1e-10):
+    """Oracle: projector onto the right singular vectors of the operator
+    with sigma <= threshold_rel * sigma_max."""
+    _, sigma, vt = np.linalg.svd(matrix)
+    null = vt[sigma <= threshold_rel * sigma[0]]
+    return null.T @ null
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
+def test_solve_linfield_matches_svd_null_space(name, request):
+    f = request.getfixturevalue(name)
+    op = assemble_linfield(f.ev)
+    sol = solve_linfield(op)
+    assert sol.dimension >= 1
+    basis = np.array([jf.stacked() for jf in sol.solutions])
+    assert np.abs(basis.T @ basis - _svd_null_projector(op.matrix)).max() <= 1e-8
+    scale = float(np.abs(op.matrix).max())
+    assert max(sol.residuals) <= 1e-8 * scale
+
+
+def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
+    for f in (csp5, gauss5, lattice2d):
+        spectrum = gram_spectrum(f.ev, FORM_SP1).eigenvalues
+        kernel = solve_linfield(assemble_linfield(f.ev)).eigenvalues
+        assert spectrum.tobytes() == kernel.tobytes()
 
 
 def _pointwise_brackets(rho, kernel, nu, jf):

@@ -102,3 +102,16 @@ def test_minimize_stops_at_a_repeated_state():
     assert capped_trace.status == "budget-exhausted"
     assert capped.points.tobytes() == rho.points.tobytes()
     assert capped.weights.tobytes() == rho.weights.tobytes()
+
+
+def test_budget_exhausted_final_row_keeps_the_accepted_step():
+    # the 8-point README ring that stalls at iteration 174
+    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
+    rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
+    kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
+    _, stalled = minimize(rho0, kernel, OptimizerConfig(max_iterations=1000))
+    _, capped = minimize(rho0, kernel, OptimizerConfig(max_iterations=173))
+    assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 174)
+    assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 173)
+    assert capped.rows[-1][3] == stalled.rows[-1][3]
+    assert capped.rows[-1][3] == pytest.approx(2.22e-17, rel=1e-2)
