@@ -8,8 +8,7 @@ surface-layer integrals.
 
 from __future__ import annotations
 
-from .action import (action, action_difference, calibrate_nu, el_report, ell,
-                     ell_gradient, row_sums)
+from .action import action, action_difference, el_report, ell, ell_gradient
 from .config import (ExperimentConfig, RunState, load_config, load_state,
                      parse_config, save_state)
 from .errors import (CvpError, DimensionMismatchError,

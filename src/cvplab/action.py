@@ -1,4 +1,4 @@
-"""The action, the function ell, multiplier calibration and EL diagnostics."""
+"""The action, the function ell, EL diagnostics and the action difference."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .jets import FormEvaluator
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
@@ -18,21 +19,6 @@ def action(rho: DiscreteMeasure, kernel: RadialKernel) -> float:
     tables = pair_tables(kernel, rho.manifold, rho.points)
     w = rho.weights
     return float(w @ tables.L @ w)
-
-
-def row_sums(rho: DiscreteMeasure, kernel: RadialKernel) -> np.ndarray:
-    """sum_j w_j L(x_i, x_j) for every support point."""
-    tables = pair_tables(kernel, rho.manifold, rho.points)
-    return tables.L @ rho.weights
-
-
-def calibrate_nu(rho: DiscreteMeasure, kernel: RadialKernel) -> float:
-    """Multiplier making min_i ell(x_i) = 0 exactly.
-
-    For a non-minimizing measure this is a convention (the minimum row sum,
-    so ell >= 0 on the support); every report flags the calibrated value.
-    """
-    return 2.0 * float(row_sums(rho, kernel).min())
 
 
 def ell(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
@@ -84,21 +70,17 @@ class ELReport:
                                  repr(float(np.abs(g).max()))])
 
 
-def el_report(rho: DiscreteMeasure, kernel: RadialKernel,
-              nu: float | None = None,
+def el_report(ev: FormEvaluator,
               off_support_samples: int | None = None,
               seed: int = 0,
               box: tuple | None = None) -> ELReport:
-    """EL diagnostics; optionally scans ell over off-support samples."""
-    tables = pair_tables(kernel, rho.manifold, rho.points)
-    w = rho.weights
-    rows = tables.L @ w
-    if nu is None:
-        nu = 2.0 * float(rows.min())
-    values = rows - nu / 2.0
-    gradients = np.einsum("ija,j->ia", tables.G, w)
-    strong = float(np.abs(values).max())
-    weak = max(strong, float(np.abs(gradients).max()))
+    """EL diagnostics read from the evaluator's ell jet and calibrated nu.
+
+    Builds no tables; optionally scans ell over off-support samples.
+    """
+    rho = ev.rho
+    strong = float(np.abs(ev.ell).max())
+    weak = max(strong, float(np.abs(ev.grad_ell).max()))
     off_min = None
     if off_support_samples:
         rng = np.random.default_rng(seed)
@@ -107,8 +89,8 @@ def el_report(rho: DiscreteMeasure, kernel: RadialKernel,
             hi = rho.points.max(axis=0) + 1.0
             box = (lo, hi)
         samples = rho.manifold.uniform_samples(off_support_samples, rng, box)
-        off_min = min(ell(rho, kernel, nu, x) for x in samples)
-    return ELReport(nu=nu, ell_values=values, ell_gradients=gradients,
+        off_min = min(ell(rho, ev.kernel, ev.nu, x) for x in samples)
+    return ELReport(nu=ev.nu, ell_values=ev.ell, ell_gradients=ev.grad_ell,
                     strong_residual=strong, weak_residual=weak,
                     off_support_min=off_min)
 

@@ -65,8 +65,8 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
     return rho, trace.status
 
 
-def _stage_report(cfg, rho, state, out_dir, log):
-    rep = el_report(rho, cfg.kernel)
+def _stage_report(cfg, ev, state, out_dir, log):
+    rep = el_report(ev)
     rep.write_csv(out_dir / "el_report.csv")
     state.nu = rep.nu
     state.el_report = rep.to_dict()
@@ -74,7 +74,6 @@ def _stage_report(cfg, rho, state, out_dir, log):
     state.verdicts["weak_el"] = bool(ok)
     log(f"report: weak residual {rep.weak_residual:.3e} "
         f"({'pass' if ok else 'FAIL'})")
-    return rep.nu
 
 
 def _stage_spectrum(cfg, ev, state, out_dir, log):
@@ -83,7 +82,7 @@ def _stage_spectrum(cfg, ev, state, out_dir, log):
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
                            (FORM_SP1, BASIS_SCALAR)):
         rep = gram_spectrum(ev, form_id, basis, tau_psd=tau)
-        state.gram_reports.append(rep.to_dict(include_matrix=False))
+        state.gram_reports.append(rep.to_dict())
         key = f"{form_id.lower()}_{basis}_psd"
         state.verdicts[key] = rep.psd
         log(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
@@ -101,10 +100,10 @@ def _stage_fragment(cfg, ev, state, out_dir, seed, log):
     probe = cfg.probe
     rep = stability_probe(
         ev,
-        fragments=int(probe["fragments"]),
+        fragments=probe["fragments"],
         tau_grid=probe["tau_grid"],
-        trials=int(probe["trials"]),
-        seed=int(probe["seed"] if seed is None else seed),
+        trials=probe["trials"],
+        seed=probe["seed"] if seed is None else seed,
         jet_scale=float(probe.get("jet_scale", 1.0)))
     rep.write_csv(out_dir / "probe.csv")
     state.probe_summary = rep.to_dict()
@@ -161,9 +160,8 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         rho, _ = _get_measure(cfg, out, state, seed, log,
                               reuse=stage != "minimize")
         state.measure = rho.to_dict()
-        nu = _stage_report(cfg, rho, state, out, log)
-        if stage not in ("minimize", "report"):
-            ev = FormEvaluator(rho, cfg.kernel, nu)  # shared by every later stage
+        ev = FormEvaluator(rho, cfg.kernel)  # for report and every later stage
+        _stage_report(cfg, ev, state, out, log)
         if stage in ("spectrum", "verify-all"):
             _stage_spectrum(cfg, ev, state, out, log)
         if stage in ("fragment", "verify-all"):

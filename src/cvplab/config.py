@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .geometry import ChartManifold
-from .kernels import RadialKernel, kernel_from_dict
+from .kernels import CompactSupportKernel, RadialKernel, kernel_from_dict
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig
 
@@ -66,6 +67,28 @@ class ExperimentConfig:
             weights=np.asarray(self.initial["weights"], dtype=float))
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
+def _check_probe(probe: dict) -> None:
+    """Reject probe settings that would run no trial or fit nothing."""
+    for key, least in (("fragments", 1), ("trials", 1), ("seed", 0)):
+        value = probe[key]
+        if not (isinstance(value, int) and not isinstance(value, bool)
+                and value >= least):
+            raise SchemaError(f"probe {key} must be an integer >= {least}")
+    grid = probe["tau_grid"]
+    if not (isinstance(grid, (list, tuple)) and grid
+            and all(_is_finite_number(t) and t != 0 for t in grid)):
+        raise SchemaError("probe tau_grid must be a non-empty list of "
+                          "finite non-zero numbers")
+    scale = probe.get("jet_scale", 1.0)
+    if not (_is_finite_number(scale) and scale > 0):
+        raise SchemaError("probe jet_scale must be positive and finite")
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
@@ -99,6 +122,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     bad = set(probe) - set(_DEFAULT_PROBE) - {"jet_scale"}
     if bad:
         raise SchemaError(f"unknown probe fields: {sorted(bad)}")
+    _check_probe(probe)
+    if (manifold.kind == "torus" and isinstance(kernel, CompactSupportKernel)
+            and kernel.radius > min(manifold.periods) / 2.0):
+        # beyond half a period the wrapped kernel has a kink at the cut locus
+        raise SchemaError(f"compact-support radius {kernel.radius} exceeds "
+                          f"half the smallest torus period {min(manifold.periods)}")
     return ExperimentConfig(manifold=manifold, kernel=kernel, initial=initial,
                             optimizer=optimizer, tolerances=tolerances,
                             probe=probe, raw=data)

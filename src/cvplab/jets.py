@@ -44,10 +44,6 @@ class Jet:
         if not (np.isfinite(self.a) and np.isfinite(self.u).all()):
             raise SchemaError("jet components must be finite")
 
-    @classmethod
-    def zero(cls, dim: int) -> "Jet":
-        return cls(a=0.0, u=np.zeros(dim))
-
 
 @dataclass(frozen=True)
 class JetField:
@@ -97,11 +93,6 @@ class JetField:
     def to_dict(self) -> dict:
         return {"scalar": self.scalar.tolist(), "vector": self.vector.tolist()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JetField":
-        return cls(scalar=np.asarray(data["scalar"], dtype=float),
-                   vector=np.asarray(data["vector"], dtype=float))
-
 
 def _check_field(rho: DiscreteMeasure, jf: JetField) -> None:
     if jf.count != rho.count or jf.dim != rho.manifold.dim:
@@ -128,23 +119,26 @@ def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
 
 
 class FormEvaluator:
-    """Pair tables, ell data and the jet-pair block for the jet forms.
+    """Pair tables, the calibrated nu, the ell jet and the jet-pair block.
 
     The one handle for the forms on a measure: every function that
-    evaluates a form takes an instance, so build one per measure.
+    evaluates a form or reports on ell takes an instance, so build one per
+    measure.  nu = 2 min_i sum_j w_j L(x_i, x_j), so min_i ell(x_i) = 0
+    exactly; for a non-minimizing measure that is a convention.
     """
 
-    def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel, nu: float):
+    def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel):
         self.rho = rho
         self.kernel = kernel
-        self.nu = float(nu)
         t = pair_tables(kernel, rho.manifold, rho.points)
         w = rho.weights
         n, m = rho.count, rho.manifold.dim
         self.tables = t
+        rows = t.L @ w
+        self.nu = 2.0 * float(rows.min())
         # ell, grad ell and Hess ell at each point over the unit jets
         self.ell_jet = np.empty((n, 1 + m, 1 + m))
-        self.ell_jet[:, 0, 0] = t.L @ w - self.nu / 2.0
+        self.ell_jet[:, 0, 0] = rows - self.nu / 2.0
         self.ell_jet[:, 0, 1:] = self.ell_jet[:, 1:, 0] = np.einsum("ija,j->ia", t.G, w)
         self.ell_jet[:, 1:, 1:] = np.einsum("ijab,j->iab", t.H11, w)
         self.ell = self.ell_jet[:, 0, 0]
@@ -257,8 +251,9 @@ class GramReport:
     psd: bool
     strictly_positive: bool
 
-    def to_dict(self, include_matrix: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """Everything but the matrix, which stays in memory only."""
+        return {
             "form_id": self.form_id,
             "basis": self.basis,
             "eigenvalues": self.eigenvalues.tolist(),
@@ -268,9 +263,6 @@ class GramReport:
             "psd": self.psd,
             "strictly_positive": self.strictly_positive,
         }
-        if include_matrix:
-            out["matrix"] = self.matrix.tolist()
-        return out
 
 
 def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +35,7 @@ class OptimizerConfig:
             raise SchemaError("weight floor must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "step_size_initial": self.step_size_initial,
-            "armijo_factor": self.armijo_factor,
-            "armijo_slope": self.armijo_slope,
-            "tolerance_weak_el": self.tolerance_weak_el,
-            "weight_floor_rel": self.weight_floor_rel,
-            "max_backtracks": self.max_backtracks,
-            "seed": self.seed,
-            "trace_period": self.trace_period,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":

@@ -8,30 +8,35 @@ import pytest
 
 from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
                     FormEvaluator, GaussianKernel, OptimizerConfig,
-                    RadialKernel, calibrate_nu, minimize)
+                    RadialKernel, minimize)
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """A measure together with its kernel and calibrated multiplier."""
+    """A measure together with its kernel."""
 
     rho: DiscreteMeasure
     kernel: RadialKernel
-    nu: float
     status: str = "converged"
+    final_residual: float | None = None   # the last trace row's weak residual
 
     @cached_property
     def ev(self) -> FormEvaluator:
         """The one form evaluator of this fixture's measure."""
-        return FormEvaluator(self.rho, self.kernel, self.nu)
+        return FormEvaluator(self.rho, self.kernel)
+
+    @property
+    def nu(self) -> float:
+        """The calibrated multiplier, as the evaluator holds it."""
+        return self.ev.nu
 
 
 def _converge(rho0, kernel, tol=1e-6, max_iterations=20_000):
     config = OptimizerConfig(tolerance_weak_el=tol, max_iterations=max_iterations)
     rho, trace = minimize(rho0, kernel, config)
     assert trace.status == "converged", f"fixture failed to converge: {trace.status}"
-    return Fixture(rho=rho, kernel=kernel, nu=calibrate_nu(rho, kernel),
-                   status=trace.status)
+    return Fixture(rho=rho, kernel=kernel, status=trace.status,
+                   final_residual=trace.rows[-1][2])
 
 
 def _unit_gap_start(n: int, seed: int) -> DiscreteMeasure:
@@ -73,7 +78,7 @@ def single_gauss() -> Fixture:
     kernel = GaussianKernel(sigma=1.0)
     rho = DiscreteMeasure(manifold=manifold, points=np.array([[0.0]]),
                           weights=np.array([2.0]))
-    return Fixture(rho=rho, kernel=kernel, nu=calibrate_nu(rho, kernel))
+    return Fixture(rho=rho, kernel=kernel)
 
 
 @pytest.fixture(scope="session")
@@ -91,4 +96,4 @@ def lattice2d() -> Fixture:
                     (j * np.sqrt(3.0) / 2.0).ravel()], axis=1)
     rho = DiscreteMeasure(manifold=manifold, points=pts, weights=np.ones(16))
     kernel = CompactSupportKernel(radius=1.5, power=3)
-    return Fixture(rho=rho, kernel=kernel, nu=calibrate_nu(rho, kernel))
+    return Fixture(rho=rho, kernel=kernel)

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, FragmentationScheme, GaussianKernel,
-                    JetField, OptimizerConfig, VariationCurve, action,
-                    action_difference, arc_regions, assemble_linfield,
-                    calibrate_nu, el_report, frag_lower_bound,
+from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
+                    GaussianKernel, JetField, OptimizerConfig, VariationCurve,
+                    action, action_difference, arc_regions, assemble_linfield,
+                    el_report, frag_lower_bound,
                     frag_second_variation_rescaled, fragment_deform,
                     gram_spectrum, minimize, optimal_weights, random_measure,
                     second_variation_fd, solve_linfield, stability_probe,
@@ -35,7 +35,7 @@ def test_criterion_01_minimizer_existence_and_el():
     for seed in range(10):
         rho0 = random_measure(manifold, count=5, total_volume=5.0, seed=seed)
         rho, trace = minimize(rho0, kernel, OptimizerConfig())
-        rep = el_report(rho, kernel)
+        rep = el_report(FormEvaluator(rho, kernel))
         worst_res = max(worst_res, rep.weak_residual)
         pos = np.sort(rho.points[:, 0])
         gaps = np.diff(np.append(pos, pos[0] + 2.0 * np.pi))
@@ -192,7 +192,7 @@ def test_criterion_08_linfield_and_osi(csp5):
 def test_criterion_09_negative_control(single_gauss):
     """A weak-EL point that is not a minimizer is flagged by the suite."""
     f = single_gauss
-    rep = el_report(f.rho, f.kernel)
+    rep = el_report(f.ev)
     weak_ok = rep.weak_residual <= 1e-12
     spec = gram_spectrum(f.ev, FORM_Q1, BASIS_FULL)
     q1_fails = spec.min_eigenvalue <= -1.0

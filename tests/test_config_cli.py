@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from cvplab import (DiscreteMeasure, FormEvaluator, SchemaError,
-                    assemble_linfield, load_config, load_state, parse_config,
-                    save_state)
+                    assemble_linfield, load_config, load_state, pair_tables,
+                    parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
 from cvplab.jets import FORM_SP1
@@ -63,12 +64,29 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d.update(tolerances={"tau_psd": -1.0}),
     lambda d: d.update(tolerances={"mystery": 1.0}),
     lambda d: d.update(optimizer={"bogus_knob": 2}),
+    lambda d: d["probe"].update(trials=0),
+    lambda d: d["probe"].update(fragments=0),
+    lambda d: d["probe"].update(fragments=2.5),
+    lambda d: d["probe"].update(seed=-1),
+    lambda d: d["probe"].update(tau_grid=[]),
+    lambda d: d["probe"].update(tau_grid=[0.0]),
+    lambda d: d["probe"].update(tau_grid=[0.02, float("nan")]),
+    lambda d: d["probe"].update(jet_scale=0.0),
+    lambda d: d["probe"].update(jet_scale=float("inf")),
+    # beyond half the period 5 the wrapped kernel has a kink
+    lambda d: d["lagrangian"]["params"].update(radius=2.6),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
     mutate(data)
     with pytest.raises(SchemaError):
         parse_config(data)
+
+
+def test_parse_config_accepts_radius_of_half_the_period():
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["lagrangian"]["params"]["radius"] = 2.5
+    assert parse_config(data).kernel.radius == 2.5
 
 
 def test_load_config_bad_json_names_location(tmp_path):
@@ -175,7 +193,7 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     state = RunState(config_hash=cfg.hash)
     empty = LinfieldSolution(solutions=(), eigenvalues=np.array([1.0]),
                              threshold=1e-10, residuals=())
-    op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel, 0.0))
+    op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel))
     _stage_osi(cfg, op, empty, state, lambda msg: None)
     assert state.verdicts["osi_nonnegative"] is False
     assert state.osi_summary == {"reports": [], "min_value": None}
@@ -185,6 +203,8 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
 
 # The state section and the verdicts each stage writes on its own.
 STAGE_OUTPUTS = {
+    "minimize": ("measure", ["optimizer_converged", "weak_el"]),
+    "report": ("el_report", ["weak_el"]),
     "spectrum": ("gram_reports",
                  ["q1_full_psd", "sp1_full_psd", "sp1_scalar_only_psd"]),
     "fragment": ("probe_summary", ["probe_stable"]),
@@ -208,18 +228,28 @@ def test_cli_osi_stage_matches_verify_all(tmp_path, stage):
 
 
 def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
-    builds = []
-    init = FormEvaluator.__init__
+    builds, table_points = [], []
+    init, tables = FormEvaluator.__init__, pair_tables
 
     def counting_init(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
+    def counting_tables(kernel, manifold, points):
+        table_points.append(np.array(points))
+        return tables(kernel, manifold, points)
+
     monkeypatch.setattr(FormEvaluator, "__init__", counting_init)
+    for name in ("action", "jets", "linfield", "optimizer"):
+        monkeypatch.setattr(importlib.import_module(f"cvplab.{name}"),
+                            "pair_tables", counting_tables)
     out = tmp_path / "out"
     assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
     assert len(builds) == 1
     state = load_state(out / "state.json")
+    # minimize's last iterate and the evaluator; el_report reads the latter
+    final = np.array(state.measure["points"])
+    assert sum(np.array_equal(p, final) for p in table_points) == 2
     residuals = [r["residual"] for r in state.osi_summary["reports"]]
     assert residuals and residuals == state.linfield_summary["residuals"]
 
@@ -245,5 +275,5 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
     state = load_state(out / "state.json")
     cfg = parse_config(BASE_CONFIG)
     rho = DiscreteMeasure.from_dict(state.measure)
-    sp1 = FormEvaluator(rho, cfg.kernel, state.nu).form_matrix(FORM_SP1)
+    sp1 = FormEvaluator(rho, cfg.kernel).form_matrix(FORM_SP1)
     assert np.array_equal(eigh_args[0], 0.5 * (sp1 + sp1.T))

@@ -161,7 +161,7 @@ def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss):
 def test_gram_report_serialization(csp5):
     f = csp5
     rep = gram_spectrum(f.ev, FORM_Q1)
-    d = rep.to_dict(include_matrix=False)
+    d = rep.to_dict()
     assert "matrix" not in d
     assert d["psd"] is True
     assert len(d["eigenvalues"]) == 2 * f.rho.count

@@ -5,7 +5,7 @@ import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
                     GaussianKernel, JetField, RegionMask, arc_regions,
-                    assemble_linfield, calibrate_nu, gram_spectrum, osi_report,
+                    assemble_linfield, gram_spectrum, osi_report,
                     random_measure, random_regions, solve_linfield,
                     surface_layer_integral)
 from cvplab.errors import SchemaError
@@ -114,21 +114,21 @@ def _pointwise_brackets(rho, kernel, nu, jf):
     return out.ravel()
 
 
-def _gauss_2d():
+def _gauss_2d() -> FormEvaluator:
     manifold = ChartManifold(kind="torus", dim=2, periods=(6.0, 6.0))
     rho = random_measure(manifold, count=12, total_volume=12.0, seed=4)
-    kernel = GaussianKernel(sigma=1.0)
-    return rho, kernel, calibrate_nu(rho, kernel)
+    return FormEvaluator(rho, GaussianKernel(sigma=1.0))
 
 
 def test_operator_matches_pointwise_brackets(csp5):
     rng = np.random.default_rng(10)
-    for rho, kernel, nu in ((csp5.rho, csp5.kernel, csp5.nu), _gauss_2d()):
-        op = assemble_linfield(FormEvaluator(rho, kernel, nu))
+    for ev in (csp5.ev, _gauss_2d()):
+        rho = ev.rho
+        op = assemble_linfield(ev)
         for _ in range(3):
             jf = JetField(scalar=rng.normal(size=rho.count),
                           vector=rng.normal(size=(rho.count, rho.manifold.dim)))
-            oracle = _pointwise_brackets(rho, kernel, nu, jf)
+            oracle = _pointwise_brackets(rho, ev.kernel, ev.nu, jf)
             err = np.abs(op.apply(jf) - oracle).max()
             assert err <= 1e-12 * np.abs(oracle).max()
 
@@ -233,8 +233,9 @@ def _pointwise_osi(rho, kernel, region, jf):
         for j in np.flatnonzero(~region.inside))
 
 
-def _assert_osi_matches_oracle(rho, kernel, nu, jf, regions):
-    op = assemble_linfield(FormEvaluator(rho, kernel, nu))
+def _assert_osi_matches_oracle(ev, jf, regions):
+    rho, kernel = ev.rho, ev.kernel
+    op = assemble_linfield(ev)
     rep = osi_report(op, jf, regions)
     assert [lab for lab, _ in rep.values] == [r.label for r in regions]
     for (_, val), region in zip(rep.values, regions):
@@ -249,13 +250,11 @@ def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
     n = csp5.rho.count
     for jf in (JetField.translation(n, 1),
                JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))):
-        _assert_osi_matches_oracle(csp5.rho, csp5.kernel, csp5.nu, jf,
-                                   arc_regions(csp5.rho))
+        _assert_osi_matches_oracle(csp5.ev, jf, arc_regions(csp5.rho))
 
 
 def test_osi_report_matches_pointwise_oracle_in_2d():
-    rho, kernel, nu = _gauss_2d()
+    ev = _gauss_2d()
     rng = np.random.default_rng(8)
     jf = JetField(scalar=rng.normal(size=12), vector=rng.normal(size=(12, 2)))
-    _assert_osi_matches_oracle(rho, kernel, nu, jf,
-                               random_regions(rho, count=16, seed=3))
+    _assert_osi_matches_oracle(ev, jf, random_regions(ev.rho, count=16, seed=3))

@@ -64,7 +64,7 @@ def test_analytic_second_variation_equals_sp1(csp5):
     rng = np.random.default_rng(1)
     jf = _random_vp_field(csp5.rho, rng)
     lhs = csp5.ev.sp1(jf, jf)
-    rhs = FormEvaluator(csp5.rho, csp5.kernel, csp5.nu).sp1(jf, jf)
+    rhs = FormEvaluator(csp5.rho, csp5.kernel).sp1(jf, jf)
     assert lhs == rhs  # shared and fresh evaluator, bit-identical
 
 
