@@ -26,10 +26,9 @@ from .linfield import (LinearizedOperator, RegionMask, arc_regions,
                        solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
-from .variations import (FragmentationScheme, VariationCurve, deform,
-                         frag_lower_bound, frag_second_variation,
-                         frag_second_variation_rescaled, fragment_deform,
-                         optimal_weights, second_variation_fd,
+from .variations import (FragmentationScheme, frag_lower_bound,
+                         frag_second_variation, frag_second_variation_rescaled,
+                         fragment_deform, optimal_weights, second_variation_fd,
                          stability_probe)
 
 __version__ = "0.1.0"

@@ -45,24 +45,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
-                 seed: int | None, log,
-                 reuse: bool = True) -> tuple[DiscreteMeasure, str]:
-    """Reuse a previously minimized measure if one matches the config."""
+                 seed: int | None, log, reuse: bool = True) -> DiscreteMeasure:
+    """Reuse a previously minimized measure, with its optimizer verdict, if
+    one matches the config; minimize otherwise."""
     state_path = out_dir / "state.json"
     if reuse and state_path.exists():
         try:
             prior = load_state(state_path, expected_config=cfg)
         except SchemaError:
             prior = None
-        if prior is not None and prior.measure is not None:
+        if (prior is not None and prior.measure is not None
+                and "optimizer_converged" in prior.verdicts):
             log("reusing minimized measure from state.json")
-            return DiscreteMeasure.from_dict(prior.measure), "reused"
+            state.verdicts["optimizer_converged"] = \
+                prior.verdicts["optimizer_converged"]
+            return DiscreteMeasure.from_dict(prior.measure)
     rho0 = cfg.initial_measure(seed_override=seed)
     rho, trace = minimize(rho0, cfg.kernel, cfg.optimizer)
     trace.write_csv(out_dir / "trace.csv")
     state.verdicts["optimizer_converged"] = trace.status == "converged"
     log(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations")
-    return rho, trace.status
+    return rho
 
 
 def _stage_report(cfg, ev, state, out_dir, log):
@@ -153,12 +156,14 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
             print(msg)
 
     try:
+        if seed is not None and seed < 0:
+            raise SchemaError(f"--seed must be an integer >= 0, not {seed}")
         cfg = load_config(config_path)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         state = RunState(config_hash=cfg.hash, seed=seed)
-        rho, _ = _get_measure(cfg, out, state, seed, log,
-                              reuse=stage != "minimize")
+        rho = _get_measure(cfg, out, state, seed, log,
+                           reuse=stage != "minimize")
         state.measure = rho.to_dict()
         ev = FormEvaluator(rho, cfg.kernel)  # for report and every later stage
         _stage_report(cfg, ev, state, out, log)

@@ -57,9 +57,8 @@ class ExperimentConfig:
         if "generator" in self.initial:
             gen = self.initial["generator"]
             seed = gen["seed"] if seed_override is None else seed_override
-            return random_measure(self.manifold, count=int(gen["count"]),
-                                  total_volume=float(gen["total_volume"]),
-                                  seed=int(seed),
+            return random_measure(self.manifold, count=gen["count"],
+                                  total_volume=gen["total_volume"], seed=seed,
                                   box=gen.get("box"))
         return DiscreteMeasure(
             manifold=self.manifold,
@@ -72,13 +71,18 @@ def _is_finite_number(value) -> bool:
             and abs(value) < math.inf)
 
 
+def _check_counts(section: str, values: dict, least: dict) -> None:
+    """Each named value must be an integer (not a bool) of at least least[key]."""
+    for key, low in least.items():
+        value = values[key]
+        if not (isinstance(value, int) and not isinstance(value, bool)
+                and value >= low):
+            raise SchemaError(f"{section} {key} must be an integer >= {low}")
+
+
 def _check_probe(probe: dict) -> None:
     """Reject probe settings that would run no trial or fit nothing."""
-    for key, least in (("fragments", 1), ("trials", 1), ("seed", 0)):
-        value = probe[key]
-        if not (isinstance(value, int) and not isinstance(value, bool)
-                and value >= least):
-            raise SchemaError(f"probe {key} must be an integer >= {least}")
+    _check_counts("probe", probe, {"fragments": 1, "trials": 1, "seed": 0})
     grid = probe["tau_grid"]
     if not (isinstance(grid, (list, tuple)) and grid
             and all(_is_finite_number(t) and t != 0 for t in grid)):
@@ -108,16 +112,22 @@ def parse_config(data: dict) -> ExperimentConfig:
             "initial_measure needs either a generator or explicit points/weights")
     if "generator" in initial:
         gen = initial["generator"]
+        if not isinstance(gen, dict):
+            raise SchemaError("generator must be a JSON object")
         missing = {"count", "seed", "total_volume"} - set(gen)
         if missing:
             raise SchemaError(f"generator is missing fields: {sorted(missing)}")
+        _check_counts("generator", gen, {"count": 1, "seed": 0})
+        volume = gen["total_volume"]
+        if not (_is_finite_number(volume) and volume > 0):
+            raise SchemaError("generator total_volume must be positive and finite")
     optimizer = OptimizerConfig.from_dict(data.get("optimizer", {}))
     tolerances = {**_DEFAULT_TOLERANCES, **data.get("tolerances", {})}
     bad = set(tolerances) - set(_DEFAULT_TOLERANCES)
     if bad:
         raise SchemaError(f"unknown tolerance fields: {sorted(bad)}")
-    if any(v <= 0 for v in tolerances.values()):
-        raise SchemaError("all tolerances must be positive")
+    if not all(_is_finite_number(v) and v > 0 for v in tolerances.values()):
+        raise SchemaError("all tolerances must be positive finite numbers")
     probe = {**_DEFAULT_PROBE, **data.get("probe", {})}
     bad = set(probe) - set(_DEFAULT_PROBE) - {"jet_scale"}
     if bad:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,14 @@ class OptimizerConfig:
     trace_period: int = 50
 
     def __post_init__(self):
+        for f in fields(self):
+            # a field with an integer default takes integers, the rest numbers
+            kind = Integral if isinstance(f.default, int) else Real
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not math.isfinite(value)):
+                raise SchemaError(f"optimizer {f.name} must be a finite "
+                                  f"{'integer' if kind is Integral else 'number'}")
         if not (0.0 < self.armijo_factor < 1.0):
             raise SchemaError("armijo_factor must lie in (0, 1)")
         if min(self.max_iterations, self.step_size_initial,

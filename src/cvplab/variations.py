@@ -1,9 +1,12 @@
-"""Push-forward variation curves, fragmentation, and second variations.
+"""Fragmented variations, their finite-difference oracle and second variations.
 
-The variation family is the linear representative: weights are rescaled
-by 1 + tau*a and points transported along straight chart lines x + tau*u,
-so the curve's second-order terms in (f, F) vanish and the analytic
-second variation is exactly the sp1 form of the generating jet field.
+A variation splits point i into L fragments with weight shares c_ia and
+moves fragment a along the straight chart line x_i + tau*u_ia, its weight
+rescaled by 1 + tau*a_ia.  An unfragmented curve is the one-fragment
+scheme, c = 1: its second-order terms in (f, F) vanish, so its analytic
+second variation is exactly the sp1 form of its jet field.  The fragment
+jets are one (L, n, 1 + m) array whose point rows [a, u_1, ..., u_m] are
+in the unit-jet order of JetField.stacked.
 """
 
 from __future__ import annotations
@@ -15,165 +18,125 @@ from pathlib import Path
 import numpy as np
 
 from .action import action
-from .errors import (NegativeDiagonalError, SchemaError, WeightPositivityError)
+from .errors import (DimensionMismatchError, NegativeDiagonalError,
+                     SchemaError, WeightPositivityError)
 from .jets import FormEvaluator, JetField
 from .kernels import RadialKernel
 from .measure import DiscreteMeasure
 
 
-def volume_project_scalar(rho: DiscreteMeasure, jf: JetField) -> JetField:
-    """Shift the scalar component so the first-order volume defect vanishes."""
-    w = rho.weights
-    shift = float(w @ jf.scalar) / float(w.sum())
-    return JetField(scalar=jf.scalar - shift, vector=jf.vector)
-
-
-@dataclass(frozen=True)
-class VariationCurve:
-    base: DiscreteMeasure
-    jet: JetField
-    volume_preserving: bool = False
-
-    def __post_init__(self):
-        if self.jet.count != self.base.count:
-            raise SchemaError("jet field length must match the measure")
-        if self.volume_preserving:
-            defect = float(self.base.weights @ self.jet.scalar)
-            if abs(defect) > 1e-10 * max(1.0, self.base.total_volume):
-                raise SchemaError(
-                    f"curve flagged volume-preserving but defect is {defect:g}")
-
-    @classmethod
-    def volume_preserved(cls, base: DiscreteMeasure, jf: JetField) -> "VariationCurve":
-        return cls(base=base, jet=volume_project_scalar(base, jf),
-                   volume_preserving=True)
-
-
-def deform(curve: VariationCurve, tau: float) -> DiscreteMeasure:
-    """Measure at parameter tau: points x + tau*u, weights w(1 + tau*a)."""
-    base = curve.base
-    if tau == 0.0:
-        return base
-    factors = 1.0 + tau * curve.jet.scalar
-    bad = np.flatnonzero(factors <= 0.0)
-    if bad.size:
-        raise WeightPositivityError(
-            f"weight factor 1 + tau*a is non-positive at point {bad[0]} "
-            f"(tau={tau:g})", point_index=int(bad[0]))
-    return base.replace(points=base.points + tau * curve.jet.vector,
-                        weights=base.weights * factors)
-
-
-def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
-                        curve: VariationCurve, tau_step: float) -> float:
-    """Richardson-extrapolated centered second difference of the action.
-
-    Returns half the extrapolated second derivative, matching the
-    convention of the analytic formula.
-    """
-    if not curve.volume_preserving:
-        raise SchemaError("finite-difference oracle needs a volume-preserving curve")
-    s0 = action(rho, kernel)
-
-    def stencil(h):
-        return (action(deform(curve, h), kernel) - 2.0 * s0
-                + action(deform(curve, -h), kernel)) / h**2
-
-    d_h = stencil(tau_step)
-    d_h2 = stencil(tau_step / 2.0)
-    return 0.5 * (4.0 * d_h2 - d_h) / 3.0
+def _as_jets(rho: DiscreteMeasure, jets) -> np.ndarray:
+    """The fragment jets as an (L, n, 1 + m) float array on rho."""
+    u = np.asarray(jets, dtype=float)
+    if u.ndim != 3 or u.shape[1:] != (rho.count, 1 + rho.manifold.dim):
+        raise DimensionMismatchError(
+            f"fragment jets of shape {u.shape} on a measure with {rho.count} "
+            f"points in dimension {rho.manifold.dim}; need (L, n, 1 + m)")
+    return u
 
 
 @dataclass(frozen=True)
 class FragmentationScheme:
-    """Row-stochastic weight fields and one jet field per fragment."""
+    """Row-stochastic fragment weights and one jet per fragment and point.
+
+    A curve is the one-fragment scheme, weights np.ones((n, 1)).
+    """
 
     weights: np.ndarray            # (n, L), rows sum to one
-    jets: tuple[JetField, ...]
-    volume_preserving: bool = False
+    jets: np.ndarray               # (L, n, 1 + m), rows [a, u_1..u_m]
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.weights, dtype=float))
+        u = np.asarray(self.jets, dtype=float)
         object.__setattr__(self, "weights", c)
-        object.__setattr__(self, "jets", tuple(self.jets))
+        object.__setattr__(self, "jets", u)
         if (c < 0).any():
             raise SchemaError("fragment weights must be non-negative")
         if not np.allclose(c.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise SchemaError("fragment weights must sum to one at every point")
-        if len(self.jets) != c.shape[1]:
-            raise SchemaError("need one jet field per fragment")
-        for jf in self.jets:
-            if jf.count != c.shape[0]:
-                raise SchemaError("jet field length must match the weight rows")
-
-    @property
-    def fragment_count(self) -> int:
-        return self.weights.shape[1]
+        if u.ndim != 3 or u.shape[:2] != c.shape[::-1] or u.shape[2] < 2:
+            raise SchemaError(f"jets of shape {u.shape} do not fit weights of "
+                              f"shape {c.shape}: need (L, n, 1 + m)")
 
     def combined_defect(self, rho: DiscreteMeasure) -> float:
-        return float(sum(
-            rho.weights @ (self.weights[:, a] * self.jets[a].scalar)
-            for a in range(self.fragment_count)))
+        """First-order volume change sum_ia w_i c_ia a_ia."""
+        scalars = self.weights.T * _as_jets(rho, self.jets)[:, :, 0]
+        return float(sum(rho.weights @ row for row in scalars))
 
-    def averaged_jet(self) -> JetField:
-        """Pointwise c-weighted average of the fragment jets."""
-        c = self.weights
-        scalar = sum(c[:, a] * self.jets[a].scalar
-                     for a in range(self.fragment_count))
-        vector = sum(c[:, a][:, None] * self.jets[a].vector
-                     for a in range(self.fragment_count))
-        return JetField(scalar=scalar, vector=vector)
+    def averaged_jet(self) -> np.ndarray:
+        """(n, 1 + m) pointwise c-weighted average of the fragment jets."""
+        return (self.weights.T[:, :, None] * self.jets).sum(axis=0)
 
     @classmethod
     def volume_preserved(cls, rho: DiscreteMeasure, weights: np.ndarray,
-                         jets: list[JetField]) -> "FragmentationScheme":
+                         jets: np.ndarray) -> "FragmentationScheme":
         """Shift all fragment scalars by a constant to zero the combined defect."""
-        raw = cls(weights=weights, jets=tuple(jets))
-        shift = raw.combined_defect(rho) / rho.total_volume
-        fixed = tuple(JetField(scalar=jf.scalar - shift, vector=jf.vector)
-                      for jf in raw.jets)
-        return cls(weights=raw.weights, jets=fixed, volume_preserving=True)
+        raw = cls(weights=weights, jets=jets)
+        fixed = raw.jets.copy()
+        fixed[:, :, 0] -= raw.combined_defect(rho) / rho.total_volume
+        return cls(weights=raw.weights, jets=fixed)
 
 
 def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
                     tau: float) -> DiscreteMeasure:
     """Split each point into its fragments, transported and reweighted.
 
-    At tau = 0 the coincident fragments merge back to the base support.
-    Fragments with zero weight carry no point.
+    Fragment a of point i sits at x_i + tau*u_ia with weight
+    w_i c_ia (1 + tau*a_ia); the fragments are listed fragment by
+    fragment.  At tau = 0 the coincident fragments merge back to the base
+    support.  Fragments with zero weight carry no point.
     """
-    if scheme.weights.shape[0] != rho.count:
-        raise SchemaError("scheme size must match the measure")
+    jets = _as_jets(rho, scheme.jets)
     if tau == 0.0:
         return rho
-    pts, ws = [], []
-    for a in range(scheme.fragment_count):
-        c_a = scheme.weights[:, a]
-        keep = c_a > 0.0
-        if not keep.any():
-            continue
-        jf = scheme.jets[a]
-        factors = 1.0 + tau * jf.scalar[keep]
-        if (factors <= 0.0).any():
-            bad = int(np.flatnonzero(keep)[np.argmax(factors <= 0.0)])
-            raise WeightPositivityError(
-                f"fragment {a} weight factor non-positive at point {bad}",
-                point_index=bad)
-        pts.append(rho.points[keep] + tau * jf.vector[keep])
-        ws.append(rho.weights[keep] * c_a[keep] * factors)
-    return rho.replace(points=np.vstack(pts), weights=np.concatenate(ws))
+    frag, point = np.nonzero(scheme.weights.T > 0.0)
+    moved = jets[frag, point]
+    factors = 1.0 + tau * moved[:, 0]
+    bad = np.flatnonzero(factors <= 0.0)
+    if bad.size:
+        i = int(point[bad[0]])
+        raise WeightPositivityError(
+            f"fragment {frag[bad[0]]} weight factor 1 + tau*a is non-positive "
+            f"at point {i} (tau={tau:g})", point_index=i)
+    return rho.replace(
+        points=rho.points[point] + tau * moved[:, 1:],
+        weights=rho.weights[point] * scheme.weights[point, frag] * factors)
 
 
-def _diagonals(ev: FormEvaluator, jets) -> np.ndarray:
+def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
+                        scheme: FragmentationScheme, tau_step: float) -> float:
+    """Richardson-extrapolated centered second difference of the action
+    along fragment_deform.
+
+    Returns half the extrapolated second derivative, matching the
+    convention of the analytic formula.  The scheme must preserve the
+    volume to first order.
+    """
+    defect = scheme.combined_defect(rho)
+    if abs(defect) > 1e-10 * max(1.0, rho.total_volume):
+        raise SchemaError("finite-difference oracle needs a volume-preserving "
+                          f"scheme, but its defect is {defect:g}")
+    s0 = action(rho, kernel)
+
+    def stencil(h):
+        return (action(fragment_deform(scheme, rho, h), kernel) - 2.0 * s0
+                + action(fragment_deform(scheme, rho, -h), kernel)) / h**2
+
+    d_h = stencil(tau_step)
+    d_h2 = stencil(tau_step / 2.0)
+    return 0.5 * (4.0 * d_h2 - d_h) / 3.0
+
+
+def _diagonals(ev: FormEvaluator, jets: np.ndarray) -> np.ndarray:
     """(n, L) array of nabla2_ell(i, u_a(i), u_a(i)) for each fragment jet u_a."""
-    return np.column_stack([ev.q1_terms(jf, jf) for jf in jets])
+    return np.column_stack([np.einsum("ia,iab,ib->i", u, ev.ell_jet, u)
+                            for u in jets])
 
 
-def _summed_double_sum(ev: FormEvaluator, jets) -> float:
-    """Kernel double sum of the summed jet field sum_a u_a with itself."""
-    summed = JetField(scalar=sum(jf.scalar for jf in jets),
-                      vector=sum(jf.vector for jf in jets))
-    return ev.double_sum(summed, summed)
+def _double_sum(ev: FormEvaluator, jet: np.ndarray) -> float:
+    """Kernel double sum of one (n, 1 + m) jet with itself."""
+    jf = JetField.from_stacked(jet, ev.rho.manifold.dim)
+    return ev.double_sum(jf, jf)
 
 
 def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> float:
@@ -182,29 +145,28 @@ def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> flo
     Double-sum term over the c-averaged jet (exact by bilinearity) plus
     the c-weighted diagonal Hessian-of-ell term.
     """
-    averaged = scheme.averaged_jet()
-    total = ev.double_sum(averaged, averaged)
-    diag = _diagonals(ev, scheme.jets)
-    return total + float(ev.rho.weights @ (scheme.weights * diag).sum(axis=1))
+    diag = _diagonals(ev, _as_jets(ev.rho, scheme.jets))
+    return _double_sum(ev, scheme.averaged_jet()) + float(
+        ev.rho.weights @ (scheme.weights * diag).sum(axis=1))
 
 
-def frag_second_variation_rescaled(ev: FormEvaluator, jets: list[JetField],
+def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
                                    weights: np.ndarray) -> float:
-    """The transformed fragmented second variation: weights only divide
-    the diagonal term (with 0/0 := 0)."""
-    total = _summed_double_sum(ev, jets)
-    c = np.atleast_2d(np.asarray(weights, dtype=float))
-    w = ev.rho.weights
-    for a, diag in enumerate(_diagonals(ev, jets).T):
-        ratio = np.zeros(ev.rho.count)
-        live = c[:, a] > 0
-        ratio[live] = diag[live] / c[live, a]
-        dead_mass = np.abs(diag[~live])
-        if (dead_mass > 1e-12 * max(np.abs(diag).max(), 1.0)).any():
-            raise SchemaError(
-                f"fragment {a} has zero weight but non-zero diagonal term")
-        total += float(w @ ratio)
-    return total
+    """The transformed fragmented second variation over (L, n, 1 + m) jets:
+    weights only divide the diagonal term (with 0/0 := 0)."""
+    jets = _as_jets(ev.rho, jets)
+    diag = _diagonals(ev, jets).T                    # (L, n)
+    c = np.atleast_2d(np.asarray(weights, dtype=float)).T
+    live = c > 0
+    scale = np.maximum(np.abs(diag).max(axis=1, keepdims=True), 1.0)
+    bad = np.flatnonzero((np.where(live, 0.0, np.abs(diag))
+                          > 1e-12 * scale).any(axis=1))
+    if bad.size:
+        raise SchemaError(
+            f"fragment {bad[0]} has zero weight but non-zero diagonal term")
+    ratio = np.divide(diag, c, out=np.zeros(diag.shape), where=live)
+    return float(sum((ev.rho.weights @ row for row in ratio),
+                     _double_sum(ev, jets.sum(axis=0))))
 
 
 def optimal_weights(values) -> tuple[np.ndarray, float]:
@@ -224,14 +186,16 @@ def optimal_weights(values) -> tuple[np.ndarray, float]:
     return roots / total, float(total**2)
 
 
-def frag_lower_bound(ev: FormEvaluator, jets: list[JetField],
+def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
                      tau_psd: float = 1e-8) -> float:
-    """Fragmented second variation at the pointwise-optimal weights.
+    """Fragmented second variation of (L, n, 1 + m) jets at the
+    pointwise-optimal weights.
 
     Requires every per-point diagonal value nabla2_ell(u_a, u_a) to be
     non-negative up to tau_psd times its scale; small negatives are
     clipped to zero, larger ones abort.
     """
+    jets = _as_jets(ev.rho, jets)
     diag = _diagonals(ev, jets)
     scale = max(float(np.abs(diag).max()), 1e-300)
     if (diag < -tau_psd * scale).any():
@@ -240,7 +204,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: list[JetField],
             f"nabla2_ell diagonal reaches {worst:g}; base is not a "
             f"Q1-positive point")
     diag = np.maximum(diag, 0.0)
-    return _summed_double_sum(ev, jets) + float(
+    return _double_sum(ev, jets.sum(axis=0)) + float(
         ev.rho.weights @ (np.sqrt(diag).sum(axis=1) ** 2))
 
 
@@ -278,9 +242,10 @@ def sample_scheme(rho: DiscreteMeasure, fragments: int,
     n, m = rho.count, rho.manifold.dim
     count = int(rng.integers(1, fragments + 1))
     c = rng.dirichlet(np.ones(count), size=n)
-    jets = [JetField(scalar=jet_scale * rng.normal(size=n),
-                     vector=jet_scale * rng.normal(size=(n, m)))
-            for _ in range(count)]
+    # per fragment: n scalars, then the n x m vectors
+    draws = jet_scale * rng.normal(size=(count, n * (1 + m)))
+    jets = np.concatenate(
+        [draws[:, :n, None], draws[:, n:].reshape(count, n, m)], axis=2)
     return FragmentationScheme.volume_preserved(rho, c, jets)
 
 

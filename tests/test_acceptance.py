@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
-                    GaussianKernel, JetField, OptimizerConfig, VariationCurve,
-                    action, action_difference, arc_regions, assemble_linfield,
+                    GaussianKernel, JetField, OptimizerConfig, action, action_difference, arc_regions, assemble_linfield,
                     el_report, frag_lower_bound,
                     frag_second_variation_rescaled, fragment_deform,
                     gram_spectrum, minimize, optimal_weights, random_measure,
                     second_variation_fd, solve_linfield, stability_probe,
                     surface_layer_integral)
 from cvplab.jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1
-from cvplab.variations import sample_scheme, volume_project_scalar
+from cvplab.variations import sample_scheme
 
 
 def _verdict(number, ok, detail):
@@ -67,12 +66,14 @@ def test_criterion_03_second_variation_oracle(csp5):
     scale = abs(action(f.rho, f.kernel))
     worst = 0.0
     for _ in range(20):
-        jf = volume_project_scalar(f.rho, JetField(
-            scalar=rng.normal(size=f.rho.count),
-            vector=rng.normal(size=(f.rho.count, 1))))
-        norm = max(np.abs(jf.scalar).max(), np.abs(jf.vector).max())
-        curve = VariationCurve.volume_preserved(f.rho, jf)
-        fd = second_variation_fd(f.rho, f.kernel, curve, tau_step=1e-3 / norm)
+        # a curve is the one-fragment scheme
+        # n scalars, then n vectors: rows [a, u] of the one fragment
+        jets = rng.normal(size=(2, f.rho.count)).T[None]
+        curve = FragmentationScheme.volume_preserved(
+            f.rho, np.ones((f.rho.count, 1)), jets)
+        fd = second_variation_fd(f.rho, f.kernel, curve,
+                                 tau_step=1e-3 / np.abs(curve.jets).max())
+        jf = JetField.from_stacked(curve.jets[0], 1)
         an = f.ev.sp1(jf, jf)
         worst = max(worst, abs(an - fd) / max(abs(fd), scale))
     ok = worst <= 1e-5
@@ -105,17 +106,15 @@ def test_criterion_05_fragmentation_algebra(csp5):
     for _ in range(5):
         scheme = sample_scheme(f.rho, fragments=3, rng=rng)
         cw = scheme.weights
-        rescaled = [JetField(scalar=cw[:, a] * jf.scalar,
-                             vector=cw[:, a][:, None] * jf.vector)
-                    for a, jf in enumerate(scheme.jets)]
+        rescaled = cw.T[:, :, None] * scheme.jets
         from cvplab import frag_second_variation
         pre = frag_second_variation(f.ev, scheme)
         post = frag_second_variation_rescaled(f.ev, rescaled, cw)
         sub_dev = max(sub_dev, abs(pre - post) / max(abs(pre), 1e-300))
     # minimality of the lower bound over random weights, equality at optimum
-    jets = [volume_project_scalar(f.rho, JetField(
-        scalar=rng.normal(size=f.rho.count),
-        vector=rng.normal(size=(f.rho.count, 1)))) for _ in range(3)]
+    jets = np.array([FragmentationScheme.volume_preserved(
+        f.rho, np.ones((f.rho.count, 1)),
+        rng.normal(size=(2, f.rho.count)).T[None]).jets[0] for _ in range(3)])
     lb = frag_lower_bound(f.ev, jets)
     min_gap = np.inf
     for _ in range(50):
@@ -123,8 +122,9 @@ def test_criterion_05_fragmentation_algebra(csp5):
         val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
     ev = f.ev
+    fields = [JetField.from_stacked(u, 1) for u in jets]
     diag = np.array([[max(ev.nabla2_ell(i, jf.jet(i), jf.jet(i)), 0.0)
-                      for jf in jets] for i in range(f.rho.count)])
+                      for jf in fields] for i in range(f.rho.count)])
     c_opt = np.array([optimal_weights(row)[0] for row in diag])
     at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)
     eq_dev = abs(at_opt - lb) / max(abs(lb), 1e-300)
@@ -196,8 +196,7 @@ def test_criterion_09_negative_control(single_gauss):
     weak_ok = rep.weak_residual <= 1e-12
     spec = gram_spectrum(f.ev, FORM_Q1, BASIS_FULL)
     q1_fails = spec.min_eigenvalue <= -1.0
-    jets = [JetField(scalar=np.zeros(1), vector=np.array([[1.0]])),
-            JetField(scalar=np.zeros(1), vector=np.array([[-1.0]]))]
+    jets = np.array([[[0.0, 1.0]], [[0.0, -1.0]]])
     scheme = FragmentationScheme(weights=np.array([[0.5, 0.5]]), jets=jets)
     split = fragment_deform(scheme, f.rho, tau=1.0)
     drop = action(split, f.kernel) - action(f.rho, f.kernel)

@@ -75,6 +75,25 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d["probe"].update(jet_scale=float("inf")),
     # beyond half the period 5 the wrapped kernel has a kink
     lambda d: d["lagrangian"]["params"].update(radius=2.6),
+    lambda d: d.update(tolerances={"tau_psd": "x"}),
+    lambda d: d.update(tolerances={"tau_psd": True}),
+    lambda d: d.update(tolerances={"fd_rel": float("nan")}),
+    lambda d: d.update(tolerances={"tol_weak_el": float("inf")}),
+    lambda d: d.update(optimizer={"max_iterations": "10"}),
+    lambda d: d.update(optimizer={"max_iterations": 10.5}),
+    lambda d: d.update(optimizer={"tolerance_weak_el": True}),
+    lambda d: d.update(optimizer={"step_size_initial": float("nan")}),
+    lambda d: d.update(initial_measure={"generator": 5}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": -3, "total_volume": 5.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": "five", "seed": 0, "total_volume": 5.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 0, "seed": 0, "total_volume": 5.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": 0, "total_volume": 0.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": 0, "total_volume": float("inf")}}),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -179,6 +198,37 @@ def test_cli_exit_one_on_bad_config(tmp_path):
     assert run("minimize", cfg_path, str(tmp_path / "out"), quiet=True) == 1
     assert run("minimize", str(tmp_path / "missing.json"),
                str(tmp_path / "out"), quiet=True) == 1
+    # a negative seed: the generator's and the probe's seed alike
+    data["lagrangian"]["family"] = "compact-support-power"
+    data["initial_measure"] = {"generator": {"count": 5, "seed": 0,
+                                             "total_volume": 5.0}}
+    for path in (_write_config(tmp_path, data, "generator.json"),
+                 _write_config(tmp_path)):
+        assert run("verify-all", path, str(tmp_path / "out"), seed=-1,
+                   quiet=True) == 1
+        assert main(["verify-all", "--config", path, "--out",
+                     str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 1
+
+
+def test_cli_reused_measure_keeps_optimizer_verdict(tmp_path):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["optimizer"]["max_iterations"] = 3     # cannot converge
+    cfg_path = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert run("minimize", cfg_path, str(out), quiet=True) == 2
+    minimized = load_state(out / "state.json").measure
+    (out / "trace.csv").unlink()
+    assert run("verify-all", cfg_path, str(out), quiet=True) == 2
+    state = load_state(out / "state.json")
+    assert state.verdicts["optimizer_converged"] is False
+    assert state.measure == minimized and not (out / "trace.csv").exists()
+    # a prior state without the verdict is minimized again
+    raw = json.loads((out / "state.json").read_text())
+    del raw["verdicts"]["optimizer_converged"]
+    (out / "state.json").write_text(json.dumps(raw))
+    assert run("verify-all", cfg_path, str(out), quiet=True) == 2
+    assert (out / "trace.csv").exists()
+    assert load_state(out / "state.json").verdicts["optimizer_converged"] is False
 
 
 def test_cli_main_entry_point(tmp_path):
