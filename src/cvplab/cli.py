@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
                  seed: int | None, log, reuse: bool = True) -> DiscreteMeasure:
     """Reuse a previously minimized measure, with its optimizer verdict, if
-    one matches the config; minimize otherwise."""
+    one matches the config and the seed; minimize otherwise."""
     state_path = out_dir / "state.json"
     if reuse and state_path.exists():
         try:
@@ -55,6 +55,7 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
         except SchemaError:
             prior = None
         if (prior is not None and prior.measure is not None
+                and prior.seed == seed
                 and "optimizer_converged" in prior.verdicts):
             log("reusing minimized measure from state.json")
             state.verdicts["optimizer_converged"] = \
@@ -64,7 +65,8 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
     rho, trace = minimize(rho0, cfg.kernel, cfg.optimizer)
     trace.write_csv(out_dir / "trace.csv")
     state.verdicts["optimizer_converged"] = trace.status == "converged"
-    log(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations")
+    log(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
+        f"({trace.newton_steps} Newton), pruned atoms {trace.pruned_points}")
     return rho
 
 
@@ -139,10 +141,12 @@ def _stage_osi(cfg, op, sol, state, log):
         reports.append({"solution_index": k, **rep.to_dict()})
     # with no solution jet nothing is checked, so the verdict fails
     worst = min((r["min_value"] for r in reports), default=None)
-    scale = max(1.0, max((abs(val["osi"]) for r in reports
-                          for val in r["values"]), default=0.0))
+    scale = max(1.0, max((abs(v) for r in reports for v in r["osi"]),
+                         default=0.0))
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
-    state.osi_summary = {"reports": reports, "min_value": worst}
+    # the region labels once; each report holds its values in their order
+    state.osi_summary = {"regions": [r.label for r in regions],
+                         "reports": reports, "min_value": worst}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
         f"{'none' if worst is None else f'{worst:.3e}'} "

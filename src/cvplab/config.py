@@ -103,6 +103,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key in ("manifold", "lagrangian", "initial_measure"):
         if key not in data:
             raise SchemaError(f"config is missing the {key!r} section")
+    for key in ("manifold", "lagrangian", "optimizer", "tolerances", "probe"):
+        if key in data and not isinstance(data[key], dict):
+            raise SchemaError(f"config section {key!r} must be a JSON object")
     manifold = ChartManifold.from_dict(data["manifold"])
     kernel = kernel_from_dict(data["lagrangian"])
     initial = data["initial_measure"]

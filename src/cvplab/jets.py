@@ -118,6 +118,37 @@ def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
     return block
 
 
+def _point_jets(tables: PairTables, weights: np.ndarray) -> np.ndarray:
+    """Per-point (n, 1+m, 1+m) blocks [[r_i, grad ell_i], [grad ell_i, Hess ell_i]].
+
+    r_i = sum_j w_j L(x_i, x_j) is ell_i + nu/2: the ell jet up to nu.
+    """
+    n, _, m = tables.G.shape
+    jets = np.empty((n, 1 + m, 1 + m))
+    jets[:, 0, 0] = tables.L @ weights
+    jets[:, 0, 1:] = jets[:, 1:, 0] = np.einsum("ija,j->ia", tables.G, weights)
+    jets[:, 1:, 1:] = np.einsum("ijab,j->iab", tables.H11, weights)
+    return jets
+
+
+def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
+    """Hessian of the action in the unit-jet coordinates a_i = dw_i/w_i, u_i = dx_i.
+
+    It is 2 (SP1 - diag(w_i ell_i) on the scalar slots) for any nu: the
+    jet-pair block plus the point blocks w_i ell_jet_i with their scalar
+    slot zeroed, in the canonical basis ordering.  At an EL point, where
+    every ell_i vanishes, it is twice the SP1 Gram.
+    """
+    n = weights.size
+    jets = _point_jets(tables, weights)
+    jets[:, 0, 0] = 0.0
+    out = jet_pair_block(tables, weights)
+    points = np.arange(n)
+    out[points, :, points, :] += weights[:, None, None] * jets
+    out *= 2.0
+    return out.reshape(n * jets.shape[1], n * jets.shape[1])
+
+
 class FormEvaluator:
     """Pair tables, the calibrated nu, the ell jet and the jet-pair block.
 
@@ -130,17 +161,11 @@ class FormEvaluator:
     def __init__(self, rho: DiscreteMeasure, kernel: RadialKernel):
         self.rho = rho
         self.kernel = kernel
-        t = pair_tables(kernel, rho.manifold, rho.points)
-        w = rho.weights
-        n, m = rho.count, rho.manifold.dim
-        self.tables = t
-        rows = t.L @ w
-        self.nu = 2.0 * float(rows.min())
+        self.tables = pair_tables(kernel, rho.manifold, rho.points)
         # ell, grad ell and Hess ell at each point over the unit jets
-        self.ell_jet = np.empty((n, 1 + m, 1 + m))
-        self.ell_jet[:, 0, 0] = rows - self.nu / 2.0
-        self.ell_jet[:, 0, 1:] = self.ell_jet[:, 1:, 0] = np.einsum("ija,j->ia", t.G, w)
-        self.ell_jet[:, 1:, 1:] = np.einsum("ijab,j->iab", t.H11, w)
+        self.ell_jet = _point_jets(self.tables, rho.weights)
+        self.nu = 2.0 * float(self.ell_jet[:, 0, 0].min())
+        self.ell_jet[:, 0, 0] -= self.nu / 2.0
         self.ell = self.ell_jet[:, 0, 0]
         self.grad_ell = self.ell_jet[:, 0, 1:]
         self.hess_ell = self.ell_jet[:, 1:, 1:]

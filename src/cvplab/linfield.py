@@ -203,7 +203,7 @@ class OSIReport:
 
     def to_dict(self) -> dict:
         return {
-            "values": [{"region": lab, "osi": v} for lab, v in self.values],
+            "osi": [v for _, v in self.values],   # in the order of the regions
             "min_value": self.min_value,
             "min_region": self.min_region,
             "residual": self.residual,

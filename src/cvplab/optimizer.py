@@ -11,8 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleProjectionError, NonFiniteIterateError, SchemaError
+from .jets import action_hessian
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
+
+NEWTON_RESIDUAL = 0.1   # weak residual from which Newton steps are tried
+NEWTON_HALVINGS = 8     # backtracking halvings of a Newton step
+NEWTON_CUTOFF = 1e-9    # pseudo-inverse cutoff, relative to max |eigenvalue|
+PRUNE_AFTER = 5         # consecutive iterations at the floor before pruning
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,18 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerTrace:
-    """Per-iteration rows: (iteration, action, weak EL residual, step size)."""
+    """Per-iteration rows: (iteration, action, weak EL residual, step size).
+
+    The step is the gradient step, which a Newton iteration leaves as it
+    is.  Atoms are named by their index in the start measure: those
+    pruned at the floor, in pruning order, and those at the floor at the
+    end.
+    """
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
     status: str = "running"       # "converged" | "stalled" | "budget-exhausted"
+    newton_steps: int = 0
+    pruned_points: list[int] = field(default_factory=list)
     floored_points: list[int] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
@@ -111,13 +125,42 @@ def _gradients(tables, weights):
     return act, gx, gw, residual
 
 
+def _newton_direction(tables, weights, gx, gw):
+    """Newton direction (n, 1+m) in the unit-jet coordinates (a_i, u_i).
+
+    The Hessian (`action_hessian`) is restricted to the volume constraint
+    sum_i w_i a_i = 0 and pseudo-inverted over its eigenvalues above
+    NEWTON_CUTOFF * max |lambda|, so that degenerate minimizer families
+    and negative curvature are left out and the direction descends.
+    Returns the direction and its slope, the gradient's dot product with it.
+    """
+    n, m = gx.shape
+    grad = np.hstack([(weights * gw)[:, None], gx]).ravel()
+    normal = np.zeros((n, 1 + m))
+    normal[:, 0] = weights / np.linalg.norm(weights)
+    proj = np.eye(n * (1 + m)) - np.outer(normal, normal)
+    eigenvalues, eigenvectors = np.linalg.eigh(
+        proj @ action_hessian(tables, weights) @ proj)
+    kept = eigenvalues > NEWTON_CUTOFF * np.abs(eigenvalues).max()
+    basis = eigenvectors[:, kept]  # orthogonal to the normal
+    direction = -(basis @ ((basis.T @ grad) / eigenvalues[kept]))
+    return direction.reshape(n, 1 + m), float(grad @ direction)
+
+
 def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
              config: OptimizerConfig) -> tuple[DiscreteMeasure, OptimizerTrace]:
     """Minimize the action over positions and weights at fixed total volume.
 
     Projected gradient over the stacked variable with Armijo backtracking;
     the sufficient-decrease test uses the projected displacement, so it
-    remains meaningful on the weight simplex.  Accepted steps never
+    remains meaningful on the weight simplex.  Once the weak residual is
+    at most NEWTON_RESIDUAL, each iteration first tries a safeguarded
+    Newton step (`_newton_direction`, at most NEWTON_HALVINGS halvings
+    from the full step), kept only if it satisfies Armijo on its slope and
+    at least halves the weak residual; after a rejected trial the next
+    waits until the residual has halved.  An atom that ends
+    PRUNE_AFTER consecutive iterations at the weight floor is dropped and
+    the weights are projected back onto the volume.  Accepted steps never
     increase the action.  An iteration that ends in exactly the state
     (x, w, step) the previous one ended in would repeat forever, so the run
     stops there as stalled.
@@ -129,37 +172,71 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     floor = config.weight_floor_rel * volume / rho0.count
     trace = OptimizerTrace()
     step = config.step_size_initial
-    act, gx, gw, residual = _gradients(pair_tables(kernel, manifold, x), w)
+    tables = pair_tables(kernel, manifold, x)
+    act, gx, gw, residual = _gradients(tables, w)
     trace.rows.append((0, act, residual, step))
     if residual <= config.tolerance_weak_el:
         trace.status = "converged"
         return rho0, trace
 
     grow = 1.0 / config.armijo_factor
+    at_floor = floor * (1 + 1e-12)
+    start_index = np.arange(rho0.count)  # each atom's index in the start
+    floored_for = np.zeros(rho0.count, dtype=int)
+    newton_below = NEWTON_RESIDUAL
+    gradient_step = False
     for it in range(1, config.max_iterations + 1):
-        if it > 1:
+        if gradient_step:
             step *= grow  # grown here, so every trace row keeps the accepted step
         if not (np.isfinite(act) and np.isfinite(gx).all() and np.isfinite(gw).all()):
             raise NonFiniteIterateError(
                 f"non-finite action or gradient at iteration {it}",
                 iteration=it, points=x, weights=w)
         start = (x.tobytes(), w.tobytes(), step)
-        accepted = False
-        for _ in range(config.max_backtracks):
-            xn = x - step * gx
-            wn = project_volume(w - step * gw, volume, floor)
-            trial = pair_tables(kernel, manifold, xn)
-            trial_act = float(wn @ trial.L @ wn)
-            moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
-            if trial_act <= act - config.armijo_slope / step * moved:
-                accepted = True
+        accepted = None  # _gradients of the accepted trial (xn, wn)
+        if residual <= newton_below:
+            direction, slope = _newton_direction(tables, w, gx, gw)
+            t = 1.0
+            for _ in range(NEWTON_HALVINGS + 1):
+                xn = x + t * direction[:, 1:]
+                wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
+                trial = pair_tables(kernel, manifold, xn)
+                if float(wn @ (trial.L @ wn)) <= act + config.armijo_slope * t * slope:
+                    accepted = _gradients(trial, wn)
+                    if accepted[3] <= residual / 2:
+                        break
+                    accepted = None
+                t *= 0.5
+            if accepted is None:
+                newton_below = residual / 2  # try again once it has halved
+            else:
+                trace.newton_steps += 1
+        gradient_step = accepted is None
+        if gradient_step:
+            for _ in range(config.max_backtracks):
+                xn = x - step * gx
+                wn = project_volume(w - step * gw, volume, floor)
+                trial = pair_tables(kernel, manifold, xn)
+                trial_act = float(wn @ (trial.L @ wn))
+                moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
+                if trial_act <= act - config.armijo_slope / step * moved:
+                    accepted = _gradients(trial, wn)
+                    break
+                step *= config.armijo_factor
+            if accepted is None:
+                trace.status = "stalled"
                 break
-            step *= config.armijo_factor
-        if not accepted:
-            trace.status = "stalled"
-            break
-        x, w = xn, wn
-        act, gx, gw, residual = _gradients(trial, w)
+        x, w, tables = xn, wn, trial
+        act, gx, gw, residual = accepted
+        floored_for = np.where(w <= at_floor, floored_for + 1, 0)
+        pruned = floored_for >= PRUNE_AFTER
+        if pruned.any():
+            trace.pruned_points += start_index[pruned].tolist()
+            kept = ~pruned
+            x, start_index, floored_for = x[kept], start_index[kept], floored_for[kept]
+            w = project_volume(w[kept], volume, floor)
+            tables = pair_tables(kernel, manifold, x)
+            act, gx, gw, residual = _gradients(tables, w)
         if it % config.trace_period == 0:
             trace.rows.append((it, act, residual, step))
         if residual <= config.tolerance_weak_el:
@@ -174,5 +251,5 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     # act and residual belong to the last accepted (x, w)
     if not trace.rows or trace.rows[-1][0] != it:
         trace.rows.append((it, act, residual, step))
-    trace.floored_points = [int(i) for i in np.flatnonzero(w <= floor * (1 + 1e-12))]
+    trace.floored_points = start_index[w <= at_floor].tolist()
     return rho0.replace(points=x, weights=w), trace

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cvplab import (DiscreteMeasure, FormEvaluator, SchemaError,
-                    assemble_linfield, load_config, load_state, pair_tables,
-                    parse_config, save_state)
+                    arc_regions, assemble_linfield, load_config, load_state,
+                    pair_tables, parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
 from cvplab.jets import FORM_SP1
@@ -94,6 +94,10 @@ def test_parse_config_generator_and_seed_override():
         "count": 5, "seed": 0, "total_volume": 0.0}}),
     lambda d: d.update(initial_measure={"generator": {
         "count": 5, "seed": 0, "total_volume": float("inf")}}),
+    lambda d: d.update(tolerances=5),
+    lambda d: d.update(probe=[1]),
+    lambda d: d.update(optimizer=5),
+    lambda d: d.update(lagrangian=5),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -231,6 +235,27 @@ def test_cli_reused_measure_keeps_optimizer_verdict(tmp_path):
     assert load_state(out / "state.json").verdicts["optimizer_converged"] is False
 
 
+def test_cli_reuses_a_measure_only_for_its_seed(tmp_path):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["initial_measure"] = {"generator": {"count": 5, "seed": 0,
+                                             "total_volume": 5.0}}
+    cfg_path = _write_config(tmp_path, data)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run("minimize", cfg_path, str(out), quiet=True) == 0
+    seed0 = load_state(out / "state.json").measure
+    assert run("minimize", cfg_path, str(fresh), seed=3, quiet=True) == 0
+    seed3 = load_state(fresh / "state.json").measure
+    assert seed3 != seed0
+    # another seed minimizes its own start; the same seed reuses the state
+    assert run("report", cfg_path, str(out), seed=3, quiet=True) == 0
+    state = load_state(out / "state.json")
+    assert (state.seed, state.measure) == (3, seed3)
+    (out / "trace.csv").unlink()
+    assert run("report", cfg_path, str(out), seed=3, quiet=True) == 0
+    assert load_state(out / "state.json").measure == seed3
+    assert not (out / "trace.csv").exists()
+
+
 def test_cli_main_entry_point(tmp_path):
     cfg_path = _write_config(tmp_path)
     code = main(["report", "--config", cfg_path,
@@ -246,7 +271,9 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel))
     _stage_osi(cfg, op, empty, state, lambda msg: None)
     assert state.verdicts["osi_nonnegative"] is False
-    assert state.osi_summary == {"reports": [], "min_value": None}
+    labels = [r.label for r in arc_regions(op.rho)]
+    assert state.osi_summary == {"regions": labels, "reports": [],
+                                 "min_value": None}
     save_state(state, tmp_path / "state.json")
     assert load_state(tmp_path / "state.json").osi_summary["min_value"] is None
 
@@ -302,6 +329,13 @@ def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
     assert sum(np.array_equal(p, final) for p in table_points) == 2
     residuals = [r["residual"] for r in state.osi_summary["reports"]]
     assert residuals and residuals == state.linfield_summary["residuals"]
+    # the region labels once, one value per region in each report
+    labels = [r.label for r in arc_regions(DiscreteMeasure.from_dict(state.measure))]
+    assert state.osi_summary["regions"] == labels
+    for report in state.osi_summary["reports"]:
+        assert len(report["osi"]) == len(labels)
+        assert report["min_value"] == min(report["osi"])
+        assert report["min_region"] == labels[report["osi"].index(min(report["osi"]))]
 
 
 def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
@@ -316,11 +350,14 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
         svd_args.append(np.array(a))
         return svd(a, *args, **kwargs)
 
+    # minimize solves Newton systems; verify-all reuses its measure, so the
+    # counts below cover the stages after minimize
+    out, cfg_path = tmp_path / "out", _write_config(tmp_path)
+    assert run("minimize", cfg_path, str(out), quiet=True) == 0
     # cvplab.jets and cvplab.linfield reach both through np.linalg
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    out = tmp_path / "out"
-    assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
+    assert run("verify-all", cfg_path, str(out), quiet=True) == 0
     assert svd_args == [] and len(eigh_args) == 1
     state = load_state(out / "state.json")
     cfg = parse_config(BASE_CONFIG)

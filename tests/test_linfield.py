@@ -209,7 +209,8 @@ def test_osi_report_translation_positive(csp5):
     assert rep.all_positive
     d = rep.to_dict()
     assert d["min_value"] == rep.min_value
-    assert len(d["values"]) == len(arc_regions(csp5.rho))
+    assert d["osi"] == [v for _, v in rep.values]
+    assert len(d["osi"]) == len(arc_regions(csp5.rho))
 
 
 def test_osi_report_flags_non_solution(csp5):

@@ -3,9 +3,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, CompactSupportKernel, GaussianKernel,
-                    InfeasibleProjectionError, OptimizerConfig, SchemaError,
-                    minimize, project_volume, random_measure)
+import cvplab.optimizer as optimizer
+from cvplab import (ChartManifold, CompactSupportKernel, FormEvaluator,
+                    GaussianKernel, InfeasibleProjectionError, OptimizerConfig,
+                    SchemaError, minimize, pair_tables, project_volume,
+                    random_measure)
+from cvplab.jets import FORM_SP1, action_hessian
+from cvplab.optimizer import _gradients
+
+README_KERNEL = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
+
+
+def _readme_ring(count: int, seed: int):
+    """The README generator start at count and period `count`."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(float(count),))
+    return random_measure(manifold, count=count, total_volume=float(count),
+                          seed=seed)
 
 
 def test_project_volume_frozen_example():
@@ -90,28 +103,106 @@ def test_minimize_returns_immediately_at_stationary_point(single_gauss):
 
 def test_minimize_stops_at_a_repeated_state():
     # an 8-point README ring whose accepted steps stop moving the iterate
+    # short of a residual of 1e-14
     manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
     rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
     kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
-    rho, trace = minimize(rho0, kernel, OptimizerConfig(max_iterations=1000))
+    rho, trace = minimize(rho0, kernel, OptimizerConfig(
+        max_iterations=1000, tolerance_weak_el=1e-14))
     stall = trace.rows[-1][0]
     assert trace.status == "stalled" and 1 < stall < 1000
     # the iteration before the stall already ended in the returned state
-    capped, capped_trace = minimize(rho0, kernel,
-                                    OptimizerConfig(max_iterations=stall - 1))
+    capped, capped_trace = minimize(rho0, kernel, OptimizerConfig(
+        max_iterations=stall - 1, tolerance_weak_el=1e-14))
     assert capped_trace.status == "budget-exhausted"
     assert capped.points.tobytes() == rho.points.tobytes()
     assert capped.weights.tobytes() == rho.weights.tobytes()
 
 
 def test_budget_exhausted_final_row_keeps_the_accepted_step():
-    # the 8-point README ring that stalls at iteration 174
+    # the 8-point README ring that stalls at iteration 81 (tolerance 1e-14)
     manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
     rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
     kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
-    _, stalled = minimize(rho0, kernel, OptimizerConfig(max_iterations=1000))
-    _, capped = minimize(rho0, kernel, OptimizerConfig(max_iterations=173))
-    assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 174)
-    assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 173)
+    _, stalled = minimize(rho0, kernel, OptimizerConfig(
+        max_iterations=1000, tolerance_weak_el=1e-14))
+    _, capped = minimize(rho0, kernel, OptimizerConfig(
+        max_iterations=80, tolerance_weak_el=1e-14))
+    assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 81)
+    assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 80)
     assert capped.rows[-1][3] == stalled.rows[-1][3]
-    assert capped.rows[-1][3] == pytest.approx(2.22e-17, rel=1e-2)
+    assert capped.rows[-1][3] == pytest.approx(6.10e-6, rel=1e-2)
+
+
+def _jet_gradient(kernel, manifold, x, w, w0):
+    """Gradient of the action in the unit jets (a_i, u_i) of the weights w0."""
+    _, gx, gw, _ = _gradients(pair_tables(kernel, manifold, x), w)
+    return np.hstack([(w0 * gw)[:, None], gx]).ravel()
+
+
+@pytest.mark.parametrize("rho, kernel", [
+    (_readme_ring(5, seed=0), README_KERNEL),
+    (random_measure(ChartManifold(kind="torus", dim=2,
+                                  periods=(2.0 * np.pi, 2.0 * np.pi)),
+                    count=6, total_volume=6.0, seed=1), GaussianKernel(sigma=1.0)),
+], ids=["compact-support-1d", "gaussian-2d"])
+def test_action_hessian_matches_central_differences(rho, kernel):
+    n, m = rho.count, rho.manifold.dim
+    x, w = rho.points, rho.weights
+    hessian = action_hessian(pair_tables(kernel, rho.manifold, x), w)
+    h = 1e-5
+    fd = np.empty_like(hessian)
+    for k in range(n * (1 + m)):
+        e = np.zeros((n, 1 + m))
+        e.flat[k] = h
+        plus = _jet_gradient(kernel, rho.manifold, x + e[:, 1:], w * (1 + e[:, 0]), w)
+        minus = _jet_gradient(kernel, rho.manifold, x - e[:, 1:], w * (1 - e[:, 0]), w)
+        fd[:, k] = (plus - minus) / (2.0 * h)
+    scale = np.abs(hessian).max()
+    assert np.abs(fd - hessian).max() <= 1e-8 * scale
+    # twice SP1 less the scalar ell diagonal, from the evaluator of the point
+    ev = FormEvaluator(rho, kernel)
+    expected = ev.form_matrix(FORM_SP1)
+    scalar = np.arange(n) * (1 + m)
+    expected[scalar, scalar] -= w * ev.ell
+    assert np.abs(hessian - 2.0 * expected).max() <= 1e-14 * scale
+
+
+def test_minimize_prunes_the_floor_atom_of_the_n40_ring():
+    rho0 = _readme_ring(40, seed=0)
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000))
+    assert trace.status == "converged" and trace.newton_steps > 0
+    assert rho.count == 39 and trace.pruned_points == [5]
+    assert trace.floored_points == []
+    assert trace.rows[-1][1] == pytest.approx(398.4612116, rel=1e-9)
+    assert rho.total_volume == pytest.approx(40.0, rel=1e-12)
+
+
+def test_minimize_keeps_an_atom_that_leaves_the_floor():
+    # atom 7 of this start is at the floor after iteration 1 only
+    rho0 = _readme_ring(12, seed=5)
+    _, first = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1))
+    assert first.floored_points == [7]
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000))
+    assert trace.status == "converged"
+    assert rho.count == 12 and trace.pruned_points == []
+
+
+def test_rejected_newton_trials_keep_the_gradient_path(monkeypatch):
+    rho0 = _readme_ring(5, seed=0)
+    monkeypatch.setattr(optimizer, "NEWTON_RESIDUAL", 0.0)
+    reference, reference_trace = minimize(rho0, README_KERNEL, OptimizerConfig())
+    monkeypatch.undo()
+    calls = []
+
+    def no_progress(tables, weights, gx, gw):
+        calls.append(weights.size)
+        return np.zeros((weights.size, 2)), 0.0
+
+    monkeypatch.setattr(optimizer, "_newton_direction", no_progress)
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig())
+    assert trace.newton_steps == 0 and trace.rows == reference_trace.rows
+    assert rho.points.tobytes() == reference.points.tobytes()
+    assert rho.weights.tobytes() == reference.weights.tobytes()
+    # each rejection waits for the residual to halve: 0.1 to 1e-6 is 17 halvings
+    assert 0 < len(calls) <= 18 < trace.rows[-1][0]
