@@ -16,14 +16,14 @@ from .errors import (CvpError, DimensionMismatchError,
                      NonFiniteIterateError, SchemaError, UnsupportedOrderError,
                      WeightPositivityError)
 from .geometry import ChartManifold
-from .jets import (FormEvaluator, GramReport, Jet, JetField, gram_spectrum,
-                   nabla1_nabla2_L)
+from .jets import (FormEvaluator, GramReport, Jet, gram_spectrum,
+                   nabla1_nabla2_L, translation)
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
                       RadialKernel, kernel_from_dict, lagrangian_derivatives,
                       lagrangian_eval, pair_tables, verify_lagrangian)
-from .linfield import (LinearizedOperator, RegionMask, arc_regions,
-                       assemble_linfield, osi_report, random_regions,
-                       solve_linfield, surface_layer_integral)
+from .linfield import (LinearizedOperator, arc_regions, assemble_linfield,
+                       osi_report, random_regions, solve_linfield,
+                       surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
 from .variations import (FragmentationScheme, frag_lower_bound,

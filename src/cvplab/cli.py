@@ -131,22 +131,21 @@ def _stage_linfield(op, state, out_dir, log):
 
 def _stage_osi(cfg, op, sol, state, log):
     rho = op.rho
-    if rho.manifold.dim == 1 and rho.count >= 2:
-        regions = arc_regions(rho)
+    if rho.manifold.dim == 1 or rho.count < 2:
+        regions = arc_regions(rho)    # a one-point measure has none
     else:
         regions = random_regions(rho, count=32, seed=0)
-    reports = []
-    for k, jf in enumerate(sol.solutions):
-        rep = osi_report(op, jf, regions)
-        reports.append({"solution_index": k, **rep.to_dict()})
-    # with no solution jet nothing is checked, so the verdict fails
+    labels = regions[1]
+    # with no region or no solution jet nothing is checked, so the verdict fails
+    reports = [{"solution_index": k, **osi_report(op, u, regions).to_dict()}
+               for k, u in enumerate(sol.solutions) if labels]
     worst = min((r["min_value"] for r in reports), default=None)
     scale = max(1.0, max((abs(v) for r in reports for v in r["osi"]),
                          default=0.0))
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     # the region labels once; each report holds its values in their order
-    state.osi_summary = {"regions": [r.label for r in regions],
-                         "reports": reports, "min_value": worst}
+    state.osi_summary = {"regions": labels, "reports": reports,
+                         "min_value": worst}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
         f"{'none' if worst is None else f'{worst:.3e}'} "

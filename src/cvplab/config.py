@@ -23,7 +23,7 @@ from .optimizer import OptimizerConfig
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_TOLERANCES = {"tau_psd": 1e-8, "tol_weak_el": 1e-6, "fd_rel": 1e-5}
+_DEFAULT_TOLERANCES = {"tau_psd": 1e-8, "tol_weak_el": 1e-6}
 _DEFAULT_PROBE = {"fragments": 3, "trials": 100,
                   "tau_grid": [-0.02, -0.01, 0.01, 0.02], "seed": 0}
 
@@ -141,9 +141,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         # beyond half a period the wrapped kernel has a kink at the cut locus
         raise SchemaError(f"compact-support radius {kernel.radius} exceeds "
                           f"half the smallest torus period {min(manifold.periods)}")
-    return ExperimentConfig(manifold=manifold, kernel=kernel, initial=initial,
-                            optimizer=optimizer, tolerances=tolerances,
-                            probe=probe, raw=data)
+    cfg = ExperimentConfig(manifold=manifold, kernel=kernel, initial=initial,
+                           optimizer=optimizer, tolerances=tolerances,
+                           probe=probe, raw=data)
+    try:  # malformed points, weights or box fail here, not mid-run
+        cfg.initial_measure()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad initial_measure: {exc}") from exc
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

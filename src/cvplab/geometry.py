@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,13 +29,17 @@ class ChartManifold:
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, TORUS):
             raise SchemaError(f"unknown manifold kind {self.kind!r}")
-        if self.dim < 1:
-            raise SchemaError("manifold dimension must be >= 1")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral) \
+                or self.dim < 1:
+            raise SchemaError(f"manifold dimension must be an integer >= 1, "
+                              f"not {self.dim!r}")
         if self.kind == TORUS:
-            if self.periods is None or len(self.periods) != self.dim:
+            if not isinstance(self.periods, (list, tuple, np.ndarray)) \
+                    or len(self.periods) != self.dim:
                 raise SchemaError("torus needs one period per dimension")
-            if any(p <= 0 for p in self.periods):
-                raise SchemaError("torus periods must be strictly positive")
+            if not all(isinstance(p, Real) and not isinstance(p, bool)
+                       and 0 < p < np.inf for p in self.periods):
+                raise SchemaError("torus periods must be positive finite numbers")
             object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
         elif self.periods is not None:
             raise SchemaError("euclidean manifold takes no periods")
@@ -88,10 +93,7 @@ class ChartManifold:
     @classmethod
     def from_dict(cls, data: dict) -> "ChartManifold":
         try:
-            kind = data["kind"]
-            dim = int(data["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
+            kind, dim = data["kind"], data["dim"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad manifold descriptor: {exc}") from exc
-        periods = data.get("periods")
-        return cls(kind=kind, dim=dim,
-                   periods=tuple(periods) if periods is not None else None)
+        return cls(kind=kind, dim=dim, periods=data.get("periods"))

@@ -1,7 +1,8 @@
 """Discrete jet fields and the quadratic/bilinear forms over them.
 
 A jet pairs a scalar with a tangent vector at a support point; a jet
-field carries one jet per point of a fixed measure.  The three forms
+field carries one jet per point of a fixed measure, as one (n, 1 + m)
+array whose point rows are [a, u_1, ..., u_m].  The three forms
 
     q1(u, v)  = sum_i w_i [a_i b_i ell_i + a_i v_i.grad ell_i
                            + b_i u_i.grad ell_i + u_i.Hess ell_i.v_i]
@@ -9,7 +10,8 @@ field carries one jet per point of a fixed measure.  The three forms
     sp2(u, v) = sp1(u, v) + q1(u, v)
 
 are assembled as Gram matrices over the canonical per-point unit-jet
-basis (ordering: point-major blocks [scalar, e_1, ..., e_m]).
+basis (ordering: point-major blocks [scalar, e_1, ..., e_m], so a raveled
+jet field is its coefficient vector).
 """
 
 from __future__ import annotations
@@ -45,67 +47,34 @@ class Jet:
             raise SchemaError("jet components must be finite")
 
 
-@dataclass(frozen=True)
-class JetField:
-    """One jet per support point: scalar (n,) and vector (n, m) arrays."""
-
-    scalar: np.ndarray
-    vector: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.scalar, dtype=float).ravel()
-        v = np.atleast_2d(np.asarray(self.vector, dtype=float))
-        if s.shape[0] != v.shape[0]:
-            raise DimensionMismatchError("scalar and vector parts differ in length")
-        object.__setattr__(self, "scalar", s)
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def count(self) -> int:
-        return self.scalar.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[1]
-
-    def jet(self, i: int) -> Jet:
-        return Jet(a=float(self.scalar[i]), u=self.vector[i])
-
-    def stacked(self) -> np.ndarray:
-        """Flat coefficient vector in the canonical basis ordering."""
-        return np.hstack([self.scalar[:, None], self.vector]).ravel()
-
-    @classmethod
-    def from_stacked(cls, coeffs: np.ndarray, dim: int) -> "JetField":
-        block = np.asarray(coeffs, dtype=float).reshape(-1, 1 + dim)
-        return cls(scalar=block[:, 0], vector=block[:, 1:])
-
-    @classmethod
-    def zero(cls, count: int, dim: int) -> "JetField":
-        return cls(scalar=np.zeros(count), vector=np.zeros((count, dim)))
-
-    @classmethod
-    def translation(cls, count: int, dim: int, axis: int = 0) -> "JetField":
-        v = np.zeros((count, dim))
-        v[:, axis] = 1.0
-        return cls(scalar=np.zeros(count), vector=v)
-
-    def to_dict(self) -> dict:
-        return {"scalar": self.scalar.tolist(), "vector": self.vector.tolist()}
+def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
+    """The (count, 1 + dim) jet field moving every point along one chart axis."""
+    u = np.zeros((count, 1 + dim))
+    u[:, 1 + axis] = 1.0
+    return u
 
 
-def _check_field(rho: DiscreteMeasure, jf: JetField) -> None:
-    if jf.count != rho.count or jf.dim != rho.manifold.dim:
+def _as_jets(rho: DiscreteMeasure, u, ndim: int = 2) -> np.ndarray:
+    """u as a C-ordered float array of shape (n, 1 + m), or (L, n, 1 + m)
+    for ndim=3, on rho.
+
+    C order because einsum's last bits depend on the memory layout of its
+    operands, and solution jets are views of a transposed eigenvector block.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.ndim != ndim or u.shape[-2:] != (rho.count, 1 + rho.manifold.dim):
+        need = "(n, 1 + m)" if ndim == 2 else "(L, n, 1 + m)"
         raise DimensionMismatchError(
-            f"jet field of shape ({jf.count}, {jf.dim}) on a measure with "
-            f"{rho.count} points in dimension {rho.manifold.dim}")
+            f"jets of shape {u.shape} on a measure with {rho.count} points in "
+            f"dimension {rho.manifold.dim}; need {need}")
+    return u
 
 
 def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
     """B[i, a, j, b] = w_i w_j D1_{e_a} D2_{e_b} L(x_i, x_j) over the unit jets.
 
-    The kernel double sum of two jet fields is c1 . B . c2 over their
-    stacked coefficients.  grad2 = -grad1 and hess12 = -hess11 for radial
+    The kernel double sum of two jet fields is u . B . v over their
+    raveled arrays.  grad2 = -grad1 and hess12 = -hess11 for radial
     kernels on flat charts.
     """
     n, _, m = tables.G.shape
@@ -207,28 +176,24 @@ class FormEvaluator:
                      + jet2.a * (jet1.u @ self.grad_ell[i])
                      + jet1.u @ self.hess_ell[i] @ jet2.u)
 
-    def q1_terms(self, jf1: JetField, jf2: JetField) -> np.ndarray:
+    def q1_terms(self, u, v) -> np.ndarray:
         """Per-point terms nabla2_ell(i, u_i, v_i) of q1, as one (n,) array."""
-        for jf in (jf1, jf2):
-            _check_field(self.rho, jf)
-        c1, c2 = (jf.stacked().reshape(jf.count, -1) for jf in (jf1, jf2))
-        return np.einsum("ia,iab,ib->i", c1, self.ell_jet, c2)
+        u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
+        return np.einsum("ia,iab,ib->i", u, self.ell_jet, v)
 
-    def q1(self, jf1: JetField, jf2: JetField) -> float:
-        return float(self.rho.weights @ self.q1_terms(jf1, jf2))
+    def q1(self, u, v) -> float:
+        return float(self.rho.weights @ self.q1_terms(u, v))
 
-    def double_sum(self, jf1: JetField, jf2: JetField) -> float:
+    def double_sum(self, u, v) -> float:
         """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included."""
-        for jf in (jf1, jf2):
-            _check_field(self.rho, jf)
-        c1, c2 = jf1.stacked(), jf2.stacked()
-        return float(c1 @ self.block.reshape(c1.size, c2.size) @ c2)
+        u, v = _as_jets(self.rho, u).ravel(), _as_jets(self.rho, v).ravel()
+        return float(u @ self.block.reshape(u.size, v.size) @ v)
 
-    def sp1(self, jf1: JetField, jf2: JetField) -> float:
-        return self.double_sum(jf1, jf2) + self.q1(jf1, jf2)
+    def sp1(self, u, v) -> float:
+        return self.double_sum(u, v) + self.q1(u, v)
 
-    def sp2(self, jf1: JetField, jf2: JetField) -> float:
-        return self.sp1(jf1, jf2) + self.q1(jf1, jf2)
+    def sp2(self, u, v) -> float:
+        return self.sp1(u, v) + self.q1(u, v)
 
     def form_matrix(self, form_id: str) -> np.ndarray:
         """Gram matrix over the unit jets: Q1, block + Q1 or block + 2 Q1.

@@ -11,44 +11,22 @@ over a region Omega couples only the pairs straddling the boundary:
 
     osi(Omega) = - sum_{i in Omega} sum_{j not in Omega}
                      w_i w_j  D1_{u_i} D2_{u_j} L(x_i, x_j).
+
+Jet fields are (n, 1 + m) arrays as in `cvplab.jets`, and the solutions
+one (k, n, 1 + m) array.  A region family is a pair: an (R, n) boolean
+array whose row r marks the points inside region r, and its R labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaError
-from .jets import FORM_SP1, FormEvaluator, JetField, jet_pair_block
+from .jets import FORM_SP1, FormEvaluator, _as_jets, jet_pair_block
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
-
-
-@dataclass(frozen=True)
-class RegionMask:
-    """A subset of support points, as a boolean mask with a label."""
-
-    inside: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        mask = np.asarray(self.inside, dtype=bool).ravel()
-        mask.setflags(write=False)
-        object.__setattr__(self, "inside", mask)
-
-    @classmethod
-    def from_indices(cls, count: int, indices, label: str = "") -> "RegionMask":
-        mask = np.zeros(count, dtype=bool)
-        mask[np.asarray(indices, dtype=int)] = True
-        return cls(inside=mask, label=label)
-
-    @property
-    def size(self) -> int:
-        return int(self.inside.sum())
-
-    def complement(self) -> "RegionMask":
-        return RegionMask(inside=~self.inside, label=f"complement({self.label})")
 
 
 class LinearizedOperator:
@@ -58,8 +36,8 @@ class LinearizedOperator:
     is W^-1 SP1: the SP1 Gram of `evaluator`, each row divided by the
     weight of its point.  Row
     blocks follow the point-major [scalar, e_1, ..., e_m] ordering of the
-    jet coefficients, so `matrix @ jf.stacked()` gives the stacked
-    bracket values and bracket gradients.
+    jet coefficients, so `matrix @ u.ravel()` gives the bracket value and
+    bracket gradient of each point, point by point.
     """
 
     def __init__(self, evaluator: FormEvaluator):
@@ -69,14 +47,12 @@ class LinearizedOperator:
         self.matrix = evaluator.form_matrix(FORM_SP1)  # a new array: divide in place
         self.matrix /= row_weights[:, None]
 
-    def apply(self, jf: JetField) -> np.ndarray:
-        if jf.count != self.rho.count or jf.dim != self.rho.manifold.dim:
-            raise DimensionMismatchError("jet field does not match the operator")
-        return self.matrix @ jf.stacked()
+    def apply(self, u) -> np.ndarray:
+        return self.matrix @ _as_jets(self.rho, u).ravel()
 
-    def residual(self, jf: JetField) -> float:
-        """Max-norm of the stacked bracket values and gradients."""
-        return float(np.abs(self.apply(jf)).max())
+    def residual(self, u) -> float:
+        """Max-norm of the bracket values and gradients."""
+        return float(np.abs(self.apply(u)).max())
 
 
 def assemble_linfield(ev: FormEvaluator) -> LinearizedOperator:
@@ -87,7 +63,7 @@ def assemble_linfield(ev: FormEvaluator) -> LinearizedOperator:
 class LinfieldSolution:
     """Numerical kernel of the linearized operator."""
 
-    solutions: tuple[JetField, ...]
+    solutions: np.ndarray    # (k, n, 1 + m) kernel jets
     eigenvalues: np.ndarray  # of the symmetrized SP1 Gram, ascending
     threshold: float
     residuals: tuple[float, ...]
@@ -102,7 +78,8 @@ class LinfieldSolution:
             "eigenvalues": self.eigenvalues.tolist(),
             "threshold": self.threshold,
             "residuals": list(self.residuals),
-            "solutions": [jf.to_dict() for jf in self.solutions],
+            "solutions": [{"scalar": u[:, 0].tolist(), "vector": u[:, 1:].tolist()}
+                          for u in self.solutions],
         }
 
 
@@ -120,82 +97,89 @@ def solve_linfield(op: LinearizedOperator,
     _, eigenvalues, eigenvectors = op.evaluator.sp1_eigh
     magnitude = np.abs(eigenvalues)
     cut = threshold_rel * magnitude.max()
-    dim = op.rho.manifold.dim
-    solutions = tuple(JetField.from_stacked(column, dim)
-                      for column in eigenvectors[:, magnitude <= cut].T)
-    residuals = tuple(op.residual(jf) for jf in solutions)
+    solutions = eigenvectors[:, magnitude <= cut].T.reshape(
+        -1, op.rho.count, 1 + op.rho.manifold.dim)
+    residuals = tuple(op.residual(u) for u in solutions)
     return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
                             threshold=float(cut), residuals=residuals)
 
 
-def _region_osi(block: np.ndarray, regions: list[RegionMask],
-                jf: JetField) -> np.ndarray:
+def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
+                u) -> np.ndarray:
     """Surface-layer integrals of one jet over a family of regions.
 
     The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
     is the jet-pair block contracted with the jet at both ends; each
     region is the masked sum of P over inside rows and outside columns.
     """
-    n, dim = block.shape[0], block.shape[1] - 1
-    if any(r.inside.size != n for r in regions):
-        raise DimensionMismatchError("region mask does not match the measure")
-    if jf.count != n or jf.dim != dim:
-        raise DimensionMismatchError("jet field does not match the measure")
-    c = jf.stacked().reshape(n, 1 + dim)
-    pair = np.einsum("ia,iajb,jb->ij", c, block, c)
-    mask = np.array([r.inside for r in regions], dtype=float)
+    u = _as_jets(rho, u)
+    mask = np.asarray(inside, dtype=bool).astype(float)
+    if mask.ndim != 2 or mask.shape[1] != rho.count:
+        raise DimensionMismatchError(f"region masks of shape {mask.shape} on a "
+                                     f"measure with {rho.count} points")
+    pair = np.einsum("ia,iajb,jb->ij", u, block, u)
     inside_rows = mask @ pair
     outside = np.subtract(1.0, mask, out=mask)  # reuses the mask buffer
     return -np.einsum("rj,rj->r", inside_rows, outside)
 
 
 def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
-                           region: RegionMask, jf: JetField) -> float:
-    """Boundary-pair double sum of the jet-differentiated kernel over Omega."""
+                           inside: np.ndarray, u) -> float:
+    """Boundary-pair double sum of the jet-differentiated kernel over the
+    region of the (n,) boolean mask `inside`."""
     block = jet_pair_block(pair_tables(kernel, rho.manifold, rho.points),
                            rho.weights)
-    return float(_region_osi(block, [region], jf)[0])
+    return float(_region_osi(rho, block, np.asarray(inside)[None], u)[0])
 
 
-def arc_regions(rho: DiscreteMeasure, axis: int = 0) -> list[RegionMask]:
+def arc_regions(rho: DiscreteMeasure,
+                axis: int = 0) -> tuple[np.ndarray, list[str]]:
     """All proper contiguous arcs in the sorted order along one chart axis.
 
     Intended for one-dimensional supports, where arcs exhaust the
     connected regions up to cyclic relabeling.  Arc (start, length)
-    holds the points of rank start, ..., start + length - 1 (mod n).
+    holds the points of rank start, ..., start + length - 1 (mod n); a
+    one-point measure has none.
     """
     n = rho.count
     rank = np.argsort(np.argsort(rho.points[:, axis]))
     start = np.repeat(np.arange(n), n - 1)
     length = np.tile(np.arange(1, n), n)
     inside = (rank[None, :] - start[:, None]) % n < length[:, None]
-    return [RegionMask(inside=mask, label=f"arc(start={s}, length={k})")
-            for mask, s, k in zip(inside, start.tolist(), length.tolist())]
+    return inside, [f"arc(start={s}, length={k})"
+                    for s, k in zip(start.tolist(), length.tolist())]
 
 
-def random_regions(rho: DiscreteMeasure, count: int, seed: int) -> list[RegionMask]:
+def random_regions(rho: DiscreteMeasure, count: int,
+                   seed: int) -> tuple[np.ndarray, list[str]]:
     """Seeded random proper subsets (never empty, never everything)."""
-    if rho.count < 2:
+    n = rho.count
+    if n < 2:
         raise SchemaError("random regions need at least two points")
     rng = np.random.default_rng(seed)
-    regions = []
-    for k in range(count):
-        size = int(rng.integers(1, rho.count))
-        idx = rng.choice(rho.count, size=size, replace=False)
-        regions.append(RegionMask.from_indices(rho.count, idx,
-                                               label=f"random(seed_draw={k})"))
-    return regions
+    inside = np.zeros((count, n), dtype=bool)
+    for row in inside:
+        size = int(rng.integers(1, n))
+        row[rng.choice(n, size=size, replace=False)] = True
+    return inside, [f"random(seed_draw={k})" for k in range(count)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OSIReport:
     """Surface-layer integral values over a family of regions."""
 
-    values: list[tuple[str, float]] = field(default_factory=list)
-    min_value: float = np.inf
-    min_region: str = ""
-    residual: float = np.nan        # linearized-equation residual of the jet
-    solution_hypothesis: bool = False  # residual small enough to claim positivity
+    labels: list[str]
+    values: np.ndarray               # one per region, in the order of the labels
+    residual: float                  # linearized-equation residual of the jet
+    solution_hypothesis: bool        # residual small enough to claim positivity
+
+    @property
+    def min_value(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def min_region(self) -> str:
+        return self.labels[int(np.argmin(self.values))]
 
     @property
     def all_positive(self) -> bool:
@@ -203,7 +187,7 @@ class OSIReport:
 
     def to_dict(self) -> dict:
         return {
-            "osi": [v for _, v in self.values],   # in the order of the regions
+            "osi": self.values.tolist(),
             "min_value": self.min_value,
             "min_region": self.min_region,
             "residual": self.residual,
@@ -212,21 +196,19 @@ class OSIReport:
         }
 
 
-def osi_report(op: LinearizedOperator, jf: JetField, regions: list[RegionMask],
+def osi_report(op: LinearizedOperator, u, regions: tuple[np.ndarray, list[str]],
                residual_tolerance: float = 1e-6) -> OSIReport:
-    """Evaluate the surface-layer integral of one jet over many regions.
+    """Evaluate the surface-layer integral of one jet over a region family.
 
     Positivity is only expected when the jet solves the linearized field
     equations of `op`; the report records the residual and whether it is
     below the stated tolerance, without enforcing anything.
     """
-    if not regions:
-        raise SchemaError("need at least one region")
-    residual = op.residual(jf)
-    report = OSIReport(residual=residual,
-                       solution_hypothesis=bool(residual <= residual_tolerance))
-    values = _region_osi(op.evaluator.block, regions, jf)
-    report.values = [(r.label, float(v)) for r, v in zip(regions, values)]
-    k = int(np.argmin(values))
-    report.min_value, report.min_region = float(values[k]), regions[k].label
-    return report
+    inside, labels = regions
+    if not labels or len(labels) != len(inside):
+        raise SchemaError("need one label for each of at least one region")
+    residual = op.residual(u)
+    return OSIReport(labels=labels,
+                     values=_region_osi(op.rho, op.evaluator.block, inside, u),
+                     residual=residual,
+                     solution_hypothesis=bool(residual <= residual_tolerance))

@@ -30,7 +30,6 @@ class OptimizerConfig:
     tolerance_weak_el: float = 1e-6
     weight_floor_rel: float = 1e-8      # floor as a fraction of the mean weight
     max_backtracks: int = 80
-    seed: int = 0
     trace_period: int = 50
 
     def __post_init__(self):

@@ -5,8 +5,7 @@ moves fragment a along the straight chart line x_i + tau*u_ia, its weight
 rescaled by 1 + tau*a_ia.  An unfragmented curve is the one-fragment
 scheme, c = 1: its second-order terms in (f, F) vanish, so its analytic
 second variation is exactly the sp1 form of its jet field.  The fragment
-jets are one (L, n, 1 + m) array whose point rows [a, u_1, ..., u_m] are
-in the unit-jet order of JetField.stacked.
+jets are one (L, n, 1 + m) array: L jet fields of `cvplab.jets`.
 """
 
 from __future__ import annotations
@@ -18,21 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .action import action
-from .errors import (DimensionMismatchError, NegativeDiagonalError,
-                     SchemaError, WeightPositivityError)
-from .jets import FormEvaluator, JetField
+from .errors import NegativeDiagonalError, SchemaError, WeightPositivityError
+from .jets import FormEvaluator, _as_jets
 from .kernels import RadialKernel
 from .measure import DiscreteMeasure
-
-
-def _as_jets(rho: DiscreteMeasure, jets) -> np.ndarray:
-    """The fragment jets as an (L, n, 1 + m) float array on rho."""
-    u = np.asarray(jets, dtype=float)
-    if u.ndim != 3 or u.shape[1:] != (rho.count, 1 + rho.manifold.dim):
-        raise DimensionMismatchError(
-            f"fragment jets of shape {u.shape} on a measure with {rho.count} "
-            f"points in dimension {rho.manifold.dim}; need (L, n, 1 + m)")
-    return u
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class FragmentationScheme:
 
     def combined_defect(self, rho: DiscreteMeasure) -> float:
         """First-order volume change sum_ia w_i c_ia a_ia."""
-        scalars = self.weights.T * _as_jets(rho, self.jets)[:, :, 0]
+        scalars = self.weights.T * _as_jets(rho, self.jets, ndim=3)[:, :, 0]
         return float(sum(rho.weights @ row for row in scalars))
 
     def averaged_jet(self) -> np.ndarray:
@@ -71,10 +59,9 @@ class FragmentationScheme:
     def volume_preserved(cls, rho: DiscreteMeasure, weights: np.ndarray,
                          jets: np.ndarray) -> "FragmentationScheme":
         """Shift all fragment scalars by a constant to zero the combined defect."""
-        raw = cls(weights=weights, jets=jets)
-        fixed = raw.jets.copy()
-        fixed[:, :, 0] -= raw.combined_defect(rho) / rho.total_volume
-        return cls(weights=raw.weights, jets=fixed)
+        scheme = cls(weights=weights, jets=np.array(jets, dtype=float, order="C"))
+        scheme.jets[:, :, 0] -= scheme.combined_defect(rho) / rho.total_volume
+        return scheme
 
 
 def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
@@ -86,7 +73,7 @@ def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
     fragment.  At tau = 0 the coincident fragments merge back to the base
     support.  Fragments with zero weight carry no point.
     """
-    jets = _as_jets(rho, scheme.jets)
+    jets = _as_jets(rho, scheme.jets, ndim=3)
     if tau == 0.0:
         return rho
     frag, point = np.nonzero(scheme.weights.T > 0.0)
@@ -129,14 +116,7 @@ def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
 
 def _diagonals(ev: FormEvaluator, jets: np.ndarray) -> np.ndarray:
     """(n, L) array of nabla2_ell(i, u_a(i), u_a(i)) for each fragment jet u_a."""
-    return np.column_stack([np.einsum("ia,iab,ib->i", u, ev.ell_jet, u)
-                            for u in jets])
-
-
-def _double_sum(ev: FormEvaluator, jet: np.ndarray) -> float:
-    """Kernel double sum of one (n, 1 + m) jet with itself."""
-    jf = JetField.from_stacked(jet, ev.rho.manifold.dim)
-    return ev.double_sum(jf, jf)
+    return np.column_stack([ev.q1_terms(u, u) for u in jets])
 
 
 def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> float:
@@ -145,8 +125,9 @@ def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> flo
     Double-sum term over the c-averaged jet (exact by bilinearity) plus
     the c-weighted diagonal Hessian-of-ell term.
     """
-    diag = _diagonals(ev, _as_jets(ev.rho, scheme.jets))
-    return _double_sum(ev, scheme.averaged_jet()) + float(
+    diag = _diagonals(ev, scheme.jets)   # q1_terms checks each fragment's shape
+    average = scheme.averaged_jet()
+    return ev.double_sum(average, average) + float(
         ev.rho.weights @ (scheme.weights * diag).sum(axis=1))
 
 
@@ -154,7 +135,7 @@ def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
                                    weights: np.ndarray) -> float:
     """The transformed fragmented second variation over (L, n, 1 + m) jets:
     weights only divide the diagonal term (with 0/0 := 0)."""
-    jets = _as_jets(ev.rho, jets)
+    jets = _as_jets(ev.rho, jets, ndim=3)
     diag = _diagonals(ev, jets).T                    # (L, n)
     c = np.atleast_2d(np.asarray(weights, dtype=float)).T
     live = c > 0
@@ -165,8 +146,9 @@ def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
         raise SchemaError(
             f"fragment {bad[0]} has zero weight but non-zero diagonal term")
     ratio = np.divide(diag, c, out=np.zeros(diag.shape), where=live)
+    total = jets.sum(axis=0)
     return float(sum((ev.rho.weights @ row for row in ratio),
-                     _double_sum(ev, jets.sum(axis=0))))
+                     ev.double_sum(total, total)))
 
 
 def optimal_weights(values) -> tuple[np.ndarray, float]:
@@ -195,7 +177,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
     non-negative up to tau_psd times its scale; small negatives are
     clipped to zero, larger ones abort.
     """
-    jets = _as_jets(ev.rho, jets)
+    jets = _as_jets(ev.rho, jets, ndim=3)
     diag = _diagonals(ev, jets)
     scale = max(float(np.abs(diag).max()), 1e-300)
     if (diag < -tau_psd * scale).any():
@@ -204,7 +186,8 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
             f"nabla2_ell diagonal reaches {worst:g}; base is not a "
             f"Q1-positive point")
     diag = np.maximum(diag, 0.0)
-    return _double_sum(ev, jets.sum(axis=0)) + float(
+    total = jets.sum(axis=0)
+    return ev.double_sum(total, total) + float(
         ev.rho.weights @ (np.sqrt(diag).sum(axis=1) ** 2))
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
-                    GaussianKernel, JetField, OptimizerConfig, action, action_difference, arc_regions, assemble_linfield,
+                    GaussianKernel, Jet, OptimizerConfig, action, action_difference, arc_regions, assemble_linfield,
                     el_report, frag_lower_bound,
                     frag_second_variation_rescaled, fragment_deform,
                     gram_spectrum, minimize, optimal_weights, random_measure,
                     second_variation_fd, solve_linfield, stability_probe,
-                    surface_layer_integral)
+                    surface_layer_integral, translation)
 from cvplab.jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1
 from cvplab.variations import sample_scheme
 
@@ -73,7 +73,7 @@ def test_criterion_03_second_variation_oracle(csp5):
             f.rho, np.ones((f.rho.count, 1)), jets)
         fd = second_variation_fd(f.rho, f.kernel, curve,
                                  tau_step=1e-3 / np.abs(curve.jets).max())
-        jf = JetField.from_stacked(curve.jets[0], 1)
+        jf = curve.jets[0]
         an = f.ev.sp1(jf, jf)
         worst = max(worst, abs(an - fd) / max(abs(fd), scale))
     ok = worst <= 1e-5
@@ -122,9 +122,11 @@ def test_criterion_05_fragmentation_algebra(csp5):
         val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
     ev = f.ev
-    fields = [JetField.from_stacked(u, 1) for u in jets]
-    diag = np.array([[max(ev.nabla2_ell(i, jf.jet(i), jf.jet(i)), 0.0)
-                      for jf in fields] for i in range(f.rho.count)])
+    def jet(u, i):
+        return Jet(a=float(u[i, 0]), u=u[i, 1:])
+
+    diag = np.array([[max(ev.nabla2_ell(i, jet(u, i), jet(u, i)), 0.0)
+                      for u in jets] for i in range(f.rho.count)])
     c_opt = np.array([optimal_weights(row)[0] for row in diag])
     at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)
     eq_dev = abs(at_opt - lb) / max(abs(lb), 1e-300)
@@ -156,7 +158,7 @@ def test_criterion_07_symmetry_kernel(gauss5, csp5):
     """Translation jets: sp1 vanishes while sp2 reduces to its q1 value."""
     worst_sp1, worst_rel = 0.0, 0.0
     for f in (gauss5, csp5):
-        u = JetField.translation(f.rho.count, 1)
+        u = translation(f.rho.count, 1)
         rep = gram_spectrum(f.ev, FORM_SP1, BASIS_FULL)
         s1 = f.ev.sp1(u, u)
         s2 = f.ev.sp2(u, u)
@@ -173,9 +175,9 @@ def test_criterion_08_linfield_and_osi(csp5):
     f = csp5
     op = assemble_linfield(f.ev)
     scale = float(np.abs(op.matrix).max())
-    res = op.residual(JetField.translation(f.rho.count, 1)) / scale
+    res = op.residual(translation(f.rho.count, 1)) / scale
     sol = solve_linfield(op, threshold_rel=1e-8)
-    arcs = arc_regions(f.rho)
+    arcs, _ = arc_regions(f.rho)
     worst = np.inf
     osi_scale = 1e-300
     for jf in sol.solutions:

@@ -21,7 +21,7 @@ BASE_CONFIG = {
                    "params": {"radius": 1.4142135623730951, "power": 3}},
     "initial_measure": {"points": [[0.05], [1.02], [1.97], [3.01], [4.04]],
                         "weights": [1.1, 0.95, 1.0, 0.9, 1.05]},
-    "optimizer": {"seed": 0},
+    "optimizer": {},
     "probe": {"fragments": 2, "trials": 5,
               "tau_grid": [-0.02, 0.02], "seed": 1},
 }
@@ -77,7 +77,7 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d["lagrangian"]["params"].update(radius=2.6),
     lambda d: d.update(tolerances={"tau_psd": "x"}),
     lambda d: d.update(tolerances={"tau_psd": True}),
-    lambda d: d.update(tolerances={"fd_rel": float("nan")}),
+    lambda d: d.update(tolerances={"tau_psd": float("nan")}),
     lambda d: d.update(tolerances={"tol_weak_el": float("inf")}),
     lambda d: d.update(optimizer={"max_iterations": "10"}),
     lambda d: d.update(optimizer={"max_iterations": 10.5}),
@@ -98,6 +98,18 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d.update(probe=[1]),
     lambda d: d.update(optimizer=5),
     lambda d: d.update(lagrangian=5),
+    lambda d: d["initial_measure"].update(points=[[0.0], ["a"]]),
+    lambda d: d["initial_measure"].update(points=[[0.0], [1.0, 2.0]]),
+    lambda d: d["manifold"].update(periods=["a"]),
+    lambda d: d["manifold"].update(periods=5.0),
+    lambda d: d["manifold"].update(periods=[float("inf")]),
+    lambda d: d["manifold"].update(dim=1.5),
+    lambda d: d.update(manifold={"kind": "euclidean", "dim": 1},
+                       initial_measure={"generator": {
+                           "count": 5, "seed": 0, "total_volume": 5.0, "box": "x"}}),
+    # the knobs nothing read are gone
+    lambda d: d.update(optimizer={"seed": 0}),
+    lambda d: d.update(tolerances={"fd_rel": 1e-5}),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -195,6 +207,23 @@ def test_cli_exit_two_on_failed_verdict(tmp_path):
     assert state.verdicts["q1_full_psd"] is False
 
 
+@pytest.mark.parametrize("stage", ["osi", "verify-all"])
+@pytest.mark.parametrize("point", [[0.0], [0.0, 0.0]])
+def test_cli_one_point_measure_checks_no_region(tmp_path, stage, point):
+    # a one-point measure has no proper region, so nothing is checked
+    data = {
+        "schema_version": 1,
+        "manifold": {"kind": "euclidean", "dim": len(point)},
+        "lagrangian": {"family": "gaussian", "params": {"sigma": 1.0}},
+        "initial_measure": {"points": [point], "weights": [2.0]},
+    }
+    out = tmp_path / "out"
+    assert run(stage, _write_config(tmp_path, data), str(out), quiet=True) == 2
+    state = load_state(out / "state.json")
+    assert state.verdicts["osi_nonnegative"] is False
+    assert state.osi_summary == {"regions": [], "reports": [], "min_value": None}
+
+
 def test_cli_exit_one_on_bad_config(tmp_path):
     data = json.loads(json.dumps(BASE_CONFIG))
     data["lagrangian"]["family"] = "unknown"
@@ -271,7 +300,7 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel))
     _stage_osi(cfg, op, empty, state, lambda msg: None)
     assert state.verdicts["osi_nonnegative"] is False
-    labels = [r.label for r in arc_regions(op.rho)]
+    labels = arc_regions(op.rho)[1]
     assert state.osi_summary == {"regions": labels, "reports": [],
                                  "min_value": None}
     save_state(state, tmp_path / "state.json")
@@ -330,7 +359,7 @@ def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
     residuals = [r["residual"] for r in state.osi_summary["reports"]]
     assert residuals and residuals == state.linfield_summary["residuals"]
     # the region labels once, one value per region in each report
-    labels = [r.label for r in arc_regions(DiscreteMeasure.from_dict(state.measure))]
+    labels = arc_regions(DiscreteMeasure.from_dict(state.measure))[1]
     assert state.osi_summary["regions"] == labels
     for report in state.osi_summary["reports"]:
         assert len(report["osi"]) == len(labels)

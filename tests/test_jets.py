@@ -3,37 +3,82 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import Jet, JetField, SchemaError, gram_spectrum
+from cvplab import (DimensionMismatchError, Jet, SchemaError, arc_regions,
+                    assemble_linfield, frag_lower_bound,
+                    frag_second_variation_rescaled, gram_spectrum, osi_report,
+                    surface_layer_integral, translation)
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
-                         FORM_SP1, FORM_SP2, nabla1_nabla2_L)
+                         FORM_SP1, FORM_SP2, _basis_indices, nabla1_nabla2_L)
 
 
 def _random_field(n, m, rng, scale=1.0):
-    return JetField(scalar=scale * rng.normal(size=n),
-                    vector=scale * rng.normal(size=(n, m)))
+    """An (n, 1 + m) jet field: n scalars drawn first, then the n x m vectors."""
+    scalar = scale * rng.normal(size=n)
+    return np.column_stack([scalar, scale * rng.normal(size=(n, m))])
+
+
+def _jet(u, i):
+    """The jet of point i of the jet field u."""
+    return Jet(a=float(u[i, 0]), u=u[i, 1:])
 
 
 def test_stacked_round_trip():
+    # a raveled jet field is its coefficient vector in the unit-jet basis order
     rng = np.random.default_rng(0)
     jf = _random_field(4, 2, rng)
-    again = JetField.from_stacked(jf.stacked(), dim=2)
-    assert np.array_equal(again.scalar, jf.scalar)
-    assert np.array_equal(again.vector, jf.vector)
-    assert jf.stacked().shape == (4 * 3,)
+    again = jf.ravel().reshape(4, 3)
+    assert np.array_equal(again[:, 0], jf[:, 0])
+    assert np.array_equal(again[:, 1:], jf[:, 1:])
+    assert jf.ravel().shape == (4 * 3,)
+    assert np.array_equal(jf.ravel()[_basis_indices(4, 2, BASIS_SCALAR)], jf[:, 0])
+    assert np.array_equal(jf.ravel()[_basis_indices(4, 2, BASIS_VECTOR)],
+                          jf[:, 1:].ravel())
 
 
 def test_translation_field():
-    jf = JetField.translation(3, 2, axis=1)
-    assert np.array_equal(jf.scalar, np.zeros(3))
-    assert np.array_equal(jf.vector[:, 1], np.ones(3))
-    assert np.array_equal(jf.vector[:, 0], np.zeros(3))
+    jf = translation(3, 2, axis=1)
+    assert np.array_equal(jf[:, 0], np.zeros(3))
+    assert np.array_equal(jf[:, 2], np.ones(3))
+    assert np.array_equal(jf[:, 1], np.zeros(3))
 
 
-def test_jet_validation():
+def test_jet_validation(csp5):
     with pytest.raises(SchemaError):
         Jet(a=np.nan, u=np.zeros(1))
-    with pytest.raises(Exception):
-        JetField(scalar=np.zeros(3), vector=np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatchError):
+        csp5.ev.q1(np.zeros((3, 2)), np.zeros((3, 2)))
+
+
+def _field_takers(f, good):
+    """Every public call taking an (n, 1 + m) jet field, as a function of it."""
+    ev, n = f.ev, f.rho.count
+    op = assemble_linfield(ev)
+    return [
+        lambda u: ev.q1_terms(u, good), lambda u: ev.q1_terms(good, u),
+        lambda u: ev.q1(u, good), lambda u: ev.q1(good, u),
+        lambda u: ev.double_sum(u, good), lambda u: ev.double_sum(good, u),
+        lambda u: ev.sp1(u, good), lambda u: ev.sp1(good, u),
+        lambda u: ev.sp2(u, good), lambda u: ev.sp2(good, u),
+        op.apply, op.residual,
+        lambda u: osi_report(op, u, arc_regions(f.rho)),
+        lambda u: surface_layer_integral(f.rho, f.kernel, np.arange(n) < 2, u),
+        # the fragment-jet functions take L such fields stacked on a first axis
+        lambda u: frag_lower_bound(ev, u[None]),
+        lambda u: frag_second_variation_rescaled(ev, u[None], np.ones((n, 1))),
+    ]
+
+
+@pytest.mark.parametrize("name", ["csp5", "lattice2d"])
+def test_every_jet_taker_checks_the_shape(name, request):
+    f = request.getfixturevalue(name)
+    n, m = f.rho.count, f.rho.manifold.dim
+    good = translation(n, m)
+    for call in _field_takers(f, good):
+        call(good)   # the right shape passes
+        for bad in (np.zeros((n, m)), np.zeros((n + 1, 1 + m)),
+                    np.zeros(n * (1 + m))):
+            with pytest.raises(DimensionMismatchError):
+                call(bad)
 
 
 def test_forms_symmetric_and_bilinear(csp5):
@@ -46,8 +91,7 @@ def test_forms_symmetric_and_bilinear(csp5):
         b = form(v, u)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
         # linearity in the first slot
-        combo = JetField(scalar=2.0 * u.scalar + 3.0 * w.scalar,
-                         vector=2.0 * u.vector + 3.0 * w.vector)
+        combo = 2.0 * u + 3.0 * w
         lhs = form(combo, v)
         rhs = 2.0 * form(u, v) + 3.0 * form(w, v)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
@@ -69,7 +113,7 @@ def test_gram_matrix_matches_direct_evaluation(csp5):
     n, m = f.rho.count, f.rho.manifold.dim
     ev = f.ev
     dim = n * (1 + m)
-    basis = [JetField.from_stacked(np.eye(dim)[k], m) for k in range(dim)]
+    basis = [np.eye(dim)[k].reshape(n, 1 + m) for k in range(dim)]
     for form_id, func in ((FORM_Q1, ev.q1), (FORM_SP1, ev.sp1),
                           (FORM_SP2, ev.sp2)):
         matrix = ev.form_matrix(form_id)
@@ -82,14 +126,14 @@ def test_quadratic_form_via_matrix(csp5):
     ev = f.ev
     rng = np.random.default_rng(3)
     u = _random_field(f.rho.count, 1, rng)
-    c = u.stacked()
+    c = u.ravel()
     assert ev.sp1(u, u) == pytest.approx(
         float(c @ ev.form_matrix(FORM_SP1) @ c), rel=1e-12)
 
 
 def test_translation_annihilates_sp1(csp5):
     f = csp5
-    u = JetField.translation(f.rho.count, 1)
+    u = translation(f.rho.count, 1)
     val = f.ev.sp1(u, u)
     scale = float(np.abs(f.ev.form_matrix(FORM_SP1)).max())
     assert abs(val) <= 1e-10 * scale
@@ -113,7 +157,7 @@ def test_pointwise_forms_and_index_errors(csp5):
     assert terms.shape == (f.rho.count,)
     for i in range(f.rho.count):
         assert terms[i] == pytest.approx(
-            ev.nabla2_ell(i, u.jet(i), u.jet(i)), rel=1e-12, abs=1e-14)
+            ev.nabla2_ell(i, _jet(u, i), _jet(u, i)), rel=1e-12, abs=1e-14)
 
 
 def test_nabla1_nabla2_consistent_with_double_sum(csp5):
@@ -125,7 +169,7 @@ def test_nabla1_nabla2_consistent_with_double_sum(csp5):
     brute = sum(
         w[i] * w[j] * nabla1_nabla2_L(f.kernel, f.rho.manifold,
                                       f.rho.points[i], f.rho.points[j],
-                                      u.jet(i), u.jet(j))
+                                      _jet(u, i), _jet(u, j))
         for i in range(f.rho.count) for j in range(f.rho.count))
     assert ev.double_sum(u, u) == pytest.approx(brute, rel=1e-12)
 

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
-                    GaussianKernel, JetField, RegionMask, arc_regions,
-                    assemble_linfield, gram_spectrum, osi_report,
-                    random_measure, random_regions, solve_linfield,
-                    surface_layer_integral)
+                    GaussianKernel, Jet, arc_regions, assemble_linfield,
+                    gram_spectrum, osi_report, random_measure, random_regions,
+                    solve_linfield, surface_layer_integral, translation)
 from cvplab.errors import SchemaError
 from cvplab.jets import FORM_SP1, nabla1_nabla2_L
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
+
+
+def _random_field(n, m, rng):
+    """An (n, 1 + m) jet field: n scalars drawn first, then the n x m vectors."""
+    scalar = rng.normal(size=n)
+    return np.column_stack([scalar, rng.normal(size=(n, m))])
+
+
+def _mask(n, indices):
+    inside = np.zeros(n, dtype=bool)
+    inside[indices] = True
+    return inside
 
 
 def test_operator_shape_and_zero_jet(csp5):
@@ -18,13 +29,13 @@ def test_operator_shape_and_zero_jet(csp5):
     n = csp5.rho.count
     assert op.matrix.shape == (2 * n, 2 * n)
     assert np.isfinite(op.matrix).all()
-    assert op.residual(JetField.zero(n, 1)) == 0.0
+    assert op.residual(np.zeros((n, 2))) == 0.0
 
 
 def test_translation_jet_solves_linearized_equations(csp5):
     op = assemble_linfield(csp5.ev)
     scale = float(np.abs(op.matrix).max())
-    u = JetField.translation(csp5.rho.count, 1)
+    u = translation(csp5.rho.count, 1)
     assert op.residual(u) <= 1e-8 * scale
 
 
@@ -32,8 +43,8 @@ def test_constant_scalar_jet_is_not_a_solution(csp5):
     # bracket of a constant scalar beta is 2*beta*ell + beta*nu/2,
     # which is beta*nu/2 at a minimizer -- nonzero for nu != 0
     beta = 0.7
-    jf = JetField(scalar=np.full(csp5.rho.count, beta),
-                  vector=np.zeros((csp5.rho.count, 1)))
+    jf = np.column_stack([np.full(csp5.rho.count, beta),
+                          np.zeros((csp5.rho.count, 1))])
     op = assemble_linfield(csp5.ev)
     values = op.apply(jf).reshape(csp5.rho.count, 2)
     assert np.allclose(values[:, 0], beta * csp5.nu / 2.0, atol=1e-5)
@@ -44,8 +55,7 @@ def test_random_jets_have_positive_residual(csp5):
     op = assemble_linfield(csp5.ev)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        jf = JetField(scalar=rng.normal(size=csp5.rho.count),
-                      vector=rng.normal(size=(csp5.rho.count, 1)))
+        jf = _random_field(csp5.rho.count, 1, rng)
         assert op.residual(jf) > 1e-6
 
 
@@ -57,8 +67,8 @@ def test_solve_linfield_contains_translation(csp5):
     for res in sol.residuals:
         assert res <= 1e-8 * scale * 10
     # the translation jet lies in the returned span
-    t = JetField.translation(csp5.rho.count, 1).stacked()
-    basis = np.array([jf.stacked() for jf in sol.solutions])
+    t = translation(csp5.rho.count, 1).ravel()
+    basis = sol.solutions.reshape(sol.dimension, -1)
     coeffs = basis @ t
     projection = coeffs @ basis
     assert np.abs(projection - t).max() <= 1e-8 * np.abs(t).max()
@@ -86,7 +96,7 @@ def test_solve_linfield_matches_svd_null_space(name, request):
     op = assemble_linfield(f.ev)
     sol = solve_linfield(op)
     assert sol.dimension >= 1
-    basis = np.array([jf.stacked() for jf in sol.solutions])
+    basis = sol.solutions.reshape(sol.dimension, -1)
     assert np.abs(basis.T @ basis - _svd_null_projector(op.matrix)).max() <= 1e-8
     scale = float(np.abs(op.matrix).max())
     assert max(sol.residuals) <= 1e-8 * scale
@@ -101,7 +111,7 @@ def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
 
 def _pointwise_brackets(rho, kernel, nu, jf):
     """Oracle: the bracket and its chart gradient at every point, pair by pair."""
-    w, x, a, u = rho.weights, rho.points, jf.scalar, jf.vector
+    w, x, a, u = rho.weights, rho.points, jf[:, 0], jf[:, 1:]
     out = np.zeros((rho.count, 1 + rho.manifold.dim))
     for i in range(rho.count):
         for j in range(rho.count):
@@ -126,8 +136,7 @@ def test_operator_matches_pointwise_brackets(csp5):
         rho = ev.rho
         op = assemble_linfield(ev)
         for _ in range(3):
-            jf = JetField(scalar=rng.normal(size=rho.count),
-                          vector=rng.normal(size=(rho.count, rho.manifold.dim)))
+            jf = _random_field(rho.count, rho.manifold.dim, rng)
             oracle = _pointwise_brackets(rho, ev.kernel, ev.nu, jf)
             err = np.abs(op.apply(jf) - oracle).max()
             assert err <= 1e-12 * np.abs(oracle).max()
@@ -135,27 +144,25 @@ def test_operator_matches_pointwise_brackets(csp5):
 
 def test_surface_layer_trivial_cases(csp5):
     n = csp5.rho.count
-    zero = JetField.zero(n, 1)
-    omega = RegionMask.from_indices(n, [0, 1])
+    zero = np.zeros((n, 2))
+    omega = _mask(n, [0, 1])
     assert surface_layer_integral(csp5.rho, csp5.kernel, omega, zero) == 0.0
-    u = JetField.translation(n, 1)
-    empty = RegionMask(inside=np.zeros(n, dtype=bool))
-    everything = RegionMask(inside=np.ones(n, dtype=bool))
+    u = translation(n, 1)
+    empty = np.zeros(n, dtype=bool)
+    everything = np.ones(n, dtype=bool)
     assert surface_layer_integral(csp5.rho, csp5.kernel, empty, u) == 0.0
     assert surface_layer_integral(csp5.rho, csp5.kernel, everything, u) == 0.0
     with pytest.raises(DimensionMismatchError):
-        surface_layer_integral(csp5.rho, csp5.kernel,
-                               RegionMask.from_indices(n + 1, [0]), u)
+        surface_layer_integral(csp5.rho, csp5.kernel, _mask(n + 1, [0]), u)
 
 
 def test_complement_symmetry(csp5):
     n = csp5.rho.count
     rng = np.random.default_rng(2)
-    jf = JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))
-    for omega in random_regions(csp5.rho, count=8, seed=5):
+    jf = _random_field(n, 1, rng)
+    for omega in random_regions(csp5.rho, count=8, seed=5)[0]:
         a = surface_layer_integral(csp5.rho, csp5.kernel, omega, jf)
-        b = surface_layer_integral(csp5.rho, csp5.kernel,
-                                   omega.complement(), jf)
+        b = surface_layer_integral(csp5.rho, csp5.kernel, ~omega, jf)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -163,99 +170,134 @@ def test_additivity_splitting(csp5):
     """Full double sum = within-region + within-complement + 2 * cross."""
     n = csp5.rho.count
     rng = np.random.default_rng(3)
-    jf = JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))
+    jf = _random_field(n, 1, rng)
     ev = csp5.ev
     full = ev.double_sum(jf, jf)
-    omega = RegionMask.from_indices(n, [0, 2])
+    omega = _mask(n, [0, 2])
     cross = -surface_layer_integral(csp5.rho, csp5.kernel, omega, jf)
 
     def restricted(mask):
-        sub = JetField(scalar=np.where(mask, jf.scalar, 0.0),
-                       vector=np.where(mask[:, None], jf.vector, 0.0))
+        sub = np.where(mask[:, None], jf, 0.0)
         return ev.double_sum(sub, sub)
 
-    inside = restricted(omega.inside)
-    outside = restricted(~omega.inside)
+    inside = restricted(omega)
+    outside = restricted(~omega)
     scale = max(abs(full), 1.0)
     assert abs(full - (inside + outside + 2.0 * cross)) <= 1e-12 * scale
 
 
 def test_arc_regions_enumeration(csp5):
-    arcs = arc_regions(csp5.rho)
+    masks, labels = arc_regions(csp5.rho)
     n = csp5.rho.count
-    assert len(arcs) == n * (n - 1)
-    assert all(0 < a.size < n for a in arcs)
+    assert len(labels) == n * (n - 1) == len(masks)
+    assert all(0 < a.sum() < n for a in masks)
     # on a shuffled point order, each arc is its run of sorted positions
     order = np.random.default_rng(5).permutation(n)
     rho = csp5.rho.replace(points=csp5.rho.points[order],
                            weights=csp5.rho.weights[order])
     sorted_order = np.argsort(rho.points[:, 0])
-    arcs = iter(arc_regions(rho))
+    arcs = iter(zip(*arc_regions(rho)))
     for start in range(n):
         for length in range(1, n):
-            arc = next(arcs)
-            expected = RegionMask.from_indices(
-                n, sorted_order[(start + np.arange(length)) % n])
-            assert np.array_equal(arc.inside, expected.inside)
-            assert arc.label == f"arc(start={start}, length={length})"
+            inside, label = next(arcs)
+            expected = _mask(n, sorted_order[(start + np.arange(length)) % n])
+            assert np.array_equal(inside, expected)
+            assert label == f"arc(start={start}, length={length})"
     assert next(arcs, None) is None
 
 
 def test_osi_report_translation_positive(csp5):
-    u = JetField.translation(csp5.rho.count, 1)
+    u = translation(csp5.rho.count, 1)
     rep = osi_report(assemble_linfield(csp5.ev), u, arc_regions(csp5.rho))
     assert rep.solution_hypothesis
     assert rep.min_value > 0.0
     assert rep.all_positive
     d = rep.to_dict()
     assert d["min_value"] == rep.min_value
-    assert d["osi"] == [v for _, v in rep.values]
-    assert len(d["osi"]) == len(arc_regions(csp5.rho))
+    assert d["osi"] == rep.values.tolist()
+    assert len(d["osi"]) == len(arc_regions(csp5.rho)[1])
 
 
 def test_osi_report_flags_non_solution(csp5):
     rng = np.random.default_rng(6)
-    jf = JetField(scalar=rng.normal(size=csp5.rho.count),
-                  vector=rng.normal(size=(csp5.rho.count, 1)))
+    jf = _random_field(csp5.rho.count, 1, rng)
     op = assemble_linfield(csp5.ev)
     rep = osi_report(op, jf, random_regions(csp5.rho, count=4, seed=1))
     assert not rep.solution_hypothesis
     with pytest.raises(SchemaError):
-        osi_report(op, jf, [])
+        osi_report(op, jf, (np.zeros((0, csp5.rho.count), dtype=bool), []))
 
 
-def _pointwise_osi(rho, kernel, region, jf):
+def _pointwise_osi(rho, kernel, inside, jf):
     """Oracle: boundary double sum of the pointwise analytic D1 D2 L."""
     w = rho.weights
+
+    def jet(i):
+        return Jet(a=float(jf[i, 0]), u=jf[i, 1:])
+
     return -sum(
         w[i] * w[j] * nabla1_nabla2_L(kernel, rho.manifold, rho.points[i],
-                                      rho.points[j], jf.jet(i), jf.jet(j))
-        for i in np.flatnonzero(region.inside)
-        for j in np.flatnonzero(~region.inside))
+                                      rho.points[j], jet(i), jet(j))
+        for i in np.flatnonzero(inside)
+        for j in np.flatnonzero(~inside))
 
 
 def _assert_osi_matches_oracle(ev, jf, regions):
     rho, kernel = ev.rho, ev.kernel
     op = assemble_linfield(ev)
     rep = osi_report(op, jf, regions)
-    assert [lab for lab, _ in rep.values] == [r.label for r in regions]
-    for (_, val), region in zip(rep.values, regions):
-        assert val == pytest.approx(_pointwise_osi(rho, kernel, region, jf),
+    masks, labels = regions
+    assert rep.labels == labels and len(rep.values) == len(labels)
+    for val, inside in zip(rep.values, masks):
+        assert val == pytest.approx(_pointwise_osi(rho, kernel, inside, jf),
                                     rel=1e-12)
-    k = int(np.argmin([val for _, val in rep.values]))
-    assert (rep.min_region, rep.min_value) == rep.values[k]
+    k = int(np.argmin(rep.values))
+    assert (rep.min_region, rep.min_value) == (labels[k], rep.values[k])
 
 
 def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
     rng = np.random.default_rng(7)
     n = csp5.rho.count
-    for jf in (JetField.translation(n, 1),
-               JetField(scalar=rng.normal(size=n), vector=rng.normal(size=(n, 1)))):
+    for jf in (translation(n, 1), _random_field(n, 1, rng)):
         _assert_osi_matches_oracle(csp5.ev, jf, arc_regions(csp5.rho))
 
 
 def test_osi_report_matches_pointwise_oracle_in_2d():
     ev = _gauss_2d()
     rng = np.random.default_rng(8)
-    jf = JetField(scalar=rng.normal(size=12), vector=rng.normal(size=(12, 2)))
+    jf = _random_field(12, 2, rng)
     _assert_osi_matches_oracle(ev, jf, random_regions(ev.rho, count=16, seed=3))
+
+
+def test_random_regions_replay_their_draws(lattice2d):
+    n = lattice2d.rho.count
+    inside, labels = random_regions(lattice2d.rho, count=32, seed=0)
+    assert inside.shape == (32, n) and inside.dtype == bool
+    rng = np.random.default_rng(0)
+    for k, (row, label) in enumerate(zip(inside, labels)):
+        size = int(rng.integers(1, n))
+        assert np.array_equal(row, _mask(n, rng.choice(n, size=size, replace=False)))
+        assert label == f"random(seed_draw={k})"
+    with pytest.raises(SchemaError):
+        random_regions(lattice2d.rho.replace(points=lattice2d.rho.points[:1],
+                                             weights=lattice2d.rho.weights[:1]),
+                       count=1, seed=0)
+
+
+@pytest.mark.parametrize("name", ["csp5", "lattice2d"])
+def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
+    """osi(Omega) = sp1(chi u, chi u) - sp1(chi u, u) for chi the region mask:
+    q1 is pointwise, so only the boundary pairs survive the difference."""
+    f = request.getfixturevalue(name)
+    ev, n, m = f.ev, f.rho.count, f.rho.manifold.dim
+    op = assemble_linfield(ev)
+    regions = (arc_regions(f.rho) if m == 1
+               else random_regions(f.rho, count=32, seed=0))
+    jets = [_random_field(n, m, np.random.default_rng(9)),
+            *solve_linfield(op).solutions]
+    for u in jets:
+        values = osi_report(op, u, regions).values
+        restricted = [inside[:, None] * u for inside in regions[0]]
+        identity = np.array([ev.sp1(chi_u, chi_u) - ev.sp1(chi_u, u)
+                             for chi_u in restricted])
+        assert np.abs(values - identity).max() <= 1e-12 * np.abs(values).max()

@@ -67,7 +67,7 @@ def test_project_volume_is_euclidean_projection():
 
 
 def test_config_validation_and_round_trip():
-    cfg = OptimizerConfig(step_size_initial=0.1, seed=3)
+    cfg = OptimizerConfig(step_size_initial=0.1, max_backtracks=3)
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(SchemaError):
         OptimizerConfig(armijo_factor=1.5)

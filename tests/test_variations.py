@@ -4,32 +4,33 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, DiscreteMeasure, FragmentationScheme,
-                    GaussianKernel, JetField, NegativeDiagonalError,
+                    GaussianKernel, NegativeDiagonalError,
                     SchemaError, WeightPositivityError, action,
                     FormEvaluator, frag_lower_bound,
                     frag_second_variation, frag_second_variation_rescaled,
                     fragment_deform, optimal_weights, second_variation_fd,
-                    stability_probe)
+                    stability_probe, translation)
 from cvplab.variations import sample_scheme
 
 
 def _curve(rho, jf, volume_preserving=True):
     """The one-fragment scheme of a jet field, by default with its scalars
     shifted to zero the volume defect."""
-    c, u = np.ones((rho.count, 1)), jf.stacked().reshape(1, rho.count, -1)
+    c, u = np.ones((rho.count, 1)), jf[None]
     if volume_preserving:
         return FragmentationScheme.volume_preserved(rho, c, u)
     return FragmentationScheme(weights=c, jets=u)
 
 
 def _random_vp_field(rho, rng, scale=1.0):
-    jf = JetField(scalar=scale * rng.normal(size=rho.count),
-                  vector=scale * rng.normal(size=(rho.count, rho.manifold.dim)))
-    return JetField.from_stacked(_curve(rho, jf).jets[0], rho.manifold.dim)
+    scalar = scale * rng.normal(size=rho.count)
+    jf = np.column_stack(
+        [scalar, scale * rng.normal(size=(rho.count, rho.manifold.dim))])
+    return _curve(rho, jf).jets[0]
 
 
 def test_deform_tau_zero_is_base(csp5):
-    jf = JetField.translation(csp5.rho.count, 1)
+    jf = translation(csp5.rho.count, 1)
     curve = _curve(csp5.rho, jf, volume_preserving=False)
     assert fragment_deform(curve, csp5.rho, 0.0) is csp5.rho
 
@@ -43,7 +44,7 @@ def test_deform_volume_constant_for_projected_scalars(csp5):
 
 
 def test_deform_pure_vector_translates_support(csp5):
-    jf = JetField.translation(csp5.rho.count, 1)
+    jf = translation(csp5.rho.count, 1)
     curve = _curve(csp5.rho, jf, volume_preserving=False)
     out = fragment_deform(curve, csp5.rho, 0.3)
     assert np.array_equal(out.weights, csp5.rho.weights)
@@ -53,8 +54,8 @@ def test_deform_pure_vector_translates_support(csp5):
 def test_deform_weight_positivity_error(csp5):
     scalar = np.zeros(csp5.rho.count)
     scalar[2] = -1.0
-    curve = _curve(csp5.rho, JetField(
-        scalar=scalar, vector=np.zeros((csp5.rho.count, 1))))
+    curve = _curve(csp5.rho, np.column_stack(
+        [scalar, np.zeros((csp5.rho.count, 1))]))
     with pytest.raises(WeightPositivityError) as exc:
         fragment_deform(curve, csp5.rho, 2.0)
     assert exc.value.point_index == 2
@@ -88,7 +89,7 @@ def test_fd_oracle_agrees_with_analytic(csp5):
     scale = abs(action(csp5.rho, csp5.kernel))
     for _ in range(5):
         jf = _random_vp_field(csp5.rho, rng)
-        norm = max(np.abs(jf.scalar).max(), np.abs(jf.vector).max())
+        norm = max(np.abs(jf[:, 0]).max(), np.abs(jf[:, 1:]).max())
         fd = second_variation_fd(csp5.rho, csp5.kernel, _curve(csp5.rho, jf),
                                  tau_step=1e-3 / norm)
         an = csp5.ev.sp1(jf, jf)
@@ -107,8 +108,8 @@ def test_fd_first_variation_vanishes(csp5):
 
 
 def test_fd_requires_volume_preserving_curve(csp5):
-    jf = JetField(scalar=np.ones(csp5.rho.count),
-                  vector=np.zeros((csp5.rho.count, 1)))
+    jf = np.column_stack([np.ones(csp5.rho.count),
+                          np.zeros((csp5.rho.count, 1))])
     curve = _curve(csp5.rho, jf, volume_preserving=False)
     with pytest.raises(SchemaError):
         second_variation_fd(csp5.rho, csp5.kernel, curve, 1e-3)
@@ -136,9 +137,9 @@ def test_fragment_deform_single_fragment_equals_deform(csp5):
     scheme = _curve(csp5.rho, jf)
     for tau in (0.0, 0.1, -0.05):
         a = fragment_deform(scheme, csp5.rho, tau)
-        assert np.array_equal(a.points, csp5.rho.points + tau * jf.vector)
+        assert np.array_equal(a.points, csp5.rho.points + tau * jf[:, 1:])
         assert np.array_equal(a.weights,
-                              csp5.rho.weights * (1.0 + tau * jf.scalar))
+                              csp5.rho.weights * (1.0 + tau * jf[:, 0]))
 
 
 def test_fragment_deform_two_point_split(single_gauss):
@@ -219,15 +220,14 @@ def test_optimal_weights_closed_form():
 def test_frag_lower_bound_single_field_is_sp1(csp5):
     rng = np.random.default_rng(8)
     jf = _random_vp_field(csp5.rho, rng)
-    lb = frag_lower_bound(csp5.ev, jf.stacked().reshape(1, csp5.rho.count, 2))
+    lb = frag_lower_bound(csp5.ev, jf[None])
     sp = csp5.ev.sp1(jf, jf)
     assert lb == pytest.approx(sp, rel=1e-10)
 
 
 def test_frag_lower_bound_is_minimum_over_weights(csp5):
     rng = np.random.default_rng(9)
-    jets = np.array([_random_vp_field(csp5.rho, rng).stacked().reshape(-1, 2)
-                     for _ in range(3)])
+    jets = np.array([_random_vp_field(csp5.rho, rng) for _ in range(3)])
     lb = frag_lower_bound(csp5.ev, jets)
     for _ in range(50):
         c = rng.dirichlet(np.ones(3), size=csp5.rho.count)
