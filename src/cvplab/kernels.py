@@ -32,6 +32,12 @@ class RadialKernel:
 
     family: str = ""
 
+    @property
+    def cutoff(self) -> float | None:
+        """Distance from which the profile is exactly +0.0, or None if it
+        never vanishes."""
+        return None
+
     def profile(self, s):
         raise NotImplementedError
 
@@ -120,6 +126,10 @@ class CompactSupportKernel(RadialKernel):
             raise SchemaError("compact-support power must be an integer >= 3")
         object.__setattr__(self, "power", int(self.power))
 
+    @property
+    def cutoff(self) -> float:
+        return self.radius
+
     def _core(self, s):
         return np.maximum(0.0, self.radius**2 - np.asarray(s))
 
@@ -184,6 +194,15 @@ def lagrangian_derivatives(kernel: RadialKernel, manifold: ChartManifold,
     raise UnsupportedOrderError(f"unknown derivative order {order!r}")
 
 
+def _squared_norms(displacements: np.ndarray) -> np.ndarray:
+    """|d|^2 over the trailing axis: the per-component squares summed in
+    component order, so equal displacements give bit-equal squares."""
+    s = np.square(displacements[..., 0])
+    for k in range(1, displacements.shape[-1]):
+        s += np.square(displacements[..., k])
+    return s
+
+
 class PairTables:
     """Pairwise kernel data over a point configuration.
 
@@ -195,10 +214,7 @@ class PairTables:
     def __init__(self, kernel: RadialKernel, displacements: np.ndarray):
         self.kernel = kernel
         self.D = displacements
-        # the per-component squares summed in component order
-        self.s = np.square(displacements[..., 0])
-        for k in range(1, displacements.shape[-1]):
-            self.s += np.square(displacements[..., k])
+        self.s = _squared_norms(displacements)
 
     @cached_property
     def L(self) -> np.ndarray:

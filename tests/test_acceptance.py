@@ -8,7 +8,6 @@ assertion outcome.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
                     GaussianKernel, Jet, OptimizerConfig, action, action_difference, arc_regions, assemble_linfield,

@@ -45,6 +45,20 @@ def test_compact_support_vanishes_beyond_cutoff():
     assert abs(k.profile_d2(1.0 - eps)) < 1e-5
 
 
+def test_cutoff_of_each_family():
+    assert GaussianKernel(sigma=1.0).cutoff is None
+    assert InversePowerKernel(sigma=1.0, exponent=2.0).cutoff is None
+    k = CompactSupportKernel(radius=1.5, power=3)
+    assert k.cutoff == 1.5
+    with pytest.raises(AttributeError):
+        k.cutoff = 2.0
+    # pruning pairs at s >= r^2 relies on an exact +0.0 there
+    r2 = k.cutoff**2
+    for s in (r2, np.nextafter(r2, np.inf)):
+        g = k.profile(s)
+        assert g == 0.0 and not np.signbit(g)
+
+
 @pytest.mark.parametrize("kernel", [
     GaussianKernel(sigma=1.3),
     InversePowerKernel(sigma=0.9, exponent=2.0),

@@ -3,14 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, DiscreteMeasure, FragmentationScheme,
-                    GaussianKernel, NegativeDiagonalError,
-                    SchemaError, WeightPositivityError, action,
-                    FormEvaluator, frag_lower_bound,
-                    frag_second_variation, frag_second_variation_rescaled,
-                    fragment_deform, optimal_weights, second_variation_fd,
+from cvplab import (ChartManifold, FragmentationScheme, GaussianKernel,
+                    NegativeDiagonalError, SchemaError,
+                    WeightPositivityError, action, deformed_actions,
+                    FormEvaluator, frag_lower_bound, frag_second_variation,
+                    frag_second_variation_rescaled, fragment_deform,
+                    optimal_weights, random_measure, second_variation_fd,
                     stability_probe, translation)
-from cvplab.variations import sample_scheme
+from cvplab.variations import _EVALUATIONS_PER_CHUNK, sample_scheme
 
 
 def _curve(rho, jf, volume_preserving=True):
@@ -128,6 +128,11 @@ def test_scheme_validation(csp5):
         FragmentationScheme(weights=good, jets=jets[:1])
     with pytest.raises(SchemaError):   # (n, L, 1 + m) instead of (L, n, 1 + m)
         FragmentationScheme(weights=good, jets=np.zeros((n, 2, 2)))
+    for bad in (np.nan, np.inf):
+        weights = good.copy()
+        weights[1, 0] = bad
+        with pytest.raises(SchemaError):
+            FragmentationScheme(weights=weights, jets=jets)
 
 
 def test_fragment_deform_single_fragment_equals_deform(csp5):
@@ -162,6 +167,87 @@ def test_fragment_deform_preserves_action_at_tau_zero(csp5):
     tiny = fragment_deform(scheme, csp5.rho, 1e-300)
     assert action(tiny, csp5.kernel) == pytest.approx(
         action(csp5.rho, csp5.kernel), rel=1e-12)
+
+
+def _dense_actions(ev, scheme, taus):
+    """The dense oracle: one deformed measure and one action per tau."""
+    return np.array([action(fragment_deform(scheme, ev.rho, t), ev.kernel)
+                     for t in taus])
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
+def test_deformed_actions_match_dense_oracle(name, request):
+    fx = request.getfixturevalue(name)
+    rng = np.random.default_rng(13)
+    taus = [-0.1, -0.02, 0.0, 0.02, 0.05, 0.1]
+    for _ in range(5):
+        scheme = sample_scheme(fx.rho, fragments=3, rng=rng)
+        dense = _dense_actions(fx.ev, scheme, taus)
+        fast = deformed_actions(fx.ev, scheme, taus)
+        assert np.all(np.abs(fast - dense) <= 1e-13 * np.abs(dense))
+
+
+def test_deformed_actions_over_several_chunks():
+    # every pair of 3 x 60 fragments interacts: several chunks of pairs
+    manifold = ChartManifold(kind="torus", dim=1, periods=(2.0 * np.pi,))
+    rho = random_measure(manifold, count=60, total_volume=5.0, seed=1)
+    ev = FormEvaluator(rho, GaussianKernel(sigma=1.0))
+    scheme = sample_scheme(rho, fragments=3, rng=np.random.default_rng(3))
+    taus = [-0.02, 0.01, 0.02]
+    assert scheme.weights.shape[1] == 3
+    assert (3 * 60) ** 2 // 2 * len(taus) > 2 * _EVALUATIONS_PER_CHUNK
+    dense = _dense_actions(ev, scheme, taus)
+    fast = deformed_actions(ev, scheme, taus)
+    assert np.all(np.abs(fast - dense) <= 1e-13 * np.abs(dense))
+
+
+def test_deformed_actions_keep_pairs_that_move_inside_the_cutoff(csp5):
+    """Points 0 and 2 lie beyond the cutoff; a fragment of each moves
+    toward the other and comes inside it only at the largest |tau|."""
+    rho, ev = csp5.rho, csp5.ev
+    n, r = rho.count, csp5.kernel.cutoff
+    d = rho.manifold.displacement(rho.points[2], rho.points[0])[0]
+    jets = np.zeros((2, n, 2))
+    jets[1, 0, 1], jets[1, 2, 1] = np.sign(d), -np.sign(d)
+    scheme = FragmentationScheme(weights=np.full((n, 2), 0.5), jets=jets)
+    taus = [-0.5, 0.2, 0.5]
+
+    def gap(tau):   # between the moving fragments, listed after fragment 0
+        out = fragment_deform(scheme, rho, tau).points
+        return abs(rho.manifold.displacement(out[n + 2], out[n])[0])
+
+    assert abs(d) > r and gap(0.5) < r
+    assert gap(-0.5) > r and gap(0.2) > r
+    dense = _dense_actions(ev, scheme, taus)
+    fast = deformed_actions(ev, scheme, taus)
+    assert np.all(np.abs(fast - dense) <= 1e-13 * np.abs(dense))
+
+
+def test_deformed_actions_raise_as_fragment_deform(csp5):
+    """The first failure in grid order, then in the fragment-major order
+    of fragment_deform, raises the same error."""
+    n = csp5.rho.count
+    jets = np.zeros((2, n, 2))
+    jets[1, 1, 0] = 1.0   # factor 1 + tau*a <= 0 from tau = -1 down,
+    jets[0, 3, 0] = 1.0   # here too, and fragment 0 is listed first
+    jets[0, 2, 0] = -1.0  # <= 0 from tau = 1 up, later in the grid
+    scheme = FragmentationScheme(weights=np.full((n, 2), 0.5), jets=jets)
+    taus = [0.5, -2.0, 2.0]
+    with pytest.raises(WeightPositivityError) as dense:
+        _dense_actions(csp5.ev, scheme, taus)
+    with pytest.raises(WeightPositivityError) as fast:
+        deformed_actions(csp5.ev, scheme, taus)
+    assert fast.value.point_index == dense.value.point_index == 3
+    assert str(fast.value) == str(dense.value)
+
+    jets = np.zeros((2, n, 2))
+    jets[1, 0, 1] = np.inf
+    scheme = FragmentationScheme(weights=np.full((n, 2), 0.5), jets=jets)
+    with pytest.raises(SchemaError) as dense:
+        _dense_actions(csp5.ev, scheme, taus)
+    with pytest.raises(SchemaError) as fast:
+        deformed_actions(csp5.ev, scheme, taus)
+    assert str(fast.value) == str(dense.value)
 
 
 def test_frag_second_variation_single_fragment_reduces(csp5):
