@@ -113,8 +113,8 @@ def project_volume(weights: np.ndarray, target_volume: float,
     return np.full(n, target_volume / n)  # unreachable for consistent input
 
 
-def _gradients(tables, weights):
-    rows = tables.L @ weights
+def _gradients(tables, weights, rows=None):
+    rows = tables.L @ weights if rows is None else rows   # the caller's, if any
     grad_ell = np.einsum("ija,j->ia", tables.G, weights)
     # dS/dx_i = 2 w_i sum_j w_j grad1 L(x_i, x_j); dS/dw_i = 2 row_sum_i
     gx = 2.0 * weights[:, None] * grad_ell
@@ -200,8 +200,9 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
                 xn = x + t * direction[:, 1:]
                 wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
                 trial = pair_tables(kernel, manifold, xn)
-                if float(wn @ (trial.L @ wn)) <= act + config.armijo_slope * t * slope:
-                    accepted = _gradients(trial, wn)
+                rows = trial.L @ wn
+                if float(wn @ rows) <= act + config.armijo_slope * t * slope:
+                    accepted = _gradients(trial, wn, rows)
                     if accepted[3] <= residual / 2:
                         break
                     accepted = None
@@ -216,10 +217,11 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
                 xn = x - step * gx
                 wn = project_volume(w - step * gw, volume, floor)
                 trial = pair_tables(kernel, manifold, xn)
-                trial_act = float(wn @ (trial.L @ wn))
+                rows = trial.L @ wn
+                trial_act = float(wn @ rows)
                 moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
                 if trial_act <= act - config.armijo_slope / step * moved:
-                    accepted = _gradients(trial, wn)
+                    accepted = _gradients(trial, wn, rows)
                     break
                 step *= config.armijo_factor
             if accepted is None:

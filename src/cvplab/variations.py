@@ -45,6 +45,8 @@ class FragmentationScheme:
         if u.ndim != 3 or u.shape[:2] != c.shape[::-1] or u.shape[2] < 2:
             raise SchemaError(f"jets of shape {u.shape} do not fit weights of "
                               f"shape {c.shape}: need (L, n, 1 + m)")
+        if not np.isfinite(u).all():
+            raise SchemaError("fragment jets must be finite")
 
     def combined_defect(self, rho: DiscreteMeasure) -> float:
         """First-order volume change sum_ia w_i c_ia a_ia."""
@@ -97,71 +99,83 @@ def _check_factors(factors: np.ndarray, frag: np.ndarray, point: np.ndarray,
             f"at point {i} (tau={tau:g})", point_index=i)
 
 
-_EVALUATIONS_PER_CHUNK = 16384    # (pair, tau) kernel evaluations
+_EVALUATIONS_PER_CHUNK = 2048    # (trial, pair, tau) kernel evaluations
 
 
 def deformed_actions(ev: FormEvaluator, scheme: FragmentationScheme,
                      taus) -> np.ndarray:
-    """action(fragment_deform(scheme, ev.rho, tau), ev.kernel) for each tau,
-    summed over the fragment pairs that can interact, all taus at once.
+    """action(fragment_deform(scheme, ev.rho, tau), ev.kernel) for each tau:
+    the one-trial case of _batched_actions."""
+    jets = _as_jets(ev.rho, scheme.jets, ndim=3)
+    return _batched_actions(ev, scheme.weights.T[None], jets[None], taus)[0]
 
-    A fragment of point i moves at most reach_i = max|tau| max_a |u_ia|
-    from x_i, so by the triangle inequality a fragment pair whose base
-    points lie at least cutoff + reach_i + reach_j apart stays beyond the
-    kernel's cutoff, where the profile is exactly +0.0, and is skipped.
-    A kernel without a cutoff keeps every pair.  Each unordered pair is
-    evaluated once and counted twice, a few thousand pairs at a time so
-    that the temporaries stay in cache.  Raises what fragment_deform and
-    DiscreteMeasure raise, at the first tau of the grid that fails.
+
+def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
+                     taus) -> np.ndarray:
+    """(T, len(taus)) deformed actions of T schemes with (T, L, n) fragment
+    weights and (T, L, n, 1 + m) jets.
+
+    A fragment of point i moves at most reach_i = max|tau| max_a |u_ia|,
+    so a fragment pair whose base points lie cutoff + reach_i + reach_j or
+    more apart stays beyond the cutoff, where the profile is exactly +0.0,
+    and is skipped; a kernel without a cutoff keeps every pair.  Each
+    unordered pair is evaluated once and counted twice, in chunks of at
+    most _EVALUATIONS_PER_CHUNK evaluations.  Zero-weight fragments add
+    nothing.  Raises what a trial-by-trial loop over the dense path
+    raises, at the same first trial, tau and fragment.
     """
     rho, kernel = ev.rho, ev.kernel
-    jets = _as_jets(rho, scheme.jets, ndim=3)
     taus = np.asarray(taus, dtype=float)
-    # at tau = 0 the deformed measure is rho itself
-    out = np.full(taus.shape, float(rho.weights @ ev.tables.L @ rho.weights))
-    moving = taus != 0.0
-    taus = taus[moving]
-    live = scheme.weights.T > 0.0
-    frag, point = np.nonzero(live)
-    moved = jets[frag, point]
-    factors = 1.0 + taus[:, None] * moved[:, 0]
-    points = rho.points[point] + taus[:, None, None] * moved[:, 1:]
-    weights = rho.weights[point] * scheme.weights[point, frag] * factors
-    if not ((factors > 0.0).all() and (weights > 0.0).all()
-            and np.isfinite(weights).all() and np.isfinite(points).all()):
-        # raise at the first failing tau, as the dense path does
-        for tau, f, x, w in zip(taus, factors, points, weights):
-            _check_factors(f, frag, point, tau)
-            _check_atoms(x, w)
+    live = c > 0.0
+    jets = np.where(live[..., None], jets, 0.0)    # dead slots stay at x_i
+    points = rho.points + taus[:, None, None, None] * jets[:, None, :, :, 1:]
+    masses = rho.weights * c[:, None] * (     # (T, k, L, n); w c > 0 if live
+        1.0 + taus[:, None, None] * jets[:, None, :, :, 0])
+    checked = live[:, None] & (taus != 0.0)[:, None, None]   # as fragment_deform
+    if not (np.isfinite(points).all() and np.isfinite(masses).all()
+            and (masses > 0.0)[checked].all()):
+        # raise where a trial-by-trial loop over the dense path would
+        for t, k in zip(*np.nonzero(checked.any(axis=(2, 3)))):
+            frag, point = np.nonzero(live[t])
+            factors = 1.0 + taus[k] * jets[t, frag, point, 0]
+            _check_factors(factors, frag, point, taus[k])
+            _check_atoms(points[t, k, frag, point], masses[t, k, frag, point])
 
-    reach = np.abs(taus).max(initial=0.0) * np.where(
-        live, np.sqrt(_squared_norms(jets[:, :, 1:])), 0.0).max(axis=0)
+    reach = np.abs(taus).max(initial=0.0) * np.sqrt(
+        _squared_norms(jets[..., 1:])).max(axis=(0, 1), initial=0.0)
     cutoff = np.inf if kernel.cutoff is None else kernel.cutoff
     # far above the rounding of the moved points and their squared distances
     slack = 1e-9 * (1.0 + cutoff + reach.max() + np.abs(rho.points).max())
     near = np.sqrt(ev.tables.s) < cutoff + reach[:, None] + reach + slack
-    i, j = np.nonzero(near)
-    upper = i <= j
-    i, j = i[upper], j[upper]
-
-    slot = np.full(scheme.weights.shape, -1)    # live fragment index, or -1
-    slot[point, frag] = np.arange(frag.size)
-    p, q = slot[i][:, :, None], slot[j][:, None, :]
-    pair, a, b = np.nonzero((p >= 0) & (q >= 0)
-                            & ((i < j)[:, None, None] | (p <= q)))
-    p, q = slot[i[pair], a], slot[j[pair], b]
-    twice = np.where(p == q, 1.0, 2.0)
-    total = np.zeros(taus.size)
-    chunk = max(1, _EVALUATIONS_PER_CHUNK // max(1, taus.size))
-    for start in range(0, p.size, chunk):
-        part = slice(start, start + chunk)
-        d = rho.manifold.displacement(np.take(points, p[part], axis=1),
-                                      np.take(points, q[part], axis=1))
-        total += (np.take(weights, p[part], axis=1)
-                  * np.take(weights, q[part], axis=1)
-                  * kernel.profile(_squared_norms(d))) @ twice[part]
-    out[moving] = total
-    return out
+    i, j = np.nonzero(np.triu(near))
+    # schemes that use their first L slots share one list of slot pairs
+    used = c.shape[1] - np.argmax(live.any(axis=2)[:, ::-1], axis=1)
+    total = np.zeros((len(c), taus.size))
+    for frags in sorted(set(used.tolist())):  # np.unique first imports 1.6 MB
+        group = np.flatnonzero(used == frags)
+        # slots (a, i) and (b, j); two slots of one point once, a <= b
+        pair, a, b = np.nonzero((i < j)[:, None, None]
+                                | np.tri(frags, dtype=bool).T)
+        p, q = a * rho.count + i[pair], b * rho.count + j[pair]
+        twice = np.where(p == q, 1.0, 2.0)
+        # a chunk: `block` schemes times `span` of the pairs
+        span = max(1, min(p.size, _EVALUATIONS_PER_CHUNK // max(1, taus.size)))
+        block = max(1, _EVALUATIONS_PER_CHUNK // max(1, taus.size * span))
+        for t in range(0, group.size, block):
+            rows = group[t:t + block]
+            x = points[rows, :, :frags].reshape(
+                rows.size, taus.size, frags * rho.count, points.shape[-1])
+            w = masses[rows, :, :frags].reshape(x.shape[:3])
+            for start in range(0, p.size, span):
+                ps, qs = p[start:start + span], q[start:start + span]
+                d = rho.manifold.displacement(np.take(x, ps, axis=2),
+                                              np.take(x, qs, axis=2))
+                total[rows] += (
+                    np.take(w, ps, axis=2) * np.take(w, qs, axis=2)
+                    * kernel.profile(_squared_norms(d))) @ twice[start:start + span]
+    # at tau = 0 the deformed measure is rho itself
+    total[:, taus == 0.0] = rho.weights @ ev.tables.L @ rho.weights
+    return total
 
 
 def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
@@ -292,46 +306,68 @@ class ProbeReport:
                 writer.writerow([trial, repr(float(tau)), repr(float(ds))])
 
 
+def _draw_trials(rho: DiscreteMeasure, fragments: int, trials: int,
+                 rng: np.random.Generator,
+                 jet_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, fragments, n) weights and (T, fragments, n, 1 + m) jets of T random
+    schemes before the volume shift, padded with zero-weight fragments."""
+    n, m = rho.count, rho.manifold.dim
+    c = np.zeros((trials, fragments, n))
+    draws = np.zeros((trials, fragments, n * (1 + m)))
+    for t in range(trials):
+        count = int(rng.integers(1, fragments + 1))
+        c[t, :count] = rng.dirichlet(np.ones(count), size=n).T
+        # per fragment: n scalars, then the n x m vectors
+        draws[t, :count] = jet_scale * rng.normal(size=(count, n * (1 + m)))
+    vectors = draws[..., n:].reshape(trials, fragments, n, m)
+    return c, np.concatenate([draws[..., :n, None], vectors], axis=3)
+
+
 def sample_scheme(rho: DiscreteMeasure, fragments: int,
                   rng: np.random.Generator,
                   jet_scale: float = 1.0) -> FragmentationScheme:
-    """Random volume-preserving scheme with up to `fragments` fragments."""
-    n, m = rho.count, rho.manifold.dim
-    count = int(rng.integers(1, fragments + 1))
-    c = rng.dirichlet(np.ones(count), size=n)
-    # per fragment: n scalars, then the n x m vectors
-    draws = jet_scale * rng.normal(size=(count, n * (1 + m)))
-    jets = np.concatenate(
-        [draws[:, :n, None], draws[:, n:].reshape(count, n, m)], axis=2)
-    return FragmentationScheme.volume_preserved(rho, c, jets)
+    """Random volume-preserving scheme with up to `fragments` fragments:
+    one trial of _draw_trials, without its padding."""
+    c, jets = _draw_trials(rho, fragments, 1, rng, jet_scale)
+    count = int(c[0].any(axis=1).sum())   # drawn weights are positive
+    return FragmentationScheme.volume_preserved(rho, c[0, :count].T.copy(),
+                                                jets[0, :count])
 
 
 def stability_probe(ev: FormEvaluator, fragments: int, tau_grid, trials: int,
                     seed: int, jet_scale: float = 1.0) -> ProbeReport:
     """Evaluate the true action difference along random fragmented curves.
 
-    For each sampled scheme around the evaluator's measure, records
-    S(deformed) - S(base) on the tau grid and compares the least-squares
-    quadratic coefficient with the analytic fragmented second variation.
+    Draws every trial's scheme as sample_scheme does, then records
+    S(deformed) - S(base) on the tau grid and compares each trial's
+    least-squares quadratic coefficient with its analytic fragmented
+    second variation, for all trials in one batched pass.
     """
-    rho = ev.rho
+    rho, w = ev.rho, ev.rho.weights
     taus = np.asarray(list(tau_grid), dtype=float)
-    w = rho.weights
+    c, u = _draw_trials(rho, fragments, trials, np.random.default_rng(seed), jet_scale)
+    # the trials before the first non-finite jet run, then its scheme fails
+    built = int(np.cumprod(np.isfinite(u).all(axis=(1, 2, 3))).sum())
+    c, u = c[:built], u[:built]
+    # FragmentationScheme.volume_preserved
+    u[..., 0] -= ((c * u[..., 0]) @ w).sum(axis=1)[:, None, None] / rho.total_volume
     base_action = float(w @ ev.tables.L @ w)
-    rng = np.random.default_rng(seed)
-    report = ProbeReport(base_action=base_action, min_delta=np.inf,
-                         max_fit_deviation=0.0)
-    for trial in range(trials):
-        scheme = sample_scheme(rho, fragments, rng, jet_scale)
-        deltas = deformed_actions(ev, scheme, taus) - base_action
-        for t, ds in zip(taus, deltas):
-            report.rows.append((trial, float(t), float(ds)))
-        report.min_delta = min(report.min_delta, float(deltas.min()))
-        t2 = taus**2
-        fitted = float((deltas @ t2) / (t2 @ t2))
-        predicted = frag_second_variation(ev, scheme)
-        report.fits.append((trial, fitted, predicted))
-        if predicted != 0.0:
-            report.max_fit_deviation = max(
-                report.max_fit_deviation, abs(fitted - predicted) / abs(predicted))
-    return report
+    deltas = _batched_actions(ev, c, u, taus) - base_action
+    if built < trials:
+        raise SchemaError("fragment jets must be finite")
+    t2 = taus**2
+    fitted = (deltas @ t2) / (t2 @ t2)
+    # frag_second_variation: the averaged jets' double sums plus the diagonals
+    average = (c[..., None] * u).sum(axis=1)
+    diagonals = np.einsum("tfia,iab,tfib->tfi", u, ev.ell_jet, u)
+    predicted = ((np.tensordot(average, ev.block, axes=2) * average).sum(axis=(1, 2))
+                 + (c * diagonals).sum(axis=1) @ w)
+    nonzero = predicted != 0.0
+    deviation = np.abs(fitted - predicted)[nonzero] / np.abs(predicted[nonzero])
+    return ProbeReport(
+        base_action=base_action,
+        min_delta=float(deltas.min(initial=np.inf)),
+        max_fit_deviation=float(np.fmax.reduce(deviation, initial=0.0)),
+        rows=list(zip(np.repeat(np.arange(trials), taus.size).tolist(),
+                      np.tile(taus, trials).tolist(), deltas.ravel().tolist())),
+        fits=list(zip(range(trials), fitted.tolist(), predicted.tolist())))

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, FragmentationScheme, GaussianKernel,
+from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
+                    FragmentationScheme, GaussianKernel,
                     NegativeDiagonalError, SchemaError,
                     WeightPositivityError, action, deformed_actions,
                     FormEvaluator, frag_lower_bound, frag_second_variation,
                     frag_second_variation_rescaled, fragment_deform,
                     optimal_weights, random_measure, second_variation_fd,
                     stability_probe, translation)
-from cvplab.variations import _EVALUATIONS_PER_CHUNK, sample_scheme
+from cvplab.variations import (_EVALUATIONS_PER_CHUNK, _draw_trials,
+                               sample_scheme)
 
 
 def _curve(rho, jf, volume_preserving=True):
@@ -135,6 +139,26 @@ def test_scheme_validation(csp5):
             FragmentationScheme(weights=weights, jets=jets)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_scheme_rejects_non_finite_jets(bad, slot):
+    """The exact 5-point ring; one fragment whose jet has one non-finite
+    entry, which the analytic forms would turn into nan."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(5.0,))
+    rho = DiscreteMeasure(manifold=manifold, points=np.arange(5.0)[:, None],
+                          weights=np.ones(5))
+    ev = FormEvaluator(rho, CompactSupportKernel(radius=np.sqrt(2.0), power=3))
+    jets = np.zeros((1, 5, 2))
+    jets[0, :, 1] = 1.0
+    assert np.isfinite(frag_second_variation(
+        ev, FragmentationScheme(weights=np.ones((5, 1)), jets=jets)))
+    jets[0, 2, slot] = bad
+    with pytest.raises(SchemaError, match="fragment jets must be finite"):
+        FragmentationScheme(weights=np.ones((5, 1)), jets=jets)
+    with pytest.raises(SchemaError, match="fragment jets must be finite"):
+        FragmentationScheme.volume_preserved(rho, np.ones((5, 1)), jets)
+
+
 def test_fragment_deform_single_fragment_equals_deform(csp5):
     # one fragment is the curve: points x + tau u, weights w (1 + tau a)
     rng = np.random.default_rng(4)
@@ -240,14 +264,16 @@ def test_deformed_actions_raise_as_fragment_deform(csp5):
     assert fast.value.point_index == dense.value.point_index == 3
     assert str(fast.value) == str(dense.value)
 
+    # a finite jet whose moved point overflows at tau = -2
     jets = np.zeros((2, n, 2))
-    jets[1, 0, 1] = np.inf
+    jets[1, 0, 1] = 1e308
     scheme = FragmentationScheme(weights=np.full((n, 2), 0.5), jets=jets)
-    with pytest.raises(SchemaError) as dense:
-        _dense_actions(csp5.ev, scheme, taus)
-    with pytest.raises(SchemaError) as fast:
-        deformed_actions(csp5.ev, scheme, taus)
-    assert str(fast.value) == str(dense.value)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SchemaError) as dense:
+            _dense_actions(csp5.ev, scheme, taus)
+        with pytest.raises(SchemaError) as fast:
+            deformed_actions(csp5.ev, scheme, taus)
+    assert str(fast.value) == str(dense.value) == "points and weights must be finite"
 
 
 def test_frag_second_variation_single_fragment_reduces(csp5):
@@ -347,3 +373,162 @@ def test_stability_probe_report_and_csv(tmp_path, csp5):
     assert path.read_text().splitlines()[0] == "trial,tau,delta_action"
     d = rep.to_dict()
     assert len(d["fits"]) == 10
+    empty = stability_probe(csp5.ev, fragments=3, tau_grid=[0.01], trials=0,
+                            seed=3)
+    assert (empty.rows, empty.fits, empty.min_delta) == ([], [], np.inf)
+
+
+PROBE_TAUS = [-0.02, -0.01, 0.01, 0.02]
+
+
+def _sequential_probe(ev, fragments, trials, seed, jet_scale=1.0):
+    """The per-trial oracles: sample_scheme, the dense deformed actions and
+    frag_second_variation, trial by trial."""
+    rng = np.random.default_rng(seed)
+    base = action(ev.rho, ev.kernel)
+    for _ in range(trials):
+        scheme = sample_scheme(ev.rho, fragments, rng, jet_scale)
+        yield (scheme, _dense_actions(ev, scheme, PROBE_TAUS) - base,
+               frag_second_variation(ev, scheme))
+
+
+def _reference_draws(rho, fragments, rng, jet_scale):
+    """One scheme's random calls, in their order: the fragment count, the
+    Dirichlet weights, then per fragment n scalars and the n x m vectors."""
+    n, m = rho.count, rho.manifold.dim
+    count = int(rng.integers(1, fragments + 1))
+    c = rng.dirichlet(np.ones(count), size=n)
+    draws = jet_scale * rng.normal(size=(count, n * (1 + m)))
+    return c, np.concatenate(
+        [draws[:, :n, None], draws[:, n:].reshape(count, n, m)], axis=2)
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
+def test_probe_draws_are_the_sequential_draws(name, request):
+    rho = request.getfixturevalue(name).rho
+    batched = np.random.default_rng(5)
+    c, jets = _draw_trials(rho, 3, 12, batched, 0.7)
+    rng, schemes = np.random.default_rng(5), np.random.default_rng(5)
+    counts = set()
+    for t in range(12):
+        weights, raw = _reference_draws(rho, 3, rng, 0.7)
+        count = weights.shape[1]
+        counts.add(count)
+        assert c[t, :count].tobytes() == weights.T.tobytes()
+        assert jets[t, :count].tobytes() == raw.tobytes()
+        assert not c[t, count:].any() and not jets[t, count:].any()
+        scheme = sample_scheme(rho, 3, schemes, 0.7)
+        assert scheme.weights.tobytes() == weights.tobytes()
+        assert scheme.jets[..., 1:].tobytes() == raw[..., 1:].tobytes()
+        assert scheme.jets.tobytes() == FragmentationScheme.volume_preserved(
+            rho, weights, raw).jets.tobytes()
+    assert counts == {1, 2, 3}
+    assert (batched.bit_generator.state == schemes.bit_generator.state
+            == rng.bit_generator.state)
+
+
+def _count_evaluations(monkeypatch, kernel):
+    """The sizes of the kernel family's profile calls from here on."""
+    sizes, profile = [], type(kernel).profile
+    monkeypatch.setattr(type(kernel), "profile",
+                        lambda self, s: sizes.append(np.size(s)) or profile(self, s))
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
+def test_probe_matches_the_per_trial_oracles(name, request, monkeypatch):
+    fx = request.getfixturevalue(name)
+    trials = 40
+    sizes = _count_evaluations(monkeypatch, fx.ev.kernel)
+    rep = stability_probe(fx.ev, fragments=3, tau_grid=PROBE_TAUS,
+                          trials=trials, seed=17)
+    monkeypatch.undo()
+    # several chunks, each within the bound
+    assert len(sizes) >= 4 and max(sizes) <= _EVALUATIONS_PER_CHUNK
+    base = rep.base_action
+    assert [fit[0] for fit in rep.fits] == list(range(trials))
+    assert [row[:2] for row in rep.rows] == [
+        (t, tau) for t in range(trials) for tau in PROBE_TAUS]
+    counts = set()
+    deltas = np.array([row[2] for row in rep.rows]).reshape(trials, -1)
+    t2 = np.square(PROBE_TAUS)
+    for t, (scheme, dense, predicted) in enumerate(
+            _sequential_probe(fx.ev, 3, trials, seed=17)):
+        count = scheme.weights.shape[1]
+        counts.add(count)
+        assert np.all(np.abs(deltas[t] - dense) <= 1e-13 * abs(base))
+        assert abs(rep.fits[t][2] - predicted) <= 1e-13 * abs(predicted)
+        fitted = (deltas[t] @ t2) / (t2 @ t2)
+        assert abs(rep.fits[t][1] - fitted) <= 1e-12 * abs(fitted)
+    assert counts == {1, 2, 3}
+    assert rep.min_delta == deltas.min()
+
+
+def test_zero_weight_fragments_add_nothing(csp5):
+    """Fragments of weight zero everywhere, listed before or after the
+    others, with weight factors 1 + tau*a of -199 or -99 at some tau: they
+    are not checked and add nothing to the actions or the second
+    variation."""
+    rho, ev = csp5.rho, csp5.ev
+    scheme = sample_scheme(rho, 3, np.random.default_rng(2))
+    dead = np.zeros((1,) + scheme.jets.shape[1:])
+    dead[..., 0], dead[..., 1] = 1e4, -1e4
+    for jets, weights in (
+            (np.concatenate([dead, -dead, scheme.jets]),
+             np.hstack([np.zeros((rho.count, 2)), scheme.weights])),
+            (np.concatenate([scheme.jets, dead]),
+             np.hstack([scheme.weights, np.zeros((rho.count, 1))]))):
+        padded = FragmentationScheme(weights=weights, jets=jets)
+        plain = deformed_actions(ev, scheme, PROBE_TAUS)
+        assert np.all(np.abs(deformed_actions(ev, padded, PROBE_TAUS) - plain)
+                      <= 1e-15 * np.abs(plain))
+        assert np.array_equal(_dense_actions(ev, padded, PROBE_TAUS),
+                              _dense_actions(ev, scheme, PROBE_TAUS))
+        assert frag_second_variation(ev, padded) == pytest.approx(
+            frag_second_variation(ev, scheme), rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_probe_raises_at_the_first_failing_trial(csp5, seed):
+    """jet_scale 20 makes some weight factor 1 + tau*a non-positive, first
+    at trial 22 (seed 0) or 7 (seed 2)."""
+    with pytest.raises(WeightPositivityError) as loop:
+        for trial, _ in enumerate(_sequential_probe(csp5.ev, 3, 30, seed, 20.0)):
+            pass
+    assert trial > 0
+    with pytest.raises(WeightPositivityError) as batched:
+        stability_probe(csp5.ev, fragments=3, tau_grid=PROBE_TAUS, trials=30,
+                        seed=seed, jet_scale=20.0)
+    assert str(batched.value) == str(loop.value)
+    assert batched.value.point_index == loop.value.point_index
+    # a non-finite jet scale: sample_scheme rejects trial 0
+    with pytest.raises(SchemaError) as loop:
+        next(_sequential_probe(csp5.ev, 3, 1, seed, np.inf))
+    with pytest.raises(SchemaError) as batched:
+        stability_probe(csp5.ev, fragments=3, tau_grid=PROBE_TAUS, trials=3,
+                        seed=seed, jet_scale=np.inf)
+    assert str(batched.value) == str(loop.value) == "fragment jets must be finite"
+
+
+def test_probe_memory_stays_flat_over_many_trials(monkeypatch):
+    """A Gaussian keeps every pair: 100 trials over 40 points take
+    hundreds of chunks, each at most _EVALUATIONS_PER_CHUNK kernel
+    evaluations, and the whole probe stays under 6 MB of traced memory,
+    while one array over all (trial, pair, tau) evaluations would take
+    more than 10 MB."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(2.0 * np.pi,))
+    rho = random_measure(manifold, count=40, total_volume=5.0, seed=2)
+    ev = FormEvaluator(rho, GaussianKernel(sigma=1.0))
+    ev.block
+    sizes = _count_evaluations(monkeypatch, ev.kernel)
+    tracemalloc.start()
+    try:
+        rep = stability_probe(ev, fragments=3, tau_grid=PROBE_TAUS,
+                              trials=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.fits) == 100
+    assert max(sizes) <= _EVALUATIONS_PER_CHUNK
+    assert sum(sizes) * 8 > 10e6 and len(sizes) > 300
+    assert peak < 6e6, peak
