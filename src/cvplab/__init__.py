@@ -21,9 +21,8 @@ from .jets import (FormEvaluator, GramReport, Jet, gram_spectrum,
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
                       RadialKernel, kernel_from_dict, lagrangian_derivatives,
                       lagrangian_eval, pair_tables, verify_lagrangian)
-from .linfield import (LinearizedOperator, arc_regions, assemble_linfield,
-                       osi_report, random_regions, solve_linfield,
-                       surface_layer_integral)
+from .linfield import (arc_regions, linfield_residual, osi_report,
+                       random_regions, solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
 from .variations import (FragmentationScheme, deformed_actions,

@@ -20,8 +20,7 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
 from .errors import CvpError, SchemaError
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum)
-from .linfield import (arc_regions, assemble_linfield, osi_report,
-                       random_regions, solve_linfield)
+from .linfield import arc_regions, osi_report, random_regions, solve_linfield
 from .measure import DiscreteMeasure
 from .optimizer import minimize
 from .variations import stability_probe
@@ -117,26 +116,26 @@ def _stage_fragment(cfg, ev, state, out_dir, seed, log):
         f"deviation {rep.max_fit_deviation:.3%} ({'pass' if stable else 'FAIL'})")
 
 
-def _stage_linfield(op, state, out_dir, log):
-    sol = solve_linfield(op)
+def _stage_linfield(ev, state, out_dir, log):
+    sol = solve_linfield(ev)
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
-    np.save(out_dir / "linfield_operator.npy", op.matrix)
+    np.save(out_dir / "linfield_operator.npy", ev.linfield)
     log(f"linfield: kernel dimension {sol.dimension}, "
         f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
     return sol
 
 
-def _stage_osi(cfg, op, sol, state, log):
-    rho = op.rho
+def _stage_osi(cfg, ev, sol, state, log):
+    rho = ev.rho
     if rho.manifold.dim == 1 or rho.count < 2:
         regions = arc_regions(rho)    # a one-point measure has none
     else:
         regions = random_regions(rho, count=32, seed=0)
     labels = regions[1]
     # with no region or no solution jet nothing is checked, so the verdict fails
-    reports = [{"solution_index": k, **osi_report(op, u, regions).to_dict()}
+    reports = [{"solution_index": k, **osi_report(ev, u, regions).to_dict()}
                for k, u in enumerate(sol.solutions) if labels]
     worst = min((r["min_value"] for r in reports), default=None)
     scale = max(1.0, max((abs(v) for r in reports for v in r["osi"]),
@@ -174,13 +173,10 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         if stage in ("fragment", "verify-all"):
             _stage_fragment(cfg, ev, state, out, seed, log)
         if stage in ("linfield", "osi", "verify-all"):
-            op = assemble_linfield(ev)
-            if stage == "osi":
-                sol = solve_linfield(op)
-            else:
-                sol = _stage_linfield(op, state, out, log)
+            sol = (solve_linfield(ev) if stage == "osi"
+                   else _stage_linfield(ev, state, out, log))
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, op, sol, state, log)
+            _stage_osi(cfg, ev, sol, state, log)
         save_state(state, out / "state.json")
     except CvpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,8 +121,9 @@ def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
 class FormEvaluator:
     """Pair tables, the calibrated nu, the ell jet and the jet-pair block.
 
-    The one handle for the forms on a measure: every function that
-    evaluates a form or reports on ell takes an instance, so build one per
+    The one handle for the forms and the linearized field equations on a
+    measure: every function that evaluates a form, reports on ell or
+    solves the linearized equations takes an instance, so build one per
     measure.  nu = 2 min_i sum_j w_j L(x_i, x_j), so min_i ell(x_i) = 0
     exactly; for a non-minimizing measure that is a convention.
     """
@@ -160,6 +161,15 @@ class FormEvaluator:
         except np.linalg.LinAlgError as exc:
             raise CvpError(f"eigendecomposition failed: {exc}") from exc
         return matrix, eigenvalues, eigenvectors
+
+    @cached_property
+    def linfield(self) -> np.ndarray:
+        """W^-1 SP1, the operator of the linearized field equations (the
+        Euler-Lagrange equations of sp1): the SP1 Gram with each row divided
+        by its point's weight.  `linfield @ u.ravel()` holds the bracket
+        value and gradient of each point."""
+        return self.sp1_eigh[0] / np.repeat(self.rho.weights,
+                                            1 + self.rho.manifold.dim)[:, None]
 
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
@@ -270,10 +280,10 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                   tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
 
-    SP1 over the full basis reads the evaluator's one eigendecomposition.
-    Q1 over the full basis is block diagonal, so its spectrum is the
-    sorted union of the spectra of its point blocks w_i ell_jet_i.  Every
-    other Gram takes eigenvalues only.
+    Every SP1 restriction reads the evaluator's one SP1 Gram, and the full
+    basis its one eigendecomposition.  Q1 over the full basis is block
+    diagonal, so its spectrum is the sorted union of the spectra of its
+    point blocks w_i ell_jet_i.  Every other Gram takes eigenvalues only.
     """
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
     if idx.size > max_dim:
@@ -281,7 +291,8 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     if form_id == FORM_SP1 and basis == BASIS_FULL:
         matrix, eigenvalues, _ = ev.sp1_eigh
     else:
-        matrix = ev.form_matrix(form_id)[np.ix_(idx, idx)]
+        full = ev.sp1_eigh[0] if form_id == FORM_SP1 else ev.form_matrix(form_id)
+        matrix = full[np.ix_(idx, idx)]
         matrix = 0.5 * (matrix + matrix.T)
         if form_id == FORM_Q1 and basis == BASIS_FULL:
             stack = ev.rho.weights[:, None, None] * ev.ell_jet

@@ -6,7 +6,9 @@ point, both the scalar bracket
     <u, D ell>(x_i) = sum_j w_j [ (a_i + a_j) L_ij + (u_i - u_j).grad1 L_ij ]
                       - a_i * nu / 2
 
-and its chart gradient vanish.  The surface-layer integral of a solution
+and its chart gradient vanish.  These are the Euler-Lagrange equations of
+sp1, so their operator over the unit jets is W^-1 SP1, held as
+`FormEvaluator.linfield`.  The surface-layer integral of a solution
 over a region Omega couples only the pairs straddling the boundary:
 
     osi(Omega) = - sum_{i in Omega} sum_{j not in Omega}
@@ -24,44 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaError
-from .jets import FORM_SP1, FormEvaluator, _as_jets, jet_pair_block
+from .jets import FormEvaluator, _as_jets, jet_pair_block
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
 
-class LinearizedOperator:
-    """Matrix of the linearized field equations over the unit-jet basis.
-
-    The equations are the Euler-Lagrange equations of sp1, so the matrix
-    is W^-1 SP1: the SP1 Gram of `evaluator`, each row divided by the
-    weight of its point.  Row
-    blocks follow the point-major [scalar, e_1, ..., e_m] ordering of the
-    jet coefficients, so `matrix @ u.ravel()` gives the bracket value and
-    bracket gradient of each point, point by point.
-    """
-
-    def __init__(self, evaluator: FormEvaluator):
-        self.evaluator = evaluator
-        self.rho = evaluator.rho
-        row_weights = np.repeat(self.rho.weights, 1 + self.rho.manifold.dim)
-        self.matrix = evaluator.form_matrix(FORM_SP1)  # a new array: divide in place
-        self.matrix /= row_weights[:, None]
-
-    def apply(self, u) -> np.ndarray:
-        return self.matrix @ _as_jets(self.rho, u).ravel()
-
-    def residual(self, u) -> float:
-        """Max-norm of the bracket values and gradients."""
-        return float(np.abs(self.apply(u)).max())
-
-
-def assemble_linfield(ev: FormEvaluator) -> LinearizedOperator:
-    return LinearizedOperator(ev)
+def linfield_residual(ev: FormEvaluator, u) -> float:
+    """Max-norm of the bracket values and gradients of u: ev.linfield @ u."""
+    return float(np.abs(ev.linfield @ _as_jets(ev.rho, u).ravel()).max())
 
 
 @dataclass(frozen=True)
 class LinfieldSolution:
-    """Numerical kernel of the linearized operator."""
+    """Numerical kernel of the linearized operator W^-1 SP1."""
 
     solutions: np.ndarray    # (k, n, 1 + m) kernel jets
     eigenvalues: np.ndarray  # of the symmetrized SP1 Gram, ascending
@@ -83,7 +60,7 @@ class LinfieldSolution:
         }
 
 
-def solve_linfield(op: LinearizedOperator,
+def solve_linfield(ev: FormEvaluator,
                    threshold_rel: float = 1e-10) -> LinfieldSolution:
     """Kernel of the linearized operator from the SP1 eigendecomposition.
 
@@ -94,12 +71,12 @@ def solve_linfield(op: LinearizedOperator,
     """
     if not 0.0 <= threshold_rel < 1.0:
         raise SchemaError("kernel threshold must lie in [0, 1)")
-    _, eigenvalues, eigenvectors = op.evaluator.sp1_eigh
+    _, eigenvalues, eigenvectors = ev.sp1_eigh
     magnitude = np.abs(eigenvalues)
     cut = threshold_rel * magnitude.max()
     solutions = eigenvectors[:, magnitude <= cut].T.reshape(
-        -1, op.rho.count, 1 + op.rho.manifold.dim)
-    residuals = tuple(op.residual(u) for u in solutions)
+        -1, ev.rho.count, 1 + ev.rho.manifold.dim)
+    residuals = tuple(linfield_residual(ev, u) for u in solutions)
     return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
                             threshold=float(cut), residuals=residuals)
 
@@ -196,19 +173,19 @@ class OSIReport:
         }
 
 
-def osi_report(op: LinearizedOperator, u, regions: tuple[np.ndarray, list[str]],
+def osi_report(ev: FormEvaluator, u, regions: tuple[np.ndarray, list[str]],
                residual_tolerance: float = 1e-6) -> OSIReport:
     """Evaluate the surface-layer integral of one jet over a region family.
 
     Positivity is only expected when the jet solves the linearized field
-    equations of `op`; the report records the residual and whether it is
-    below the stated tolerance, without enforcing anything.
+    equations on `ev`'s measure; the report records the residual and
+    whether it is below the stated tolerance, without enforcing anything.
     """
     inside, labels = regions
     if not labels or len(labels) != len(inside):
         raise SchemaError("need one label for each of at least one region")
-    residual = op.residual(u)
+    residual = linfield_residual(ev, u)
     return OSIReport(labels=labels,
-                     values=_region_osi(op.rho, op.evaluator.block, inside, u),
+                     values=_region_osi(ev.rho, ev.block, inside, u),
                      residual=residual,
                      solution_hypothesis=bool(residual <= residual_tolerance))

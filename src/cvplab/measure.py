@@ -10,15 +10,6 @@ from .errors import DimensionMismatchError, SchemaError
 from .geometry import ChartManifold
 
 
-def _check_atoms(points: np.ndarray, weights: np.ndarray) -> None:
-    """Raise SchemaError unless every point and weight is finite and every
-    weight strictly positive."""
-    if not (np.isfinite(points).all() and np.isfinite(weights).all()):
-        raise SchemaError("points and weights must be finite")
-    if (weights <= 0).any():
-        raise SchemaError("all weights must be strictly positive")
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A finite sum of weighted Dirac points on a chart manifold.
@@ -42,7 +33,10 @@ class DiscreteMeasure:
             raise SchemaError("points and weights must have equal length")
         if pts.shape[0] < 1:
             raise SchemaError("a measure needs at least one point")
-        _check_atoms(pts, w)
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise SchemaError("points and weights must be finite")
+        if (w <= 0).any():
+            raise SchemaError("all weights must be strictly positive")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -20,7 +20,7 @@ from .action import action
 from .errors import NegativeDiagonalError, SchemaError, WeightPositivityError
 from .jets import FormEvaluator, _as_jets
 from .kernels import RadialKernel, _squared_norms
-from .measure import DiscreteMeasure, _check_atoms
+from .measure import DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class FragmentationScheme:
         """Shift all fragment scalars by a constant to zero the combined defect."""
         scheme = cls(weights=weights, jets=np.array(jets, dtype=float, order="C"))
         scheme.jets[:, :, 0] -= scheme.combined_defect(rho) / rho.total_volume
-        return scheme
+        return cls(weights=scheme.weights, jets=scheme.jets)  # checks the shift
 
 
 def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
@@ -81,22 +81,15 @@ def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
     frag, point = np.nonzero(scheme.weights.T > 0.0)
     moved = jets[frag, point]
     factors = 1.0 + tau * moved[:, 0]
-    _check_factors(factors, frag, point, tau)
-    return rho.replace(
-        points=rho.points[point] + tau * moved[:, 1:],
-        weights=rho.weights[point] * scheme.weights[point, frag] * factors)
-
-
-def _check_factors(factors: np.ndarray, frag: np.ndarray, point: np.ndarray,
-                   tau: float) -> None:
-    """Raise at the first live fragment whose weight factor 1 + tau*a is
-    non-positive; the fragments are listed fragment by fragment."""
     bad = np.flatnonzero(factors <= 0.0)
     if bad.size:
         i = int(point[bad[0]])
         raise WeightPositivityError(
             f"fragment {frag[bad[0]]} weight factor 1 + tau*a is non-positive "
             f"at point {i} (tau={tau:g})", point_index=i)
+    return rho.replace(
+        points=rho.points[point] + tau * moved[:, 1:],
+        weights=rho.weights[point] * scheme.weights[point, frag] * factors)
 
 
 _EVALUATIONS_PER_CHUNK = 2048    # (trial, pair, tau) kernel evaluations
@@ -136,10 +129,7 @@ def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
             and (masses > 0.0)[checked].all()):
         # raise where a trial-by-trial loop over the dense path would
         for t, k in zip(*np.nonzero(checked.any(axis=(2, 3)))):
-            frag, point = np.nonzero(live[t])
-            factors = 1.0 + taus[k] * jets[t, frag, point, 0]
-            _check_factors(factors, frag, point, taus[k])
-            _check_atoms(points[t, k, frag, point], masses[t, k, frag, point])
+            fragment_deform(FragmentationScheme(c[t].T, jets[t]), rho, taus[k])
 
     reach = np.abs(taus).max(initial=0.0) * np.sqrt(
         _squared_norms(jets[..., 1:])).max(axis=(0, 1), initial=0.0)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
-                    GaussianKernel, Jet, OptimizerConfig, action, action_difference, arc_regions, assemble_linfield,
-                    el_report, frag_lower_bound,
-                    frag_second_variation_rescaled, fragment_deform,
-                    gram_spectrum, minimize, optimal_weights, random_measure,
+                    GaussianKernel, Jet, OptimizerConfig, action,
+                    action_difference, arc_regions, el_report,
+                    frag_lower_bound, frag_second_variation_rescaled,
+                    fragment_deform, gram_spectrum, linfield_residual,
+                    minimize, optimal_weights, random_measure,
                     second_variation_fd, solve_linfield, stability_probe,
                     surface_layer_integral, translation)
 from cvplab.jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1
@@ -172,10 +173,9 @@ def test_criterion_07_symmetry_kernel(gauss5, csp5):
 def test_criterion_08_linfield_and_osi(csp5):
     """Translation solves the linearized equations; OSI positive on arcs."""
     f = csp5
-    op = assemble_linfield(f.ev)
-    scale = float(np.abs(op.matrix).max())
-    res = op.residual(translation(f.rho.count, 1)) / scale
-    sol = solve_linfield(op, threshold_rel=1e-8)
+    scale = float(np.abs(f.ev.linfield).max())
+    res = linfield_residual(f.ev, translation(f.rho.count, 1)) / scale
+    sol = solve_linfield(f.ev, threshold_rel=1e-8)
     arcs, _ = arc_regions(f.rho)
     worst = np.inf
     osi_scale = 1e-300

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvplab import (DiscreteMeasure, FormEvaluator, SchemaError,
-                    arc_regions, assemble_linfield, load_config, load_state,
+                    arc_regions, load_config, load_state,
                     pair_tables, parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
@@ -297,10 +297,10 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     state = RunState(config_hash=cfg.hash)
     empty = LinfieldSolution(solutions=(), eigenvalues=np.array([1.0]),
                              threshold=1e-10, residuals=())
-    op = assemble_linfield(FormEvaluator(cfg.initial_measure(), cfg.kernel))
-    _stage_osi(cfg, op, empty, state, lambda msg: None)
+    ev = FormEvaluator(cfg.initial_measure(), cfg.kernel)
+    _stage_osi(cfg, ev, empty, state, lambda msg: None)
     assert state.verdicts["osi_nonnegative"] is False
-    labels = arc_regions(op.rho)[1]
+    labels = arc_regions(ev.rho)[1]
     assert state.osi_summary == {"regions": labels, "reports": [],
                                  "min_value": None}
     save_state(state, tmp_path / "state.json")
@@ -379,6 +379,12 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
         svd_args.append(np.array(a))
         return svd(a, *args, **kwargs)
 
+    form_matrix, forms = FormEvaluator.form_matrix, []
+
+    def counting_form_matrix(self, form_id):
+        forms.append(form_id)
+        return form_matrix(self, form_id)
+
     # minimize solves Newton systems; verify-all reuses its measure, so the
     # counts below cover the stages after minimize
     out, cfg_path = tmp_path / "out", _write_config(tmp_path)
@@ -386,8 +392,11 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
     # cvplab.jets and cvplab.linfield reach both through np.linalg
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(FormEvaluator, "form_matrix", counting_form_matrix)
     assert run("verify-all", cfg_path, str(out), quiet=True) == 0
     assert svd_args == [] and len(eigh_args) == 1
+    # one SP1 Gram: the spectrum, the operator and the kernel all read it
+    assert forms.count(FORM_SP1) == 1
     state = load_state(out / "state.json")
     cfg = parse_config(BASE_CONFIG)
     rho = DiscreteMeasure.from_dict(state.measure)

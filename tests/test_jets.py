@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cvplab import (DimensionMismatchError, Jet, SchemaError, arc_regions,
-                    assemble_linfield, frag_lower_bound,
-                    frag_second_variation_rescaled, gram_spectrum, osi_report,
+                    frag_lower_bound, frag_second_variation_rescaled,
+                    gram_spectrum, linfield_residual, osi_report,
                     surface_layer_integral, translation)
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, nabla1_nabla2_L)
@@ -52,15 +52,14 @@ def test_jet_validation(csp5):
 def _field_takers(f, good):
     """Every public call taking an (n, 1 + m) jet field, as a function of it."""
     ev, n = f.ev, f.rho.count
-    op = assemble_linfield(ev)
     return [
         lambda u: ev.q1_terms(u, good), lambda u: ev.q1_terms(good, u),
         lambda u: ev.q1(u, good), lambda u: ev.q1(good, u),
         lambda u: ev.double_sum(u, good), lambda u: ev.double_sum(good, u),
         lambda u: ev.sp1(u, good), lambda u: ev.sp1(good, u),
         lambda u: ev.sp2(u, good), lambda u: ev.sp2(good, u),
-        op.apply, op.residual,
-        lambda u: osi_report(op, u, arc_regions(f.rho)),
+        lambda u: linfield_residual(ev, u),
+        lambda u: osi_report(ev, u, arc_regions(f.rho)),
         lambda u: surface_layer_integral(f.rho, f.kernel, np.arange(n) < 2, u),
         # the fragment-jet functions take L such fields stacked on a first axis
         lambda u: frag_lower_bound(ev, u[None]),

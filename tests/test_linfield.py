@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
-                    GaussianKernel, Jet, arc_regions, assemble_linfield,
-                    gram_spectrum, osi_report, random_measure, random_regions,
-                    solve_linfield, surface_layer_integral, translation)
+                    GaussianKernel, Jet, arc_regions, gram_spectrum,
+                    linfield_residual, osi_report, random_measure,
+                    random_regions, solve_linfield, surface_layer_integral,
+                    translation)
 from cvplab.errors import SchemaError
-from cvplab.jets import FORM_SP1, nabla1_nabla2_L
+from cvplab.jets import BASIS_SCALAR, FORM_SP1, _basis_indices, nabla1_nabla2_L
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
@@ -25,18 +26,17 @@ def _mask(n, indices):
 
 
 def test_operator_shape_and_zero_jet(csp5):
-    op = assemble_linfield(csp5.ev)
+    ev = csp5.ev
     n = csp5.rho.count
-    assert op.matrix.shape == (2 * n, 2 * n)
-    assert np.isfinite(op.matrix).all()
-    assert op.residual(np.zeros((n, 2))) == 0.0
+    assert ev.linfield.shape == (2 * n, 2 * n)
+    assert np.isfinite(ev.linfield).all()
+    assert linfield_residual(ev, np.zeros((n, 2))) == 0.0
 
 
 def test_translation_jet_solves_linearized_equations(csp5):
-    op = assemble_linfield(csp5.ev)
-    scale = float(np.abs(op.matrix).max())
+    scale = float(np.abs(csp5.ev.linfield).max())
     u = translation(csp5.rho.count, 1)
-    assert op.residual(u) <= 1e-8 * scale
+    assert linfield_residual(csp5.ev, u) <= 1e-8 * scale
 
 
 def test_constant_scalar_jet_is_not_a_solution(csp5):
@@ -45,25 +45,22 @@ def test_constant_scalar_jet_is_not_a_solution(csp5):
     beta = 0.7
     jf = np.column_stack([np.full(csp5.rho.count, beta),
                           np.zeros((csp5.rho.count, 1))])
-    op = assemble_linfield(csp5.ev)
-    values = op.apply(jf).reshape(csp5.rho.count, 2)
+    values = (csp5.ev.linfield @ jf.ravel()).reshape(csp5.rho.count, 2)
     assert np.allclose(values[:, 0], beta * csp5.nu / 2.0, atol=1e-5)
-    assert op.residual(jf) > 1.0
+    assert linfield_residual(csp5.ev, jf) > 1.0
 
 
 def test_random_jets_have_positive_residual(csp5):
-    op = assemble_linfield(csp5.ev)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         jf = _random_field(csp5.rho.count, 1, rng)
-        assert op.residual(jf) > 1e-6
+        assert linfield_residual(csp5.ev, jf) > 1e-6
 
 
 def test_solve_linfield_contains_translation(csp5):
-    op = assemble_linfield(csp5.ev)
-    sol = solve_linfield(op, threshold_rel=1e-8)
+    sol = solve_linfield(csp5.ev, threshold_rel=1e-8)
     assert sol.dimension >= 1
-    scale = float(np.abs(op.matrix).max())
+    scale = float(np.abs(csp5.ev.linfield).max())
     for res in sol.residuals:
         assert res <= 1e-8 * scale * 10
     # the translation jet lies in the returned span
@@ -75,11 +72,11 @@ def test_solve_linfield_contains_translation(csp5):
 
 
 def test_solve_linfield_threshold_validation(csp5):
-    op = assemble_linfield(csp5.ev)
+    ev = csp5.ev
     with pytest.raises(SchemaError):
-        solve_linfield(op, threshold_rel=1.5)
-    exact = solve_linfield(op, threshold_rel=0.0)
-    assert exact.dimension <= solve_linfield(op, 1e-8).dimension
+        solve_linfield(ev, threshold_rel=1.5)
+    exact = solve_linfield(ev, threshold_rel=0.0)
+    assert exact.dimension <= solve_linfield(ev, 1e-8).dimension
 
 
 def _svd_null_projector(matrix, threshold_rel=1e-10):
@@ -93,20 +90,34 @@ def _svd_null_projector(matrix, threshold_rel=1e-10):
 @pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
 def test_solve_linfield_matches_svd_null_space(name, request):
     f = request.getfixturevalue(name)
-    op = assemble_linfield(f.ev)
-    sol = solve_linfield(op)
+    sol = solve_linfield(f.ev)
     assert sol.dimension >= 1
     basis = sol.solutions.reshape(sol.dimension, -1)
-    assert np.abs(basis.T @ basis - _svd_null_projector(op.matrix)).max() <= 1e-8
-    scale = float(np.abs(op.matrix).max())
+    assert np.abs(basis.T @ basis - _svd_null_projector(f.ev.linfield)).max() <= 1e-8
+    scale = float(np.abs(f.ev.linfield).max())
     assert max(sol.residuals) <= 1e-8 * scale
 
 
 def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
     for f in (csp5, gauss5, lattice2d):
         spectrum = gram_spectrum(f.ev, FORM_SP1).eigenvalues
-        kernel = solve_linfield(assemble_linfield(f.ev)).eigenvalues
+        kernel = solve_linfield(f.ev).eigenvalues
         assert spectrum.tobytes() == kernel.tobytes()
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
+def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
+    """The SP1 Gram is symmetric bit for bit: L is symmetric, displacements
+    antisymmetric and H11 symmetric.  So the symmetrized Gram of sp1_eigh
+    is the Gram itself, and the operator and every SP1 restriction read it."""
+    ev = request.getfixturevalue(name).ev
+    sp1 = ev.form_matrix(FORM_SP1)
+    assert sp1.tobytes() == sp1.T.tobytes()
+    rows = np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
+    assert ev.linfield.tobytes() == (sp1 / rows).tobytes()
+    idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, BASIS_SCALAR)
+    scalar = gram_spectrum(ev, FORM_SP1, BASIS_SCALAR).matrix
+    assert scalar.tobytes() == ev.sp1_eigh[0][np.ix_(idx, idx)].tobytes()
 
 
 def _pointwise_brackets(rho, kernel, nu, jf):
@@ -134,11 +145,10 @@ def test_operator_matches_pointwise_brackets(csp5):
     rng = np.random.default_rng(10)
     for ev in (csp5.ev, _gauss_2d()):
         rho = ev.rho
-        op = assemble_linfield(ev)
         for _ in range(3):
             jf = _random_field(rho.count, rho.manifold.dim, rng)
             oracle = _pointwise_brackets(rho, ev.kernel, ev.nu, jf)
-            err = np.abs(op.apply(jf) - oracle).max()
+            err = np.abs(ev.linfield @ jf.ravel() - oracle).max()
             assert err <= 1e-12 * np.abs(oracle).max()
 
 
@@ -208,7 +218,7 @@ def test_arc_regions_enumeration(csp5):
 
 def test_osi_report_translation_positive(csp5):
     u = translation(csp5.rho.count, 1)
-    rep = osi_report(assemble_linfield(csp5.ev), u, arc_regions(csp5.rho))
+    rep = osi_report(csp5.ev, u, arc_regions(csp5.rho))
     assert rep.solution_hypothesis
     assert rep.min_value > 0.0
     assert rep.all_positive
@@ -221,11 +231,10 @@ def test_osi_report_translation_positive(csp5):
 def test_osi_report_flags_non_solution(csp5):
     rng = np.random.default_rng(6)
     jf = _random_field(csp5.rho.count, 1, rng)
-    op = assemble_linfield(csp5.ev)
-    rep = osi_report(op, jf, random_regions(csp5.rho, count=4, seed=1))
+    rep = osi_report(csp5.ev, jf, random_regions(csp5.rho, count=4, seed=1))
     assert not rep.solution_hypothesis
     with pytest.raises(SchemaError):
-        osi_report(op, jf, (np.zeros((0, csp5.rho.count), dtype=bool), []))
+        osi_report(csp5.ev, jf, (np.zeros((0, csp5.rho.count), dtype=bool), []))
 
 
 def _pointwise_osi(rho, kernel, inside, jf):
@@ -244,8 +253,7 @@ def _pointwise_osi(rho, kernel, inside, jf):
 
 def _assert_osi_matches_oracle(ev, jf, regions):
     rho, kernel = ev.rho, ev.kernel
-    op = assemble_linfield(ev)
-    rep = osi_report(op, jf, regions)
+    rep = osi_report(ev, jf, regions)
     masks, labels = regions
     assert rep.labels == labels and len(rep.values) == len(labels)
     for val, inside in zip(rep.values, masks):
@@ -290,13 +298,12 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
     q1 is pointwise, so only the boundary pairs survive the difference."""
     f = request.getfixturevalue(name)
     ev, n, m = f.ev, f.rho.count, f.rho.manifold.dim
-    op = assemble_linfield(ev)
     regions = (arc_regions(f.rho) if m == 1
                else random_regions(f.rho, count=32, seed=0))
     jets = [_random_field(n, m, np.random.default_rng(9)),
-            *solve_linfield(op).solutions]
+            *solve_linfield(ev).solutions]
     for u in jets:
-        values = osi_report(op, u, regions).values
+        values = osi_report(ev, u, regions).values
         restricted = [inside[:, None] * u for inside in regions[0]]
         identity = np.array([ev.sp1(chi_u, chi_u) - ev.sp1(chi_u, u)
                              for chi_u in restricted])

@@ -159,6 +159,20 @@ def test_scheme_rejects_non_finite_jets(bad, slot):
         FragmentationScheme.volume_preserved(rho, np.ones((5, 1)), jets)
 
 
+def test_volume_preserved_checks_the_shifted_jets():
+    """The exact 5-point ring; one fragment whose scalars are all 1e308 is
+    finite, but its combined defect overflows, so the shift leaves -inf."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(5.0,))
+    rho = DiscreteMeasure(manifold=manifold, points=np.arange(5.0)[:, None],
+                          weights=np.ones(5))
+    jets = np.zeros((1, 5, 2))
+    jets[0, :, 0] = 1e308
+    FragmentationScheme(weights=np.ones((5, 1)), jets=jets)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SchemaError, match="fragment jets must be finite"):
+            FragmentationScheme.volume_preserved(rho, np.ones((5, 1)), jets)
+
+
 def test_fragment_deform_single_fragment_equals_deform(csp5):
     # one fragment is the curve: points x + tau u, weights w (1 + tau a)
     rng = np.random.default_rng(4)
