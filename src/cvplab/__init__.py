@@ -25,9 +25,9 @@ from .linfield import (arc_regions, linfield_residual, osi_report,
                        random_regions, solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
-from .variations import (FragmentationScheme, deformed_actions,
-                         frag_lower_bound, frag_second_variation,
-                         frag_second_variation_rescaled, fragment_deform,
-                         optimal_weights, second_variation_fd, stability_probe)
+from .variations import (deformed_actions, frag_lower_bound,
+                         frag_second_variation, frag_second_variation_rescaled,
+                         fragment_deform, optimal_weights, sample_scheme,
+                         second_variation_fd, stability_probe, volume_preserved)
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -184,16 +184,11 @@ class RunState:
         return all(bool(v) for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version,
-               "config_hash": self.config_hash,
-               "verdicts": self.verdicts}
-        for key in ("seed", "measure", "nu", "el_report", "probe_summary",
-                    "osi_summary", "linfield_summary"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.gram_reports:
-            out["gram_reports"] = self.gram_reports
+        """Every field but the unset (None) ones and empty gram_reports."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        if not self.gram_reports:
+            del out["gram_reports"]
         return out
 
     @classmethod
@@ -205,17 +200,7 @@ class RunState:
                 f"(expected {SCHEMA_VERSION})")
         if "config_hash" not in data:
             raise SchemaError("state file has no config_hash")
-        return cls(config_hash=data["config_hash"],
-                   seed=data.get("seed"),
-                   measure=data.get("measure"),
-                   nu=data.get("nu"),
-                   el_report=data.get("el_report"),
-                   gram_reports=data.get("gram_reports", []),
-                   probe_summary=data.get("probe_summary"),
-                   osi_summary=data.get("osi_summary"),
-                   linfield_summary=data.get("linfield_summary"),
-                   verdicts=data.get("verdicts", {}),
-                   schema_version=version)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def save_state(state: RunState, path: str | Path) -> None:

@@ -145,22 +145,27 @@ class FormEvaluator:
         return jet_pair_block(self.tables, self.rho.weights)
 
     @cached_property
-    def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The symmetrized full SP1 Gram, its eigenvalues and eigenvectors.
+    def sp1_gram(self) -> np.ndarray:
+        """The symmetrized full SP1 Gram, which the operator and every SP1
+        restriction read."""
+        matrix = self.form_matrix(FORM_SP1)  # a new array: symmetrize in place
+        matrix += matrix.T
+        matrix *= 0.5
+        return matrix
+
+    @cached_property
+    def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the full SP1 Gram.
 
         The one eigenvector solve on the measure: the spectrum stage reads
         its eigenvalues, and since the linearized operator is W^-1 SP1 with
         W positive and diagonal, its kernel is the near-null space of these
         eigenvectors.
         """
-        matrix = self.form_matrix(FORM_SP1)  # a new array: symmetrize in place
-        matrix += matrix.T
-        matrix *= 0.5
         try:
-            eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+            return np.linalg.eigh(self.sp1_gram)
         except np.linalg.LinAlgError as exc:
             raise CvpError(f"eigendecomposition failed: {exc}") from exc
-        return matrix, eigenvalues, eigenvectors
 
     @cached_property
     def linfield(self) -> np.ndarray:
@@ -168,8 +173,8 @@ class FormEvaluator:
         Euler-Lagrange equations of sp1): the SP1 Gram with each row divided
         by its point's weight.  `linfield @ u.ravel()` holds the bracket
         value and gradient of each point."""
-        return self.sp1_eigh[0] / np.repeat(self.rho.weights,
-                                            1 + self.rho.manifold.dim)[:, None]
+        return self.sp1_gram / np.repeat(self.rho.weights,
+                                         1 + self.rho.manifold.dim)[:, None]
 
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
@@ -280,8 +285,8 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                   tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
 
-    Every SP1 restriction reads the evaluator's one SP1 Gram, and the full
-    basis its one eigendecomposition.  Q1 over the full basis is block
+    Every SP1 restriction reads the evaluator's one SP1 Gram, and only the
+    full basis its one eigendecomposition.  Q1 over the full basis is block
     diagonal, so its spectrum is the sorted union of the spectra of its
     point blocks w_i ell_jet_i.  Every other Gram takes eigenvalues only.
     """
@@ -289,9 +294,9 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     if idx.size > max_dim:
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
     if form_id == FORM_SP1 and basis == BASIS_FULL:
-        matrix, eigenvalues, _ = ev.sp1_eigh
+        matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigh[0]
     else:
-        full = ev.sp1_eigh[0] if form_id == FORM_SP1 else ev.form_matrix(form_id)
+        full = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
         matrix = full[np.ix_(idx, idx)]
         matrix = 0.5 * (matrix + matrix.T)
         if form_id == FORM_Q1 and basis == BASIS_FULL:

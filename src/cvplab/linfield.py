@@ -71,7 +71,7 @@ def solve_linfield(ev: FormEvaluator,
     """
     if not 0.0 <= threshold_rel < 1.0:
         raise SchemaError("kernel threshold must lie in [0, 1)")
-    _, eigenvalues, eigenvectors = ev.sp1_eigh
+    eigenvalues, eigenvectors = ev.sp1_eigh
     magnitude = np.abs(eigenvalues)
     cut = threshold_rel * magnitude.max()
     solutions = eigenvectors[:, magnitude <= cut].T.reshape(

@@ -2,10 +2,13 @@
 
 A variation splits point i into L fragments with weight shares c_ia and
 moves fragment a along the straight chart line x_i + tau*u_ia, its weight
-rescaled by 1 + tau*a_ia.  An unfragmented curve is the one-fragment
-scheme, c = 1: its second-order terms in (f, F) vanish, so its analytic
-second variation is exactly the sp1 form of its jet field.  The fragment
-jets are one (L, n, 1 + m) array: L jet fields of `cvplab.jets`.
+rescaled by 1 + tau*a_ia.  A scheme is a pair of arrays: the (L, n)
+fragment weights c, whose columns sum to one, and the (L, n, 1 + m)
+fragment jets u, L jet fields of `cvplab.jets`.  A stack of T schemes is
+(T, L, n) weights and (T, L, n, 1 + m) jets.  An unfragmented curve is the
+one-fragment scheme, c = np.ones((1, n)): its second-order terms in (f, F)
+vanish, so its analytic second variation is exactly the sp1 form of its
+jet field.
 """
 
 from __future__ import annotations
@@ -23,62 +26,50 @@ from .kernels import RadialKernel, _squared_norms
 from .measure import DiscreteMeasure
 
 
-@dataclass(frozen=True)
-class FragmentationScheme:
-    """Row-stochastic fragment weights and one jet per fragment and point.
-
-    A curve is the one-fragment scheme, weights np.ones((n, 1)).
-    """
-
-    weights: np.ndarray            # (n, L), rows sum to one
-    jets: np.ndarray               # (L, n, 1 + m), rows [a, u_1..u_m]
-
-    def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        u = np.asarray(self.jets, dtype=float)
-        object.__setattr__(self, "weights", c)
-        object.__setattr__(self, "jets", u)
-        if (c < 0).any():
-            raise SchemaError("fragment weights must be non-negative")
-        if not np.abs(c.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12:
-            raise SchemaError("fragment weights must sum to one at every point")
-        if u.ndim != 3 or u.shape[:2] != c.shape[::-1] or u.shape[2] < 2:
-            raise SchemaError(f"jets of shape {u.shape} do not fit weights of "
-                              f"shape {c.shape}: need (L, n, 1 + m)")
-        if not np.isfinite(u).all():
-            raise SchemaError("fragment jets must be finite")
-
-    def combined_defect(self, rho: DiscreteMeasure) -> float:
-        """First-order volume change sum_ia w_i c_ia a_ia."""
-        scalars = self.weights.T * _as_jets(rho, self.jets, ndim=3)[:, :, 0]
-        return float(sum(rho.weights @ row for row in scalars))
-
-    def averaged_jet(self) -> np.ndarray:
-        """(n, 1 + m) pointwise c-weighted average of the fragment jets."""
-        return (self.weights.T[:, :, None] * self.jets).sum(axis=0)
-
-    @classmethod
-    def volume_preserved(cls, rho: DiscreteMeasure, weights: np.ndarray,
-                         jets: np.ndarray) -> "FragmentationScheme":
-        """Shift all fragment scalars by a constant to zero the combined defect."""
-        scheme = cls(weights=weights, jets=np.array(jets, dtype=float, order="C"))
-        scheme.jets[:, :, 0] -= scheme.combined_defect(rho) / rho.total_volume
-        return cls(weights=scheme.weights, jets=scheme.jets)  # checks the shift
+def _as_scheme(rho: DiscreteMeasure, c, u) -> tuple[np.ndarray, np.ndarray]:
+    """c and u as C-ordered float arrays of one scheme, (L, n) and
+    (L, n, 1 + m), or of a stack of them, on rho."""
+    c = np.atleast_2d(np.ascontiguousarray(c, dtype=float))
+    u = np.ascontiguousarray(u, dtype=float)
+    if (c < 0).any():
+        raise SchemaError("fragment weights must be non-negative")
+    if not np.abs(c.sum(axis=-2) - 1.0).max(initial=0.0) <= 1e-12:
+        raise SchemaError("fragment weights must sum to one at every point")
+    if u.shape[:-1] != c.shape or u.shape[-1] < 2:
+        raise SchemaError(f"jets of shape {u.shape} do not fit weights of "
+                          f"shape {c.shape}: need (L, n, 1 + m)")
+    if not np.isfinite(u).all():
+        raise SchemaError("fragment jets must be finite")
+    return c, _as_jets(rho, u, ndim=u.ndim)
 
 
-def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
-                    tau: float) -> DiscreteMeasure:
-    """Split each point into its fragments, transported and reweighted.
+def _volume_change(rho: DiscreteMeasure, c: np.ndarray, u: np.ndarray):
+    """First-order volume change sum_ia w_i c_ia a_ia of each scheme."""
+    return ((c * u[..., 0]) @ rho.weights).sum(axis=-1)
+
+
+def volume_preserved(rho: DiscreteMeasure, c, u) -> tuple[np.ndarray, np.ndarray]:
+    """One scheme or a stack, each with all its fragment scalars shifted by
+    one constant that zeroes its first-order volume change."""
+    c, u = _as_scheme(rho, c, u)
+    u = u.copy()
+    u[..., 0] -= _volume_change(rho, c, u)[..., None, None] / rho.total_volume
+    return _as_scheme(rho, c, u)   # checks the shift
+
+
+def fragment_deform(rho: DiscreteMeasure, c, u, tau: float) -> DiscreteMeasure:
+    """Split each point into the fragments of one scheme, transported and
+    reweighted.
 
     Fragment a of point i sits at x_i + tau*u_ia with weight
     w_i c_ia (1 + tau*a_ia); the fragments are listed fragment by
     fragment.  At tau = 0 the coincident fragments merge back to the base
     support.  Fragments with zero weight carry no point.
     """
-    jets = _as_jets(rho, scheme.jets, ndim=3)
+    c, jets = _as_scheme(rho, c, u)
     if tau == 0.0:
         return rho
-    frag, point = np.nonzero(scheme.weights.T > 0.0)
+    frag, point = np.nonzero(c > 0.0)
     moved = jets[frag, point]
     factors = 1.0 + tau * moved[:, 0]
     bad = np.flatnonzero(factors <= 0.0)
@@ -89,24 +80,15 @@ def fragment_deform(scheme: FragmentationScheme, rho: DiscreteMeasure,
             f"at point {i} (tau={tau:g})", point_index=i)
     return rho.replace(
         points=rho.points[point] + tau * moved[:, 1:],
-        weights=rho.weights[point] * scheme.weights[point, frag] * factors)
+        weights=rho.weights[point] * c[frag, point] * factors)
 
 
 _EVALUATIONS_PER_CHUNK = 2048    # (trial, pair, tau) kernel evaluations
 
 
-def deformed_actions(ev: FormEvaluator, scheme: FragmentationScheme,
-                     taus) -> np.ndarray:
-    """action(fragment_deform(scheme, ev.rho, tau), ev.kernel) for each tau:
-    the one-trial case of _batched_actions."""
-    jets = _as_jets(ev.rho, scheme.jets, ndim=3)
-    return _batched_actions(ev, scheme.weights.T[None], jets[None], taus)[0]
-
-
-def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
-                     taus) -> np.ndarray:
-    """(T, len(taus)) deformed actions of T schemes with (T, L, n) fragment
-    weights and (T, L, n, 1 + m) jets.
+def deformed_actions(ev: FormEvaluator, c, u, taus) -> np.ndarray:
+    """action(fragment_deform(ev.rho, c, u, tau), ev.kernel) for each tau,
+    as a (len(taus),) array for one scheme or (T, len(taus)) for a stack.
 
     A fragment of point i moves at most reach_i = max|tau| max_a |u_ia|,
     so a fragment pair whose base points lie cutoff + reach_i + reach_j or
@@ -118,6 +100,9 @@ def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
     raises, at the same first trial, tau and fragment.
     """
     rho, kernel = ev.rho, ev.kernel
+    c, jets = _as_scheme(rho, c, u)
+    stack = c.shape[:-2]
+    c, jets = c.reshape((-1,) + c.shape[-2:]), jets.reshape((-1,) + jets.shape[-3:])
     taus = np.asarray(taus, dtype=float)
     live = c > 0.0
     jets = np.where(live[..., None], jets, 0.0)    # dead slots stay at x_i
@@ -129,7 +114,7 @@ def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
             and (masses > 0.0)[checked].all()):
         # raise where a trial-by-trial loop over the dense path would
         for t, k in zip(*np.nonzero(checked.any(axis=(2, 3)))):
-            fragment_deform(FragmentationScheme(c[t].T, jets[t]), rho, taus[k])
+            fragment_deform(rho, c[t], jets[t], taus[k])
 
     reach = np.abs(taus).max(initial=0.0) * np.sqrt(
         _squared_norms(jets[..., 1:])).max(axis=(0, 1), initial=0.0)
@@ -165,27 +150,28 @@ def _batched_actions(ev: FormEvaluator, c: np.ndarray, jets: np.ndarray,
                     * kernel.profile(_squared_norms(d))) @ twice[start:start + span]
     # at tau = 0 the deformed measure is rho itself
     total[:, taus == 0.0] = rho.weights @ ev.tables.L @ rho.weights
-    return total
+    return total.reshape(stack + taus.shape)
 
 
-def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
-                        scheme: FragmentationScheme, tau_step: float) -> float:
+def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel, c, u,
+                        tau_step: float) -> float:
     """Richardson-extrapolated centered second difference of the action
-    along fragment_deform.
+    along fragment_deform of one scheme.
 
     Returns half the extrapolated second derivative, matching the
     convention of the analytic formula.  The scheme must preserve the
     volume to first order.
     """
-    defect = scheme.combined_defect(rho)
+    c, u = _as_scheme(rho, c, u)
+    defect = float(_volume_change(rho, c, u))
     if abs(defect) > 1e-10 * max(1.0, rho.total_volume):
         raise SchemaError("finite-difference oracle needs a volume-preserving "
                           f"scheme, but its defect is {defect:g}")
     s0 = action(rho, kernel)
 
     def stencil(h):
-        return (action(fragment_deform(scheme, rho, h), kernel) - 2.0 * s0
-                + action(fragment_deform(scheme, rho, -h), kernel)) / h**2
+        return (action(fragment_deform(rho, c, u, h), kernel) - 2.0 * s0
+                + action(fragment_deform(rho, c, u, -h), kernel)) / h**2
 
     d_h = stencil(tau_step)
     d_h2 = stencil(tau_step / 2.0)
@@ -193,29 +179,32 @@ def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel,
 
 
 def _diagonals(ev: FormEvaluator, jets: np.ndarray) -> np.ndarray:
-    """(n, L) array of nabla2_ell(i, u_a(i), u_a(i)) for each fragment jet u_a."""
-    return np.column_stack([ev.q1_terms(u, u) for u in jets])
+    """(..., L, n) values nabla2_ell(i, u_a(i), u_a(i)) of (..., L, n, 1 + m)
+    fragment jets."""
+    return np.einsum("...ia,iab,...ib->...i", jets, ev.ell_jet, jets)
 
 
-def frag_second_variation(ev: FormEvaluator, scheme: FragmentationScheme) -> float:
-    """Half the second variation of a fragmented curve (weights inside).
+def frag_second_variation(ev: FormEvaluator, c, u) -> float | np.ndarray:
+    """Half the second variation of a fragmented curve (weights inside), as
+    a float for one scheme or a (T,) array for a stack.
 
     Double-sum term over the c-averaged jet (exact by bilinearity) plus
     the c-weighted diagonal Hessian-of-ell term.
     """
-    diag = _diagonals(ev, scheme.jets)   # q1_terms checks each fragment's shape
-    average = scheme.averaged_jet()
-    return ev.double_sum(average, average) + float(
-        ev.rho.weights @ (scheme.weights * diag).sum(axis=1))
+    c, u = _as_scheme(ev.rho, c, u)
+    average = (c[..., None] * u).sum(axis=-3)
+    return ((np.tensordot(average, ev.block, axes=2) * average).sum(axis=(-2, -1))
+            + (c * _diagonals(ev, u)).sum(axis=-2) @ ev.rho.weights)
 
 
 def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
                                    weights: np.ndarray) -> float:
-    """The transformed fragmented second variation over (L, n, 1 + m) jets:
-    weights only divide the diagonal term (with 0/0 := 0)."""
+    """The transformed fragmented second variation over (L, n, 1 + m) jets
+    and (L, n) weights: weights only divide the diagonal term (with
+    0/0 := 0)."""
     jets = _as_jets(ev.rho, jets, ndim=3)
-    diag = _diagonals(ev, jets).T                    # (L, n)
-    c = np.atleast_2d(np.asarray(weights, dtype=float)).T
+    diag = _diagonals(ev, jets)
+    c = np.atleast_2d(np.asarray(weights, dtype=float))
     live = c > 0
     scale = np.maximum(np.abs(diag).max(axis=1, keepdims=True), 1.0)
     bad = np.flatnonzero((np.where(live, 0.0, np.abs(diag))
@@ -225,8 +214,7 @@ def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
             f"fragment {bad[0]} has zero weight but non-zero diagonal term")
     ratio = np.divide(diag, c, out=np.zeros(diag.shape), where=live)
     total = jets.sum(axis=0)
-    return float(sum((ev.rho.weights @ row for row in ratio),
-                     ev.double_sum(total, total)))
+    return ev.double_sum(total, total) + float((ratio @ ev.rho.weights).sum())
 
 
 def optimal_weights(values) -> tuple[np.ndarray, float]:
@@ -266,7 +254,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
     diag = np.maximum(diag, 0.0)
     total = jets.sum(axis=0)
     return ev.double_sum(total, total) + float(
-        ev.rho.weights @ (np.sqrt(diag).sum(axis=1) ** 2))
+        ev.rho.weights @ (np.sqrt(diag).sum(axis=0) ** 2))
 
 
 @dataclass
@@ -315,13 +303,12 @@ def _draw_trials(rho: DiscreteMeasure, fragments: int, trials: int,
 
 def sample_scheme(rho: DiscreteMeasure, fragments: int,
                   rng: np.random.Generator,
-                  jet_scale: float = 1.0) -> FragmentationScheme:
-    """Random volume-preserving scheme with up to `fragments` fragments:
-    one trial of _draw_trials, without its padding."""
+                  jet_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and jets of a random volume-preserving scheme with up to
+    `fragments` fragments: one trial of _draw_trials, without its padding."""
     c, jets = _draw_trials(rho, fragments, 1, rng, jet_scale)
     count = int(c[0].any(axis=1).sum())   # drawn weights are positive
-    return FragmentationScheme.volume_preserved(rho, c[0, :count].T.copy(),
-                                                jets[0, :count])
+    return volume_preserved(rho, c[0, :count], jets[0, :count])
 
 
 def stability_probe(ev: FormEvaluator, fragments: int, tau_grid, trials: int,
@@ -333,25 +320,20 @@ def stability_probe(ev: FormEvaluator, fragments: int, tau_grid, trials: int,
     least-squares quadratic coefficient with its analytic fragmented
     second variation, for all trials in one batched pass.
     """
-    rho, w = ev.rho, ev.rho.weights
+    rho = ev.rho
     taus = np.asarray(list(tau_grid), dtype=float)
-    c, u = _draw_trials(rho, fragments, trials, np.random.default_rng(seed), jet_scale)
+    c, u = _draw_trials(rho, fragments, trials, np.random.default_rng(seed),
+                        jet_scale)
     # the trials before the first non-finite jet run, then its scheme fails
     built = int(np.cumprod(np.isfinite(u).all(axis=(1, 2, 3))).sum())
-    c, u = c[:built], u[:built]
-    # FragmentationScheme.volume_preserved
-    u[..., 0] -= ((c * u[..., 0]) @ w).sum(axis=1)[:, None, None] / rho.total_volume
-    base_action = float(w @ ev.tables.L @ w)
-    deltas = _batched_actions(ev, c, u, taus) - base_action
+    schemes = volume_preserved(rho, c[:built], u[:built])
+    base_action = float(rho.weights @ ev.tables.L @ rho.weights)
+    deltas = deformed_actions(ev, *schemes, taus) - base_action
     if built < trials:
-        raise SchemaError("fragment jets must be finite")
+        _as_scheme(rho, c, u)   # raises for that jet
     t2 = taus**2
     fitted = (deltas @ t2) / (t2 @ t2)
-    # frag_second_variation: the averaged jets' double sums plus the diagonals
-    average = (c[..., None] * u).sum(axis=1)
-    diagonals = np.einsum("tfia,iab,tfib->tfi", u, ev.ell_jet, u)
-    predicted = ((np.tensordot(average, ev.block, axes=2) * average).sum(axis=(1, 2))
-                 + (c * diagonals).sum(axis=1) @ w)
+    predicted = frag_second_variation(ev, *schemes)
     nonzero = predicted != 0.0
     deviation = np.abs(fitted - predicted)[nonzero] / np.abs(predicted[nonzero])
     return ProbeReport(

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from cvplab import (ChartManifold, FormEvaluator, FragmentationScheme,
-                    GaussianKernel, Jet, OptimizerConfig, action,
-                    action_difference, arc_regions, el_report,
-                    frag_lower_bound, frag_second_variation_rescaled,
-                    fragment_deform, gram_spectrum, linfield_residual,
-                    minimize, optimal_weights, random_measure,
+from cvplab import (ChartManifold, FormEvaluator, GaussianKernel, Jet,
+                    OptimizerConfig, action, action_difference, arc_regions,
+                    el_report, frag_lower_bound, frag_second_variation,
+                    frag_second_variation_rescaled, fragment_deform,
+                    gram_spectrum, linfield_residual, minimize,
+                    optimal_weights, random_measure, sample_scheme,
                     second_variation_fd, solve_linfield, stability_probe,
-                    surface_layer_integral, translation)
+                    surface_layer_integral, translation, volume_preserved)
 from cvplab.jets import BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1
-from cvplab.variations import sample_scheme
 
 
 def _verdict(number, ok, detail):
@@ -69,11 +68,10 @@ def test_criterion_03_second_variation_oracle(csp5):
         # a curve is the one-fragment scheme
         # n scalars, then n vectors: rows [a, u] of the one fragment
         jets = rng.normal(size=(2, f.rho.count)).T[None]
-        curve = FragmentationScheme.volume_preserved(
-            f.rho, np.ones((f.rho.count, 1)), jets)
-        fd = second_variation_fd(f.rho, f.kernel, curve,
-                                 tau_step=1e-3 / np.abs(curve.jets).max())
-        jf = curve.jets[0]
+        c, u = volume_preserved(f.rho, np.ones((1, f.rho.count)), jets)
+        fd = second_variation_fd(f.rho, f.kernel, c, u,
+                                 tau_step=1e-3 / np.abs(u).max())
+        jf = u[0]
         an = f.ev.sp1(jf, jf)
         worst = max(worst, abs(an - fd) / max(abs(fd), scale))
     ok = worst <= 1e-5
@@ -104,21 +102,19 @@ def test_criterion_05_fragmentation_algebra(csp5):
     # substitution identity on random schemes
     sub_dev = 0.0
     for _ in range(5):
-        scheme = sample_scheme(f.rho, fragments=3, rng=rng)
-        cw = scheme.weights
-        rescaled = cw.T[:, :, None] * scheme.jets
-        from cvplab import frag_second_variation
-        pre = frag_second_variation(f.ev, scheme)
+        cw, u = sample_scheme(f.rho, fragments=3, rng=rng)
+        rescaled = cw[:, :, None] * u
+        pre = frag_second_variation(f.ev, cw, u)
         post = frag_second_variation_rescaled(f.ev, rescaled, cw)
         sub_dev = max(sub_dev, abs(pre - post) / max(abs(pre), 1e-300))
     # minimality of the lower bound over random weights, equality at optimum
-    jets = np.array([FragmentationScheme.volume_preserved(
-        f.rho, np.ones((f.rho.count, 1)),
-        rng.normal(size=(2, f.rho.count)).T[None]).jets[0] for _ in range(3)])
+    jets = np.array([volume_preserved(
+        f.rho, np.ones((1, f.rho.count)),
+        rng.normal(size=(2, f.rho.count)).T[None])[1][0] for _ in range(3)])
     lb = frag_lower_bound(f.ev, jets)
     min_gap = np.inf
     for _ in range(50):
-        cw = rng.dirichlet(np.ones(3), size=f.rho.count)
+        cw = rng.dirichlet(np.ones(3), size=f.rho.count).T
         val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
     ev = f.ev
@@ -127,7 +123,7 @@ def test_criterion_05_fragmentation_algebra(csp5):
 
     diag = np.array([[max(ev.nabla2_ell(i, jet(u, i), jet(u, i)), 0.0)
                       for u in jets] for i in range(f.rho.count)])
-    c_opt = np.array([optimal_weights(row)[0] for row in diag])
+    c_opt = np.array([optimal_weights(row)[0] for row in diag]).T
     at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)
     eq_dev = abs(at_opt - lb) / max(abs(lb), 1e-300)
     ok = closed and sub_dev <= 1e-12 and min_gap >= -1e-10 and eq_dev <= 1e-10
@@ -198,8 +194,7 @@ def test_criterion_09_negative_control(single_gauss):
     spec = gram_spectrum(f.ev, FORM_Q1, BASIS_FULL)
     q1_fails = spec.min_eigenvalue <= -1.0
     jets = np.array([[[0.0, 1.0]], [[0.0, -1.0]]])
-    scheme = FragmentationScheme(weights=np.array([[0.5, 0.5]]), jets=jets)
-    split = fragment_deform(scheme, f.rho, tau=1.0)
+    split = fragment_deform(f.rho, np.full((2, 1), 0.5), jets, tau=1.0)
     drop = action(split, f.kernel) - action(f.rho, f.kernel)
     ok = weak_ok and q1_fails and drop < 0
     _verdict(9, ok, f"weak residual {rep.weak_residual:.2e}, Q1 min "

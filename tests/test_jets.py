@@ -63,7 +63,7 @@ def _field_takers(f, good):
         lambda u: surface_layer_integral(f.rho, f.kernel, np.arange(n) < 2, u),
         # the fragment-jet functions take L such fields stacked on a first axis
         lambda u: frag_lower_bound(ev, u[None]),
-        lambda u: frag_second_variation_rescaled(ev, u[None], np.ones((n, 1))),
+        lambda u: frag_second_variation_rescaled(ev, u[None], np.ones((1, n))),
     ]
 
 

@@ -9,7 +9,8 @@ from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
 from cvplab.errors import SchemaError
-from cvplab.jets import BASIS_SCALAR, FORM_SP1, _basis_indices, nabla1_nabla2_L
+from cvplab.jets import (BASIS_SCALAR, BASIS_VECTOR, FORM_SP1, _basis_indices,
+                         nabla1_nabla2_L)
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
@@ -105,10 +106,31 @@ def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
         assert spectrum.tobytes() == kernel.tobytes()
 
 
+def test_only_the_full_sp1_spectrum_decomposes_the_full_gram(lattice2d,
+                                                             monkeypatch):
+    """The operator, its residual and every SP1 restriction read the SP1
+    Gram and run no eigh, so max_dim bounds every eigensolve of a call;
+    the full spectrum and the kernel solve share one eigh."""
+    f = lattice2d
+    n, m = f.rho.count, f.rho.manifold.dim
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kwargs:
+                        calls.append(np.shape(a)) or eigh(a, *args, **kwargs))
+    ev = FormEvaluator(f.rho, f.kernel)
+    assert linfield_residual(ev, np.zeros((n, 1 + m))) == 0.0
+    gram_spectrum(ev, FORM_SP1, BASIS_SCALAR, max_dim=n)
+    gram_spectrum(ev, FORM_SP1, BASIS_VECTOR, max_dim=n * m)
+    assert calls == []
+    gram_spectrum(ev, FORM_SP1)
+    solve_linfield(ev)
+    assert calls == [(n * (1 + m), n * (1 + m))]
+
+
 @pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
 def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
     """The SP1 Gram is symmetric bit for bit: L is symmetric, displacements
-    antisymmetric and H11 symmetric.  So the symmetrized Gram of sp1_eigh
+    antisymmetric and H11 symmetric.  So the symmetrized Gram ev.sp1_gram
     is the Gram itself, and the operator and every SP1 restriction read it."""
     ev = request.getfixturevalue(name).ev
     sp1 = ev.form_matrix(FORM_SP1)
@@ -117,7 +139,7 @@ def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
     assert ev.linfield.tobytes() == (sp1 / rows).tobytes()
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, BASIS_SCALAR)
     scalar = gram_spectrum(ev, FORM_SP1, BASIS_SCALAR).matrix
-    assert scalar.tobytes() == ev.sp1_eigh[0][np.ix_(idx, idx)].tobytes()
+    assert scalar.tobytes() == ev.sp1_gram[np.ix_(idx, idx)].tobytes()
 
 
 def _pointwise_brackets(rho, kernel, nu, jf):
