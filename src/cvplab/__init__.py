@@ -16,8 +16,8 @@ from .errors import (CvpError, DimensionMismatchError,
                      NonFiniteIterateError, SchemaError, UnsupportedOrderError,
                      WeightPositivityError)
 from .geometry import ChartManifold
-from .jets import (FormEvaluator, GramReport, Jet, gram_spectrum,
-                   nabla1_nabla2_L, translation)
+from .jets import (FormEvaluator, GramReport, gram_spectrum, nabla1_nabla2_L,
+                   translation)
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
                       RadialKernel, kernel_from_dict, lagrangian_derivatives,
                       lagrangian_eval, pair_tables, verify_lagrangian)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .jets import FormEvaluator
-from .kernels import RadialKernel, pair_tables
+from .kernels import (GRAD1, RadialKernel, lagrangian_derivatives,
+                      lagrangian_eval, pair_tables)
 from .measure import DiscreteMeasure
 
 
@@ -21,20 +22,20 @@ def action(rho: DiscreteMeasure, kernel: RadialKernel) -> float:
     return float(w @ tables.L @ w)
 
 
-def ell(rho: DiscreteMeasure, kernel: RadialKernel, nu: float,
-        x: np.ndarray) -> float:
-    """ell(x) = sum_j w_j L(x, x_j) - nu/2, at any chart point x."""
-    d = rho.manifold.displacement(np.asarray(x, dtype=float), rho.points)
-    s = np.einsum("jk,jk->j", d, d)
-    return float(rho.weights @ kernel.profile(s) - nu / 2.0)
+def ell(rho: DiscreteMeasure, kernel: RadialKernel, nu: float, x):
+    """ell(x) = sum_j w_j L(x, x_j) - nu/2 at one chart point x, a float,
+    or at each point of an (..., m) array of them."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    return lagrangian_eval(kernel, rho.manifold, x, rho.points) @ rho.weights \
+        - nu / 2.0
 
 
-def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel,
-                 x: np.ndarray) -> np.ndarray:
-    """Gradient of ell at x (independent of nu)."""
-    d = rho.manifold.displacement(np.asarray(x, dtype=float), rho.points)
-    s = np.einsum("jk,jk->j", d, d)
-    return 2.0 * (rho.weights * kernel.profile_d1(s)) @ d
+def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel, x) -> np.ndarray:
+    """Gradient of ell (independent of nu) at one chart point x, an (m,)
+    array, or at each point of an (..., m) array of them."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    return rho.weights @ lagrangian_derivatives(kernel, rho.manifold, x,
+                                                rho.points, GRAD1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def el_report(ev: FormEvaluator,
             hi = rho.points.max(axis=0) + 1.0
             box = (lo, hi)
         samples = rho.manifold.uniform_samples(off_support_samples, rng, box)
-        off_min = min(ell(rho, ev.kernel, ev.nu, x) for x in samples)
+        off_min = float(ell(rho, ev.kernel, ev.nu, samples).min())
     return ELReport(nu=ev.nu, ell_values=ev.ell, ell_gradients=ev.grad_ell,
                     strong_residual=strong, weak_residual=weak,
                     off_support_min=off_min)
@@ -105,14 +106,12 @@ def action_difference(rho: DiscreteMeasure, rho_tilde: DiscreteMeasure,
     """
     if rho.manifold != rho_tilde.manifold:
         raise DimensionMismatchError("measures live on different manifolds")
-    manifold = rho.manifold
     delta_pts = np.vstack([rho_tilde.points, rho.points])
     delta_w = np.concatenate([rho_tilde.weights, -rho.weights])
 
     def kernel_sum(pa, wa, pb, wb):
-        d = manifold.displacement(pa[:, None, :], pb[None, :, :])
-        s = np.einsum("ijk,ijk->ij", d, d)
-        return float(wa @ kernel.profile(s) @ wb)
+        return float(wa @ lagrangian_eval(kernel, rho.manifold,
+                                          pa[:, None, :], pb) @ wb)
 
     cross = kernel_sum(delta_pts, delta_w, rho.points, rho.weights)
     return 2.0 * cross + kernel_sum(delta_pts, delta_w, delta_pts, delta_w)

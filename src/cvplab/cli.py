@@ -135,15 +135,16 @@ def _stage_osi(cfg, ev, sol, state, log):
         regions = random_regions(rho, count=32, seed=0)
     labels = regions[1]
     # with no region or no solution jet nothing is checked, so the verdict fails
-    reports = [{"solution_index": k, **osi_report(ev, u, regions).to_dict()}
-               for k, u in enumerate(sol.solutions) if labels]
-    worst = min((r["min_value"] for r in reports), default=None)
-    scale = max(1.0, max((abs(v) for r in reports for v in r["osi"]),
-                         default=0.0))
+    reports = [osi_report(ev, u, regions) for u in sol.solutions] if labels else []
+    values = np.array([rep.values for rep in reports])   # (k, R)
+    worst = float(values.min()) if values.size else None
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     # the region labels once; each report holds its values in their order
-    state.osi_summary = {"regions": labels, "reports": reports,
-                         "min_value": worst}
+    state.osi_summary = {
+        "regions": labels, "min_value": worst,
+        "reports": [{"solution_index": k, **rep.to_dict()}
+                    for k, rep in enumerate(reports)]}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
         f"{'none' if worst is None else f'{worst:.3e}'} "

@@ -200,6 +200,15 @@ class RunState:
                 f"(expected {SCHEMA_VERSION})")
         if "config_hash" not in data:
             raise SchemaError("state file has no config_hash")
+        verdicts = data.get("verdicts", {})
+        if not (isinstance(verdicts, dict)
+                and all(isinstance(v, bool) for v in verdicts.values())):
+            raise SchemaError("state verdicts must be an object of booleans")
+        seed = data.get("seed")
+        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+            raise SchemaError("state seed must be an integer or null")
+        if not isinstance(data.get("measure", {}), dict):
+            raise SchemaError("state measure must be an object")
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 

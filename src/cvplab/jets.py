@@ -1,17 +1,18 @@
 """Discrete jet fields and the quadratic/bilinear forms over them.
 
-A jet pairs a scalar with a tangent vector at a support point; a jet
-field carries one jet per point of a fixed measure, as one (n, 1 + m)
-array whose point rows are [a, u_1, ..., u_m].  The three forms
+A jet pairs a scalar with a tangent vector at a support point, as one
+(1 + m,) row [a, u_1, ..., u_m]; a jet field carries one jet per point
+of a fixed measure, as one (n, 1 + m) array of such rows.  The three forms
 
     q1(u, v)  = sum_i w_i [a_i b_i ell_i + a_i v_i.grad ell_i
                            + b_i u_i.grad ell_i + u_i.Hess ell_i.v_i]
     sp1(u, v) = sum_ij w_i w_j D1_u D2_v L(x_i, x_j) + q1(u, v)
     sp2(u, v) = sp1(u, v) + q1(u, v)
 
-are assembled as Gram matrices over the canonical per-point unit-jet
-basis (ordering: point-major blocks [scalar, e_1, ..., e_m], so a raveled
-jet field is its coefficient vector).
+take two jet fields, or stacks of them over leading axes, and are
+assembled as Gram matrices over the canonical per-point unit-jet basis
+(ordering: point-major blocks [scalar, e_1, ..., e_m], so a raveled jet
+field is its coefficient vector).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CvpError, DimensionMismatchError, SchemaError
-from .kernels import (PairTables, RadialKernel, lagrangian_derivatives,
-                      lagrangian_eval, pair_tables)
+from .kernels import (GRAD1, HESS12, PairTables, RadialKernel,
+                      lagrangian_derivatives, lagrangian_eval, pair_tables)
 from .measure import DiscreteMeasure
 
 FORM_Q1 = "Q1"
@@ -34,19 +35,6 @@ BASIS_SCALAR = "scalar_only"
 BASIS_VECTOR = "vector_only"
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Scalar component a and vector component u at a single point."""
-
-    a: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if not (np.isfinite(self.a) and np.isfinite(self.u).all()):
-            raise SchemaError("jet components must be finite")
-
-
 def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
     """The (count, 1 + dim) jet field moving every point along one chart axis."""
     u = np.zeros((count, 1 + dim))
@@ -54,20 +42,32 @@ def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
     return u
 
 
-def _as_jets(rho: DiscreteMeasure, u, ndim: int = 2) -> np.ndarray:
-    """u as a C-ordered float array of shape (n, 1 + m), or (L, n, 1 + m)
-    for ndim=3, on rho.
+def _as_jets(rho: DiscreteMeasure, u, ndim: int | None = None) -> np.ndarray:
+    """u as a C-ordered float array of shape (..., n, 1 + m) on rho, with
+    exactly ndim axes if ndim is given.
 
     C order because einsum's last bits depend on the memory layout of its
     operands, and solution jets are views of a transposed eigenvector block.
     """
     u = np.ascontiguousarray(u, dtype=float)
-    if u.ndim != ndim or u.shape[-2:] != (rho.count, 1 + rho.manifold.dim):
-        need = "(n, 1 + m)" if ndim == 2 else "(L, n, 1 + m)"
+    if u.ndim < 2 or u.shape[-2:] != (rho.count, 1 + rho.manifold.dim) \
+            or ndim not in (None, u.ndim):
+        need = {2: "(n, 1 + m)", 3: "(L, n, 1 + m)"}.get(ndim, "(..., n, 1 + m)")
         raise DimensionMismatchError(
             f"jets of shape {u.shape} on a measure with {rho.count} points in "
             f"dimension {rho.manifold.dim}; need {need}")
     return u
+
+
+def _as_jet(jet, dim: int) -> tuple[float, np.ndarray]:
+    """The scalar and the vector of a finite (1 + dim,) jet row."""
+    jet = np.asarray(jet, dtype=float)
+    if jet.shape != (1 + dim,):
+        raise DimensionMismatchError(
+            f"a jet of shape {jet.shape} in dimension {dim}; need ({1 + dim},)")
+    if not np.isfinite(jet).all():
+        raise SchemaError("jet components must be finite")
+    return jet[0], jet[1:]
 
 
 def jet_pair_block(tables: PairTables, weights: np.ndarray) -> np.ndarray:
@@ -180,34 +180,36 @@ class FormEvaluator:
         if not 0 <= i < self.rho.count:
             raise IndexError(f"point index {i} out of range")
 
-    def nabla_ell(self, i: int, jet: Jet) -> float:
+    def nabla_ell(self, i: int, jet) -> float:
         self._check_point(i)
-        return float(jet.a * self.ell[i] + jet.u @ self.grad_ell[i])
+        a, u = _as_jet(jet, self.rho.manifold.dim)
+        return float(a * self.ell[i] + u @ self.grad_ell[i])
 
-    def nabla2_ell(self, i: int, jet1: Jet, jet2: Jet) -> float:
+    def nabla2_ell(self, i: int, jet1, jet2) -> float:
         self._check_point(i)
-        return float(jet1.a * jet2.a * self.ell[i]
-                     + jet1.a * (jet2.u @ self.grad_ell[i])
-                     + jet2.a * (jet1.u @ self.grad_ell[i])
-                     + jet1.u @ self.hess_ell[i] @ jet2.u)
+        (a1, u1), (a2, u2) = (_as_jet(j, self.rho.manifold.dim) for j in (jet1, jet2))
+        return float(a1 * a2 * self.ell[i] + a1 * (u2 @ self.grad_ell[i])
+                     + a2 * (u1 @ self.grad_ell[i]) + u1 @ self.hess_ell[i] @ u2)
 
     def q1_terms(self, u, v) -> np.ndarray:
-        """Per-point terms nabla2_ell(i, u_i, v_i) of q1, as one (n,) array."""
+        """Per-point terms nabla2_ell(i, u_i, v_i) of q1: (n,) for two
+        (n, 1 + m) jet fields, (..., n) for stacks of them."""
         u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
-        return np.einsum("ia,iab,ib->i", u, self.ell_jet, v)
+        return np.einsum("...ia,iab,...ib->...i", u, self.ell_jet, v)
 
-    def q1(self, u, v) -> float:
-        return float(self.rho.weights @ self.q1_terms(u, v))
+    def q1(self, u, v):
+        return self.q1_terms(u, v) @ self.rho.weights
 
-    def double_sum(self, u, v) -> float:
-        """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included."""
-        u, v = _as_jets(self.rho, u).ravel(), _as_jets(self.rho, v).ravel()
-        return float(u @ self.block.reshape(u.size, v.size) @ v)
+    def double_sum(self, u, v):
+        """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included: a
+        float for two jet fields, an array for stacks of them."""
+        u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
+        return (np.tensordot(u, self.block, axes=2) * v).sum(axis=(-2, -1))
 
-    def sp1(self, u, v) -> float:
+    def sp1(self, u, v):
         return self.double_sum(u, v) + self.q1(u, v)
 
-    def sp2(self, u, v) -> float:
+    def sp2(self, u, v):
         return self.sp1(u, v) + self.q1(u, v)
 
     def form_matrix(self, form_id: str) -> np.ndarray:
@@ -232,16 +234,14 @@ class FormEvaluator:
         return out.reshape(n * (1 + m), n * (1 + m))
 
 
-def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y,
-                    jet_x: Jet, jet_y: Jet) -> float:
-    """D1_{jet_x} D2_{jet_y} L(x, y) at two arbitrary chart points."""
+def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y, jet_x, jet_y) -> float:
+    """D1_{jet_x} D2_{jet_y} L(x, y) at two arbitrary chart points, along
+    two (1 + m,) jets."""
+    (ax, ux), (ay, uy) = _as_jet(jet_x, manifold.dim), _as_jet(jet_y, manifold.dim)
     L = lagrangian_eval(kernel, manifold, x, y)
-    g1 = lagrangian_derivatives(kernel, manifold, x, y, "grad1")
-    h12 = lagrangian_derivatives(kernel, manifold, x, y, "hess12")
-    return float(jet_x.a * jet_y.a * L
-                 + jet_x.a * (jet_y.u @ (-g1))
-                 + jet_y.a * (jet_x.u @ g1)
-                 + jet_x.u @ h12 @ jet_y.u)
+    g1 = lagrangian_derivatives(kernel, manifold, x, y, GRAD1)
+    h12 = lagrangian_derivatives(kernel, manifold, x, y, HESS12)
+    return float(ax * ay * L + ax * (uy @ (-g1)) + ay * (ux @ g1) + ux @ h12 @ uy)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,13 @@ from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
 
-def linfield_residual(ev: FormEvaluator, u) -> float:
-    """Max-norm of the bracket values and gradients of u: ev.linfield @ u."""
-    return float(np.abs(ev.linfield @ _as_jets(ev.rho, u).ravel()).max())
+def linfield_residual(ev: FormEvaluator, u):
+    """Max-norm of ev.linfield @ u, the bracket values and gradients: a
+    float for one jet field, a (k,) array for a (k, n, 1 + m) stack."""
+    u = _as_jets(ev.rho, u)
+    # one (N, 1) column per field: each product stays a matrix-vector one
+    columns = u.reshape(u.shape[:-2] + (len(ev.linfield), 1))
+    return np.abs(ev.linfield @ columns).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def solve_linfield(ev: FormEvaluator,
     cut = threshold_rel * magnitude.max()
     solutions = eigenvectors[:, magnitude <= cut].T.reshape(
         -1, ev.rho.count, 1 + ev.rho.manifold.dim)
-    residuals = tuple(linfield_residual(ev, u) for u in solutions)
+    residuals = tuple(linfield_residual(ev, solutions).tolist())
     return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
                             threshold=float(cut), residuals=residuals)
 
@@ -89,7 +93,7 @@ def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
     is the jet-pair block contracted with the jet at both ends; each
     region is the masked sum of P over inside rows and outside columns.
     """
-    u = _as_jets(rho, u)
+    u = _as_jets(rho, u, ndim=2)
     mask = np.asarray(inside, dtype=bool).astype(float)
     if mask.ndim != 2 or mask.shape[1] != rho.count:
         raise DimensionMismatchError(f"region masks of shape {mask.shape} on a "

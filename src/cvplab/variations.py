@@ -40,7 +40,7 @@ def _as_scheme(rho: DiscreteMeasure, c, u) -> tuple[np.ndarray, np.ndarray]:
                           f"shape {c.shape}: need (L, n, 1 + m)")
     if not np.isfinite(u).all():
         raise SchemaError("fragment jets must be finite")
-    return c, _as_jets(rho, u, ndim=u.ndim)
+    return c, _as_jets(rho, u)
 
 
 def _volume_change(rho: DiscreteMeasure, c: np.ndarray, u: np.ndarray):
@@ -178,12 +178,6 @@ def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel, c, u,
     return 0.5 * (4.0 * d_h2 - d_h) / 3.0
 
 
-def _diagonals(ev: FormEvaluator, jets: np.ndarray) -> np.ndarray:
-    """(..., L, n) values nabla2_ell(i, u_a(i), u_a(i)) of (..., L, n, 1 + m)
-    fragment jets."""
-    return np.einsum("...ia,iab,...ib->...i", jets, ev.ell_jet, jets)
-
-
 def frag_second_variation(ev: FormEvaluator, c, u) -> float | np.ndarray:
     """Half the second variation of a fragmented curve (weights inside), as
     a float for one scheme or a (T,) array for a stack.
@@ -193,8 +187,8 @@ def frag_second_variation(ev: FormEvaluator, c, u) -> float | np.ndarray:
     """
     c, u = _as_scheme(ev.rho, c, u)
     average = (c[..., None] * u).sum(axis=-3)
-    return ((np.tensordot(average, ev.block, axes=2) * average).sum(axis=(-2, -1))
-            + (c * _diagonals(ev, u)).sum(axis=-2) @ ev.rho.weights)
+    return (ev.double_sum(average, average)
+            + (c * ev.q1_terms(u, u)).sum(axis=-2) @ ev.rho.weights)
 
 
 def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
@@ -203,7 +197,7 @@ def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
     and (L, n) weights: weights only divide the diagonal term (with
     0/0 := 0)."""
     jets = _as_jets(ev.rho, jets, ndim=3)
-    diag = _diagonals(ev, jets)
+    diag = ev.q1_terms(jets, jets)
     c = np.atleast_2d(np.asarray(weights, dtype=float))
     live = c > 0
     scale = np.maximum(np.abs(diag).max(axis=1, keepdims=True), 1.0)
@@ -244,7 +238,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
     clipped to zero, larger ones abort.
     """
     jets = _as_jets(ev.rho, jets, ndim=3)
-    diag = _diagonals(ev, jets)
+    diag = ev.q1_terms(jets, jets)
     scale = max(float(np.abs(diag).max()), 1e-300)
     if (diag < -tau_psd * scale).any():
         worst = float(diag.min())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cvplab import (ChartManifold, FormEvaluator, GaussianKernel, Jet,
+from cvplab import (ChartManifold, FormEvaluator, GaussianKernel,
                     OptimizerConfig, action, action_difference, arc_regions,
                     el_report, frag_lower_bound, frag_second_variation,
                     frag_second_variation_rescaled, fragment_deform,
@@ -118,10 +118,7 @@ def test_criterion_05_fragmentation_algebra(csp5):
         val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
     ev = f.ev
-    def jet(u, i):
-        return Jet(a=float(u[i, 0]), u=u[i, 1:])
-
-    diag = np.array([[max(ev.nabla2_ell(i, jet(u, i), jet(u, i)), 0.0)
+    diag = np.array([[max(ev.nabla2_ell(i, u[i], u[i]), 0.0)
                       for u in jets] for i in range(f.rho.count)])
     c_opt = np.array([optimal_weights(row)[0] for row in diag]).T
     at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)

@@ -1,0 +1,173 @@
+"""Evaluators take one item or a stack over leading axes: the stack gives
+what the per-item calls give."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvplab import (ChartManifold, CompactSupportKernel, FormEvaluator,
+                    GaussianKernel, InversePowerKernel, el_report, ell,
+                    ell_gradient, lagrangian_derivatives, lagrangian_eval,
+                    linfield_residual, random_measure, verify_lagrangian)
+from cvplab.kernels import GRAD1, HESS11, HESS12
+
+KERNELS = [GaussianKernel(sigma=1.1), InversePowerKernel(sigma=0.9, exponent=2.5),
+           CompactSupportKernel(radius=1.9, power=3)]
+MANIFOLDS = [ChartManifold(kind="torus", dim=1, periods=(5.0,)),
+             ChartManifold(kind="torus", dim=2, periods=(4.0, 5.0))]
+CASES = dict(kernel=st.sampled_from(KERNELS), manifold=st.sampled_from(MANIFOLDS),
+             seed=st.integers(0, 2**32 - 1))
+EXAMPLES = settings(max_examples=15, deadline=None)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@EXAMPLES
+@given(**CASES)
+def test_kernel_evaluators_broadcast_bit_for_bit(kernel, manifold, seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = manifold.uniform_samples(6, rng), manifold.uniform_samples(4, rng)
+    pairs = xs[:, None, :], ys           # (6, 4) pairs by broadcasting
+    stack = lagrangian_eval(kernel, manifold, *pairs)
+    assert stack.shape == (6, 4)
+    one = [[lagrangian_eval(kernel, manifold, x, y) for y in ys] for x in xs]
+    assert isinstance(one[0][0], float)
+    assert _bits(stack) == _bits(one)
+    for order, tail in ((GRAD1, (manifold.dim,)),
+                        (HESS11, (manifold.dim,) * 2), (HESS12, (manifold.dim,) * 2)):
+        stack = lagrangian_derivatives(kernel, manifold, *pairs, order)
+        assert stack.shape == (6, 4) + tail
+        one = [[lagrangian_derivatives(kernel, manifold, x, y, order) for y in ys]
+               for x in xs]
+        assert _bits(stack) == _bits(one)
+
+
+@EXAMPLES
+@given(**CASES)
+def test_ell_and_its_gradient_broadcast(kernel, manifold, seed):
+    rho = random_measure(manifold, count=7, total_volume=7.0, seed=seed % 2**31)
+    nu = FormEvaluator(rho, kernel).nu
+    xs = manifold.uniform_samples(12, np.random.default_rng(seed)).reshape(
+        3, 4, manifold.dim)
+    values = ell(rho, kernel, nu, xs)
+    gradients = ell_gradient(rho, kernel, xs)
+    assert values.shape == (3, 4) and gradients.shape == (3, 4, manifold.dim)
+    # a dot product per point against a matrix-vector product per stack
+    scale = np.abs(lagrangian_eval(kernel, manifold, xs[..., None, :],
+                                   rho.points)) @ rho.weights + nu / 2.0
+    for idx in np.ndindex(3, 4):
+        one = ell(rho, kernel, nu, xs[idx])
+        assert isinstance(one, float)
+        assert abs(values[idx] - one) <= 1e-13 * scale[idx]
+        assert _bits(gradients[idx]) == _bits(ell_gradient(rho, kernel, xs[idx]))
+
+
+@EXAMPLES
+@given(**CASES)
+def test_forms_and_residuals_broadcast(kernel, manifold, seed):
+    rho = random_measure(manifold, count=6, total_volume=6.0, seed=seed % 2**31)
+    ev = FormEvaluator(rho, kernel)
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, 2, 3, rho.count, 1 + manifold.dim))
+    terms, sums = ev.q1_terms(u, v), ev.double_sum(u, v)
+    assert terms.shape == (2, 3, rho.count) and sums.shape == (2, 3)
+    residuals = linfield_residual(ev, u[0])
+    assert residuals.shape == (3,)
+    for idx in np.ndindex(2, 3):
+        ui, vi = u[idx], v[idx]
+        # the magnitudes of the terms summed, against cancellation
+        t_scale = np.abs(ui).ravel() @ np.abs(ev.form_matrix("Q1")) @ np.abs(vi).ravel()
+        b_scale = np.abs(ui).ravel() @ np.abs(ev.block).reshape(ui.size, -1) \
+            @ np.abs(vi).ravel()
+        assert np.abs(terms[idx] - ev.q1_terms(ui, vi)).max() <= 1e-13 * t_scale
+        one = ev.double_sum(ui, vi)
+        assert isinstance(one, float)
+        assert abs(sums[idx] - one) <= 1e-13 * b_scale
+    one = [linfield_residual(ev, ui) for ui in u[0]]
+    assert isinstance(one[0], float)
+    assert _bits(residuals) == _bits(one)
+    assert linfield_residual(ev, u[0, :0]).shape == (0,)
+
+
+def _verify_by_loop(kernel, manifold, sample_count, step, seed):
+    """The per-sample finite-difference loop, one stencil point per call."""
+    rng = np.random.default_rng(seed)
+    xs = manifold.uniform_samples(sample_count, rng)
+    ys = manifold.uniform_samples(sample_count, rng)
+    scale = max(float(kernel.profile(0.0)), 1e-300)
+    m = manifold.dim
+    sym = 0.0
+    errs = {GRAD1: 0.0, HESS11: 0.0, HESS12: 0.0}
+
+    def L(x, y):
+        return lagrangian_eval(kernel, manifold, x, y)
+
+    for x, y in zip(xs, ys):
+        sym = max(sym, abs(L(x, y) - L(y, x)))
+        an_g = lagrangian_derivatives(kernel, manifold, x, y, GRAD1)
+        an_h11 = lagrangian_derivatives(kernel, manifold, x, y, HESS11)
+        an_h12 = lagrangian_derivatives(kernel, manifold, x, y, HESS12)
+        for a in range(m):
+            ea = np.zeros(m)
+            ea[a] = step
+            fd_g = (L(x + ea, y) - L(x - ea, y)) / (2 * step)
+            errs[GRAD1] = max(errs[GRAD1],
+                              abs(an_g[a] - fd_g) / max(abs(fd_g), scale))
+            for b in range(m):
+                eb = np.zeros(m)
+                eb[b] = step
+                fd_h11 = (L(x + ea + eb, y) - L(x + ea - eb, y)
+                          - L(x - ea + eb, y) + L(x - ea - eb, y)) / (4 * step**2)
+                fd_h12 = (L(x + ea, y + eb) - L(x + ea, y - eb)
+                          - L(x - ea, y + eb) + L(x - ea, y - eb)) / (4 * step**2)
+                errs[HESS11] = max(errs[HESS11],
+                                   abs(an_h11[a, b] - fd_h11) / max(abs(fd_h11), scale))
+                errs[HESS12] = max(errs[HESS12],
+                                   abs(an_h12[a, b] - fd_h12) / max(abs(fd_h12), scale))
+    return sym, errs[GRAD1], errs[HESS11], errs[HESS12]
+
+
+@EXAMPLES
+@given(**CASES)
+def test_verify_lagrangian_matches_the_per_sample_loop(kernel, manifold, seed):
+    report = verify_lagrangian(kernel, manifold, sample_count=8, step=1e-4,
+                               seed=seed)
+    ours = (report.symmetry_defect, report.grad1_rel_error,
+            report.hess11_rel_error, report.hess12_rel_error)
+    for got, want in zip(ours, _verify_by_loop(kernel, manifold, 8, 1e-4, seed)):
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _count_profile_calls(monkeypatch, kernel) -> list[int]:
+    calls = [0]
+    profile = type(kernel).profile
+
+    def counted(self, s):
+        calls[0] += 1
+        return profile(self, s)
+
+    monkeypatch.setattr(type(kernel), "profile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+def test_evaluators_call_the_profile_a_fixed_number_of_times(monkeypatch, kernel,
+                                                             csp5):
+    manifold = MANIFOLDS[1]
+    calls = _count_profile_calls(monkeypatch, kernel)
+    counts = []
+    for samples in (1, 4, 32):
+        calls[0] = 0
+        verify_lagrangian(kernel, manifold, sample_count=samples, step=1e-4, seed=0)
+        counts.append(calls[0])
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+    # the off-support scan of ell is one profile evaluation
+    ev = FormEvaluator(csp5.rho, kernel)
+    calls[0] = 0
+    rep = el_report(ev, off_support_samples=200, seed=1)
+    assert calls[0] == 1 and rep.off_support_min is not None

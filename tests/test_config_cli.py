@@ -243,6 +243,40 @@ def test_cli_exit_one_on_bad_config(tmp_path):
                      str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("params", [
+    {"radius": 1.4, "power": 3, "scale": 2.0},
+    {"radius": True, "power": 3},
+    {"radius": "1.4", "power": 3},
+    {"radius": float("inf"), "power": 3},
+    {"radius": 1.4, "power": 3.5},
+])
+def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["manifold"] = {"kind": "euclidean", "dim": 1}
+    data["lagrangian"]["params"] = params
+    cfg_path = _write_config(tmp_path, data)
+    assert run("verify-all", cfg_path, str(tmp_path / "out"), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("verdicts", "optimizer_converged"), ("verdicts", {"optimizer_converged": "yes"}),
+    ("seed", "0"), ("seed", True), ("measure", [[0.0]]), ("measure", None)])
+def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("minimize", cfg_path, str(out), quiet=True) == 0
+    (out / "trace.csv").unlink()
+    raw = json.loads((out / "state.json").read_text())
+    raw[key] = value
+    (out / "state.json").write_text(json.dumps(raw))
+    with pytest.raises(SchemaError):
+        load_state(out / "state.json")
+    assert run("report", cfg_path, str(out), quiet=True) == 0
+    assert (out / "trace.csv").exists()
+    assert load_state(out / "state.json").verdicts["optimizer_converged"] is True
+
+
 def test_cli_reused_measure_keeps_optimizer_verdict(tmp_path):
     data = json.loads(json.dumps(BASE_CONFIG))
     data["optimizer"]["max_iterations"] = 3     # cannot converge

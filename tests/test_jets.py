@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (DimensionMismatchError, Jet, SchemaError, arc_regions,
+from cvplab import (DimensionMismatchError, SchemaError, arc_regions,
                     frag_lower_bound, frag_second_variation_rescaled,
                     gram_spectrum, linfield_residual, osi_report,
                     surface_layer_integral, translation)
@@ -18,8 +18,8 @@ def _random_field(n, m, rng, scale=1.0):
 
 
 def _jet(u, i):
-    """The jet of point i of the jet field u."""
-    return Jet(a=float(u[i, 0]), u=u[i, 1:])
+    """The jet of point i of the jet field u: its (1 + m,) row."""
+    return u[i]
 
 
 def test_stacked_round_trip():
@@ -44,9 +44,28 @@ def test_translation_field():
 
 def test_jet_validation(csp5):
     with pytest.raises(SchemaError):
-        Jet(a=np.nan, u=np.zeros(1))
+        csp5.ev.nabla_ell(0, [np.nan, 0.0])
     with pytest.raises(DimensionMismatchError):
         csp5.ev.q1(np.zeros((3, 2)), np.zeros((3, 2)))
+
+
+def test_pointwise_jets_are_checked_rows(csp5):
+    ev, manifold = csp5.ev, csp5.rho.manifold
+    x = csp5.rho.points[0]
+    good = np.array([0.5, 1.0])
+    takers = [lambda j: ev.nabla_ell(0, j), lambda j: ev.nabla2_ell(0, j, good),
+              lambda j: ev.nabla2_ell(0, good, j),
+              lambda j: nabla1_nabla2_L(csp5.kernel, manifold, x, x, j, good),
+              lambda j: nabla1_nabla2_L(csp5.kernel, manifold, x, x, good, j)]
+    for call in takers:
+        assert isinstance(call(good), float)
+        assert call(good) == call([0.5, 1.0])   # any sequence of 1 + m numbers
+        for bad in ([np.inf, 0.0], [0.0, np.nan]):
+            with pytest.raises(SchemaError, match="finite"):
+                call(bad)
+        for bad in (np.zeros(1), np.zeros(3), np.zeros((1, 2)), 0.5):
+            with pytest.raises(DimensionMismatchError):
+                call(bad)
 
 
 def _field_takers(f, good):
@@ -140,7 +159,7 @@ def test_translation_annihilates_sp1(csp5):
 
 def test_pointwise_forms_and_index_errors(csp5):
     f = csp5
-    jet = Jet(a=0.5, u=np.array([1.0]))
+    jet = np.array([0.5, 1.0])
     # weak EL: first-order jet derivative of ell vanishes on the support
     ev = f.ev
     for i in range(f.rho.count):

@@ -171,3 +171,35 @@ def test_kernel_from_dict_round_trip():
         kernel_from_dict({"family": "lorentzian", "params": {}})
     with pytest.raises(SchemaError):
         kernel_from_dict({"family": "gaussian", "params": {}})
+
+
+@pytest.mark.parametrize("data", [
+    {"family": "gaussian", "params": {"sigma": 1.0, "radius": 3}},
+    {"family": "gaussian", "params": {"sigma": True}},
+    {"family": "gaussian", "params": {"sigma": "2"}},
+    {"family": "gaussian", "params": {"sigma": None}},
+    {"family": "gaussian", "params": {"sigma": float("nan")}},
+    {"family": "gaussian", "params": {"sigma": -1.0}},
+    {"family": "gaussian", "params": [1.0]},
+    {"family": "inverse-power", "params": {"sigma": 1.0}},
+    {"family": "inverse-power", "params": {"sigma": 1.0, "exponent": float("inf")}},
+    {"family": "inverse-power", "params": {"sigma": 0.0, "exponent": 2.0}},
+    *({"family": "compact-support-power", "params": params} for params in (
+        {"radius": float("inf"), "power": 3}, {"radius": 1.0, "power": 3.5},
+        {"radius": 1.0, "power": True}, {"radius": 1.0, "power": "3"},
+        {"radius": 1.0, "power": float("inf")},
+        {"radius": 1.0, "power": 3, "sigma": 1})),
+])
+def test_kernel_params_are_exactly_the_family_fields(data):
+    with pytest.raises(SchemaError):
+        kernel_from_dict(data)
+
+
+def test_kernel_params_are_stored_as_numbers():
+    k = kernel_from_dict({"family": "inverse-power",
+                          "params": {"sigma": 2, "exponent": 3}})
+    assert k.params() == {"sigma": 2.0, "exponent": 3.0}
+    assert all(type(v) is float for v in k.params().values())
+    k = kernel_from_dict({"family": "compact-support-power",
+                          "params": {"radius": 1.5, "power": 4.0}})
+    assert k.params() == {"radius": 1.5, "power": 4} and type(k.power) is int

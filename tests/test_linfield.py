@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
-                    GaussianKernel, Jet, arc_regions, gram_spectrum,
+                    GaussianKernel, arc_regions, gram_spectrum,
                     linfield_residual, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
@@ -263,12 +263,9 @@ def _pointwise_osi(rho, kernel, inside, jf):
     """Oracle: boundary double sum of the pointwise analytic D1 D2 L."""
     w = rho.weights
 
-    def jet(i):
-        return Jet(a=float(jf[i, 0]), u=jf[i, 1:])
-
     return -sum(
         w[i] * w[j] * nabla1_nabla2_L(kernel, rho.manifold, rho.points[i],
-                                      rho.points[j], jet(i), jet(j))
+                                      rho.points[j], jf[i], jf[j])
         for i in np.flatnonzero(inside)
         for j in np.flatnonzero(~inside))
 
