@@ -17,7 +17,7 @@ import numpy as np
 from .action import el_report
 from .config import (ExperimentConfig, RunState, load_config, load_state,
                      save_state)
-from .errors import CvpError, SchemaError
+from .errors import CvpError, DimensionMismatchError, SchemaError
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum)
 from .linfield import arc_regions, osi_report, random_regions, solve_linfield
@@ -44,27 +44,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
                  seed: int | None, log, reuse: bool = True) -> DiscreteMeasure:
-    """Reuse a previously minimized measure, with its optimizer verdict, if
-    one matches the config and the seed; minimize otherwise."""
+    """Reuse a previously minimized measure, with its optimizer verdict and
+    section, if one matches the config and the seed; minimize otherwise.
+    A state or a measure that does not load is read as absent."""
     state_path = out_dir / "state.json"
     if reuse and state_path.exists():
         try:
             prior = load_state(state_path, expected_config=cfg)
-        except SchemaError:
-            prior = None
-        if (prior is not None and prior.measure is not None
+            rho = DiscreteMeasure.from_dict(prior.measure)   # None raises too
+        except (SchemaError, DimensionMismatchError):
+            rho = None
+        if (rho is not None and rho.manifold == cfg.manifold
                 and prior.seed == seed
                 and "optimizer_converged" in prior.verdicts):
             log("reusing minimized measure from state.json")
             state.verdicts["optimizer_converged"] = \
                 prior.verdicts["optimizer_converged"]
-            return DiscreteMeasure.from_dict(prior.measure)
+            state.optimizer = prior.optimizer
+            return rho
     rho0 = cfg.initial_measure(seed_override=seed)
     rho, trace = minimize(rho0, cfg.kernel, cfg.optimizer)
     trace.write_csv(out_dir / "trace.csv")
     state.verdicts["optimizer_converged"] = trace.status == "converged"
+    state.optimizer = trace.to_dict()
     log(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
-        f"({trace.newton_steps} Newton), pruned atoms {trace.pruned_points}")
+        f"({trace.newton_steps} Newton, {trace.trials} trials), "
+        f"pruned atoms {trace.pruned_points}")
     return rho
 
 

@@ -177,6 +177,7 @@ class RunState:
     probe_summary: dict | None = None
     osi_summary: dict | None = None
     linfield_summary: dict | None = None
+    optimizer: dict | None = None  # OptimizerTrace.to_dict of the measure's run
     verdicts: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
@@ -207,8 +208,9 @@ class RunState:
         seed = data.get("seed")
         if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
             raise SchemaError("state seed must be an integer or null")
-        if not isinstance(data.get("measure", {}), dict):
-            raise SchemaError("state measure must be an object")
+        for key in ("measure", "optimizer"):
+            if not isinstance(data.get(key, {}), dict):
+                raise SchemaError(f"state {key} must be an object")
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 

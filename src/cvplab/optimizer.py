@@ -19,6 +19,8 @@ NEWTON_RESIDUAL = 0.1   # weak residual from which Newton steps are tried
 NEWTON_HALVINGS = 8     # backtracking halvings of a Newton step
 NEWTON_CUTOFF = 1e-9    # pseudo-inverse cutoff, relative to max |eigenvalue|
 PRUNE_AFTER = 5         # consecutive iterations at the floor before pruning
+BB_STEP_MIN = 1e-10     # clip of a Barzilai-Borwein trial step
+BB_STEP_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,11 @@ class OptimizerConfig:
 class OptimizerTrace:
     """Per-iteration rows: (iteration, action, weak EL residual, step size).
 
-    The step is the gradient step, which a Newton iteration leaves as it
-    is.  Atoms are named by their index in the start measure: those
-    pruned at the floor, in pruning order, and those at the floor at the
-    end.
+    The step is the last accepted gradient step, which a Newton iteration
+    leaves as it is.  `trials` counts the pair tables built for gradient
+    and Newton trials.  Atoms are named by their index in the start
+    measure: those pruned at the floor, in pruning order, and those at the
+    floor at the end.
     """
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
@@ -76,6 +79,14 @@ class OptimizerTrace:
     newton_steps: int = 0
     pruned_points: list[int] = field(default_factory=list)
     floored_points: list[int] = field(default_factory=list)
+    trials: int = 0
+
+    def to_dict(self) -> dict:
+        """The stop status and the counters, without the rows."""
+        return {"status": self.status, "iterations": self.rows[-1][0],
+                "newton_steps": self.newton_steps, "trials": self.trials,
+                "pruned_points": self.pruned_points,
+                "floored_points": self.floored_points}
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as handle:
@@ -150,19 +161,30 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
              config: OptimizerConfig) -> tuple[DiscreteMeasure, OptimizerTrace]:
     """Minimize the action over positions and weights at fixed total volume.
 
-    Projected gradient over the stacked variable with Armijo backtracking;
-    the sufficient-decrease test uses the projected displacement, so it
-    remains meaningful on the weight simplex.  Once the weak residual is
-    at most NEWTON_RESIDUAL, each iteration first tries a safeguarded
-    Newton step (`_newton_direction`, at most NEWTON_HALVINGS halvings
-    from the full step), kept only if it satisfies Armijo on its slope and
-    at least halves the weak residual; after a rejected trial the next
-    waits until the residual has halved.  An atom that ends
-    PRUNE_AFTER consecutive iterations at the weight floor is dropped and
-    the weights are projected back onto the volume.  Accepted steps never
-    increase the action.  An iteration that ends in exactly the state
-    (x, w, step) the previous one ended in would repeat forever, so the run
-    stops there as stalled.
+    Spectral projected gradient over the stacked variable with Armijo
+    backtracking; the sufficient-decrease test uses the projected
+    displacement, so it remains meaningful on the weight simplex.  The
+    first trial of a gradient step is the Barzilai-Borwein step of the last
+    accepted change s = (dx, dw), y = (dgx, dgw): the long step <s,s>/<s,y>
+    on odd iterations and the short step <s,y>/<y,y> on even ones (the ABB
+    rule), clipped to [BB_STEP_MIN, BB_STEP_MAX].  On the first iteration,
+    right after pruning and when <s,y> <= 0 (s = 0 included) it is the last
+    accepted gradient step times 1/armijo_factor instead, or
+    step_size_initial before any.  Once the weak residual is at most
+    NEWTON_RESIDUAL, each iteration first tries a safeguarded Newton step
+    (`_newton_direction`, at most NEWTON_HALVINGS halvings from the full
+    step), kept only if it satisfies Armijo on its slope and at least
+    halves the weak residual; after a rejected trial the next waits until
+    the residual has halved.  An atom that ends PRUNE_AFTER consecutive
+    iterations at the weight floor is dropped and the weights are projected
+    back onto the volume.  Accepted steps never increase the action.
+
+    The run stops as stalled when a gradient step finds no decrease in
+    max_backtracks trials, or when an iteration ends in exactly the state
+    one of the two iterations before it ended in: x, w, the next first
+    trial, the fallback step, the Newton threshold and the floor counts are
+    everything the next iteration reads, so from there on the run would
+    cycle forever.
     """
     manifold = rho0.manifold
     x = rho0.points.copy()
@@ -183,15 +205,16 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     start_index = np.arange(rho0.count)  # each atom's index in the start
     floored_for = np.zeros(rho0.count, dtype=int)
     newton_below = NEWTON_RESIDUAL
-    gradient_step = False
+    fallback = step   # the first gradient trial without a secant pair
+    first = step      # the next iteration's first gradient trial
+    # the states the last two iterations ended in (the start, before any)
+    seen = [(x.tobytes(), w.tobytes(), first, fallback, newton_below,
+             floored_for.tobytes())]
     for it in range(1, config.max_iterations + 1):
-        if gradient_step:
-            step *= grow  # grown here, so every trace row keeps the accepted step
         if not (np.isfinite(act) and np.isfinite(gx).all() and np.isfinite(gw).all()):
             raise NonFiniteIterateError(
                 f"non-finite action or gradient at iteration {it}",
                 iteration=it, points=x, weights=w)
-        start = (x.tobytes(), w.tobytes(), step)
         accepted = None  # _gradients of the accepted trial (xn, wn)
         if residual <= newton_below:
             direction, slope = _newton_direction(tables, w, gx, gw)
@@ -200,6 +223,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
                 xn = x + t * direction[:, 1:]
                 wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
                 trial = pair_tables(kernel, manifold, xn)
+                trace.trials += 1
                 rows = trial.L @ wn
                 if float(wn @ rows) <= act + config.armijo_slope * t * slope:
                     accepted = _gradients(trial, wn, rows)
@@ -211,22 +235,30 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
                 newton_below = residual / 2  # try again once it has halved
             else:
                 trace.newton_steps += 1
-        gradient_step = accepted is None
-        if gradient_step:
+        if accepted is None:
+            trial_step = first
             for _ in range(config.max_backtracks):
-                xn = x - step * gx
-                wn = project_volume(w - step * gw, volume, floor)
+                xn = x - trial_step * gx
+                wn = project_volume(w - trial_step * gw, volume, floor)
                 trial = pair_tables(kernel, manifold, xn)
+                trace.trials += 1
                 rows = trial.L @ wn
                 trial_act = float(wn @ rows)
                 moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
-                if trial_act <= act - config.armijo_slope / step * moved:
+                if trial_act <= act - config.armijo_slope / trial_step * moved:
                     accepted = _gradients(trial, wn, rows)
                     break
-                step *= config.armijo_factor
+                trial_step *= config.armijo_factor
             if accepted is None:
                 trace.status = "stalled"
                 break
+            step = trial_step
+            fallback = step * grow
+        sx, sw = xn - x, wn - w   # the secant pair s, y of the accepted change
+        yx, yw = accepted[1] - gx, accepted[2] - gw
+        ss = float((sx * sx).sum() + sw @ sw)
+        sy = float((sx * yx).sum() + sw @ yw)
+        yy = float((yx * yx).sum() + yw @ yw)
         x, w, tables = xn, wn, trial
         act, gx, gw, residual = accepted
         floored_for = np.where(w <= at_floor, floored_for + 1, 0)
@@ -238,14 +270,21 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
             w = project_volume(w[kept], volume, floor)
             tables = pair_tables(kernel, manifold, x)
             act, gx, gw, residual = _gradients(tables, w)
+            sy = 0.0   # the pair spans the atoms before pruning
         if it % config.trace_period == 0:
             trace.rows.append((it, act, residual, step))
         if residual <= config.tolerance_weak_el:
             trace.status = "converged"
             break
-        if (x.tobytes(), w.tobytes(), step * grow) == start:
+        # the ABB rule: the long step on odd iterations, the short on even ones
+        first = (min(max(ss / sy if it % 2 == 0 else sy / yy, BB_STEP_MIN), BB_STEP_MAX)
+                 if sy > 0 else fallback)
+        state = (x.tobytes(), w.tobytes(), first, fallback, newton_below,
+                 floored_for.tobytes())
+        if state in seen:
             trace.status = "stalled"
             break
+        seen = [state, seen[0]]
     else:
         trace.status = "budget-exhausted"
 

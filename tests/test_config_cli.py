@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from cvplab import (DiscreteMeasure, FormEvaluator, SchemaError,
-                    arc_regions, load_config, load_state,
+from cvplab import (DimensionMismatchError, DiscreteMeasure, FormEvaluator,
+                    SchemaError, arc_regions, load_config, load_state,
                     pair_tables, parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
 from cvplab.config import RunState, config_hash
@@ -261,20 +261,63 @@ def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
 
 @pytest.mark.parametrize("key, value", [
     ("verdicts", "optimizer_converged"), ("verdicts", {"optimizer_converged": "yes"}),
-    ("seed", "0"), ("seed", True), ("measure", [[0.0]]), ("measure", None)])
+    ("seed", "0"), ("seed", True), ("measure", [[0.0]]), ("measure", None),
+    ("optimizer", [1]), ("measure.points", "x"),
+    ("measure.weights", [-1.0, 1.0, 1.0, 1.0, 1.0]),
+    ("measure.points", [[0.0, 0.0]] * 5)])
 def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"
     assert run("minimize", cfg_path, str(out), quiet=True) == 0
     (out / "trace.csv").unlink()
     raw = json.loads((out / "state.json").read_text())
-    raw[key] = value
+    *parents, name = key.split(".")
+    section = raw
+    for parent in parents:
+        section = section[parent]
+    section[name] = value
     (out / "state.json").write_text(json.dumps(raw))
-    with pytest.raises(SchemaError):
-        load_state(out / "state.json")
+    # the state does not load, or its measure does not build
+    with pytest.raises((SchemaError, DimensionMismatchError)):
+        DiscreteMeasure.from_dict(load_state(out / "state.json").measure)
     assert run("report", cfg_path, str(out), quiet=True) == 0
     assert (out / "trace.csv").exists()
-    assert load_state(out / "state.json").verdicts["optimizer_converged"] is True
+    state = load_state(out / "state.json")
+    assert state.verdicts["optimizer_converged"] is True
+    assert state.optimizer["status"] == "converged"
+
+
+def test_cli_reuses_no_measure_on_another_manifold(tmp_path):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("minimize", cfg_path, str(out), quiet=True) == 0
+    (out / "trace.csv").unlink()
+    raw = json.loads((out / "state.json").read_text())
+    raw["measure"]["manifold"]["periods"] = [6.0]
+    (out / "state.json").write_text(json.dumps(raw))
+    assert run("report", cfg_path, str(out), quiet=True) == 0
+    assert (out / "trace.csv").exists()
+    periods = load_state(out / "state.json").measure["manifold"]["periods"]
+    assert periods == BASE_CONFIG["manifold"]["periods"]
+
+
+def test_cli_state_records_the_optimizer_section(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("minimize", cfg_path, str(out)) == 0
+    section = load_state(out / "state.json").optimizer
+    assert set(section) == {"status", "iterations", "newton_steps", "trials",
+                            "pruned_points", "floored_points"}
+    assert section["status"] == "converged"
+    assert 0 < section["iterations"] <= section["trials"]
+    with (out / "trace.csv").open() as handle:
+        assert section["iterations"] == int(handle.read().splitlines()[-1].split(",")[0])
+    assert f"{section['trials']} trials" in capsys.readouterr().out
+    # a reused measure carries its section over; the config hash ignores it
+    assert run("verify-all", cfg_path, str(out), quiet=True) == 0
+    state = load_state(out / "state.json")
+    assert state.optimizer == section
+    assert state.config_hash == parse_config(BASE_CONFIG).hash
 
 
 def test_cli_reused_measure_keeps_optimizer_verdict(tmp_path):

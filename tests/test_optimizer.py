@@ -101,37 +101,57 @@ def test_minimize_returns_immediately_at_stationary_point(single_gauss):
     assert rho is single_gauss.rho
 
 
+def _ring8(seed: int):
+    return random_measure(ChartManifold(kind="torus", dim=1, periods=(8.0,)),
+                          count=8, total_volume=8.0, seed=seed)
+
+
 def test_minimize_stops_at_a_repeated_state():
     # an 8-point README ring whose accepted steps stop moving the iterate
     # short of a residual of 1e-14
-    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
-    rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
-    kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
-    rho, trace = minimize(rho0, kernel, OptimizerConfig(
-        max_iterations=1000, tolerance_weak_el=1e-14))
+    rho0 = _ring8(seed=1)
+    tight = dict(tolerance_weak_el=1e-14)
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000, **tight))
     stall = trace.rows[-1][0]
     assert trace.status == "stalled" and 1 < stall < 1000
-    # the iteration before the stall already ended in the returned state
-    capped, capped_trace = minimize(rho0, kernel, OptimizerConfig(
-        max_iterations=stall - 1, tolerance_weak_el=1e-14))
+    # the iteration before the stall already ended in the returned state,
+    # and the stall iteration accepted a step: it is a repeat, not a search
+    # that found no decrease
+    capped, capped_trace = minimize(rho0, README_KERNEL, OptimizerConfig(
+        max_iterations=stall - 1, **tight))
     assert capped_trace.status == "budget-exhausted"
     assert capped.points.tobytes() == rho.points.tobytes()
     assert capped.weights.tobytes() == rho.weights.tobytes()
+    assert trace.trials - capped_trace.trials < OptimizerConfig().max_backtracks
+
+
+def test_minimize_stops_at_a_two_iteration_cycle():
+    # on this start the iterate alternates between two states of equal action
+    rho0 = _ring8(seed=9)
+    tight = dict(tolerance_weak_el=1e-14)
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000, **tight))
+    stall = trace.rows[-1][0]
+    assert trace.status == "stalled" and 2 < stall < 1000
+    ends = [minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=stall - k, **tight))[0]
+            for k in (1, 2)]
+    same = [end.points.tobytes() + end.weights.tobytes()
+            == rho.points.tobytes() + rho.weights.tobytes() for end in ends]
+    assert same == [False, True]
 
 
 def test_budget_exhausted_final_row_keeps_the_accepted_step():
-    # the 8-point README ring that stalls at iteration 81 (tolerance 1e-14)
-    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
-    rho0 = random_measure(manifold, count=8, total_volume=8.0, seed=5)
-    kernel = CompactSupportKernel(radius=np.sqrt(2.0), power=3)
-    _, stalled = minimize(rho0, kernel, OptimizerConfig(
+    # the 8-point README ring that stalls at iteration 28 (tolerance 1e-14),
+    # where no backtracked gradient trial lowers the action
+    rho0 = _ring8(seed=5)
+    _, stalled = minimize(rho0, README_KERNEL, OptimizerConfig(
         max_iterations=1000, tolerance_weak_el=1e-14))
-    _, capped = minimize(rho0, kernel, OptimizerConfig(
-        max_iterations=80, tolerance_weak_el=1e-14))
-    assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 81)
-    assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 80)
+    _, capped = minimize(rho0, README_KERNEL, OptimizerConfig(
+        max_iterations=27, tolerance_weak_el=1e-14))
+    assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 28)
+    assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 27)
+    assert stalled.trials - capped.trials == OptimizerConfig().max_backtracks
     assert capped.rows[-1][3] == stalled.rows[-1][3]
-    assert capped.rows[-1][3] == pytest.approx(6.10e-6, rel=1e-2)
+    assert capped.rows[-1][3] == pytest.approx(4.63e-3, rel=1e-2)
 
 
 def _jet_gradient(kernel, manifold, x, w, w0):
@@ -172,7 +192,7 @@ def test_minimize_prunes_the_floor_atom_of_the_n40_ring():
     rho0 = _readme_ring(40, seed=0)
     rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000))
     assert trace.status == "converged" and trace.newton_steps > 0
-    assert rho.count == 39 and trace.pruned_points == [5]
+    assert rho.count == 39 and trace.pruned_points == [23]
     assert trace.floored_points == []
     assert trace.rows[-1][1] == pytest.approx(398.4612116, rel=1e-9)
     assert rho.total_volume == pytest.approx(40.0, rel=1e-12)
@@ -206,3 +226,77 @@ def test_rejected_newton_trials_keep_the_gradient_path(monkeypatch):
     assert rho.weights.tobytes() == reference.weights.tobytes()
     # each rejection waits for the residual to halve: 0.1 to 1e-6 is 17 halvings
     assert 0 < len(calls) <= 18 < trace.rows[-1][0]
+
+
+def _gradient_trial_step(monkeypatch, rho0, kernel, it):
+    """The iterate after it - 1 iterations, its trace, and the step of the
+    first gradient trial of iteration it, read off the points it is tried at."""
+    before, trace = minimize(rho0, kernel, OptimizerConfig(max_iterations=it - 1))
+    assert trace.newton_steps == 0 and trace.pruned_points == []
+    tried = []
+    monkeypatch.setattr(optimizer, "pair_tables",
+                        lambda k, m, x: tried.append(x) or pair_tables(k, m, x))
+    minimize(rho0, kernel, OptimizerConfig(max_iterations=it))
+    monkeypatch.undo()
+    _, gx, _, residual = _gradients(pair_tables(kernel, rho0.manifold, before.points),
+                                    before.weights)
+    assert residual > optimizer.NEWTON_RESIDUAL   # no Newton trial comes first
+    moved = before.points - tried[1 + trace.trials]   # after the start's tables
+    return before, trace, float((moved * gx).sum() / (gx * gx).sum())
+
+
+def _secant(kernel, old, new):
+    """<s,s>, <s,y>, <y,y> of the change from measure old to measure new."""
+    (_, gx0, gw0, _), (_, gx1, gw1, _) = (
+        _gradients(pair_tables(kernel, rho.manifold, rho.points), rho.weights)
+        for rho in (old, new))
+    s = np.hstack([new.points.ravel() - old.points.ravel(), new.weights - old.weights])
+    y = np.hstack([(gx1 - gx0).ravel(), gw1 - gw0])
+    return s @ s, s @ y, y @ y
+
+
+@pytest.mark.parametrize("it, long", [(2, False), (3, True), (4, False)])
+def test_first_gradient_trial_is_the_abb_step(monkeypatch, it, long):
+    # the README ring of 5 points: every early <s,y> is positive
+    rho0 = _readme_ring(5, seed=0)
+    older = (rho0 if it == 2 else
+             minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=it - 2))[0])
+    before, _, first = _gradient_trial_step(monkeypatch, rho0, README_KERNEL, it)
+    ss, sy, yy = _secant(README_KERNEL, older, before)
+    assert sy > 0
+    assert first == pytest.approx(ss / sy if long else sy / yy, rel=1e-9)
+
+
+def test_first_gradient_trial_falls_back_without_positive_curvature(monkeypatch):
+    # on this start the second accepted change has <s,y> < 0, so the third
+    # iteration starts from the second's accepted step, grown
+    rho0 = _readme_ring(5, seed=1)
+    older, _ = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1))
+    before, trace, first = _gradient_trial_step(monkeypatch, rho0, README_KERNEL, 3)
+    assert _secant(README_KERNEL, older, before)[1] < 0
+    grow = 1.0 / OptimizerConfig().armijo_factor
+    assert first == pytest.approx(trace.rows[-1][3] * grow, rel=1e-9)
+
+
+RING_MINIMIZE_STARTS = (
+    [(_readme_ring(n, seed=s), README_KERNEL) for n in (5, 8, 12) for s in range(6)]
+    + [(random_measure(ChartManifold(kind="torus", dim=1, periods=(2.0 * np.pi,)),
+                       count=5, total_volume=5.0, seed=s), GaussianKernel(sigma=1.0))
+       for s in range(3)]
+    + [(_readme_ring(40, seed=0), README_KERNEL)])
+
+
+def test_accepted_steps_never_raise_the_action_on_the_ring_starts():
+    for rho0, kernel in RING_MINIMIZE_STARTS:
+        _, trace = minimize(rho0, kernel, OptimizerConfig(
+            max_iterations=1000, trace_period=1))
+        assert trace.status == "converged"
+        actions = [row[1] for row in trace.rows]
+        assert all(b <= a for a, b in zip(actions, actions[1:]))
+
+
+def test_n40_ring_reaches_a_tight_residual_within_100_iterations():
+    _, trace = minimize(_readme_ring(40, seed=0), README_KERNEL, OptimizerConfig(
+        max_iterations=100, tolerance_weak_el=1e-8))
+    assert trace.status == "converged" and trace.rows[-1][2] <= 1e-8
+    assert trace.rows[-1][0] <= 100   # growing the last step instead took 352
