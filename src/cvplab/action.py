@@ -47,10 +47,9 @@ class ELReport:
     ell_gradients: np.ndarray   # (n, m)
     strong_residual: float      # max_i |ell(x_i)|
     weak_residual: float        # max_i max(|ell(x_i)|, |grad ell(x_i)|_inf)
-    off_support_min: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "nu": self.nu,
             "nu_convention": "2 * min_i row_sum_i (min row sum)",
             "ell_values": self.ell_values.tolist(),
@@ -58,9 +57,6 @@ class ELReport:
             "strong_residual": self.strong_residual,
             "weak_residual": self.weak_residual,
         }
-        if self.off_support_min is not None:
-            out["off_support_min"] = self.off_support_min
-        return out
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as handle:
@@ -71,29 +67,13 @@ class ELReport:
                                  repr(float(np.abs(g).max()))])
 
 
-def el_report(ev: FormEvaluator,
-              off_support_samples: int | None = None,
-              seed: int = 0,
-              box: tuple | None = None) -> ELReport:
-    """EL diagnostics read from the evaluator's ell jet and calibrated nu.
-
-    Builds no tables; optionally scans ell over off-support samples.
-    """
-    rho = ev.rho
+def el_report(ev: FormEvaluator) -> ELReport:
+    """EL diagnostics on the support, read from the evaluator's ell jet and
+    calibrated nu; builds no tables."""
     strong = float(np.abs(ev.ell).max())
     weak = max(strong, float(np.abs(ev.grad_ell).max()))
-    off_min = None
-    if off_support_samples:
-        rng = np.random.default_rng(seed)
-        if box is None and rho.manifold.kind == "euclidean":
-            lo = rho.points.min(axis=0) - 1.0
-            hi = rho.points.max(axis=0) + 1.0
-            box = (lo, hi)
-        samples = rho.manifold.uniform_samples(off_support_samples, rng, box)
-        off_min = float(ell(rho, ev.kernel, ev.nu, samples).min())
     return ELReport(nu=ev.nu, ell_values=ev.ell, ell_gradients=ev.grad_ell,
-                    strong_residual=strong, weak_residual=weak,
-                    off_support_min=off_min)
+                    strong_residual=strong, weak_residual=weak)
 
 
 def action_difference(rho: DiscreteMeasure, rho_tilde: DiscreteMeasure,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from pathlib import Path
 
@@ -24,6 +25,10 @@ from .linfield import arc_regions, osi_report, random_regions, solve_linfield
 from .measure import DiscreteMeasure
 from .optimizer import minimize
 from .variations import stability_probe
+
+log = logging.getLogger(__name__)
+log.setLevel(logging.INFO)
+log.propagate = False   # run's own handler prints each line once
 
 STAGES = ("minimize", "report", "spectrum", "fragment", "linfield", "osi",
           "verify-all")
@@ -43,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
-                 seed: int | None, log, reuse: bool = True) -> DiscreteMeasure:
+                 seed: int | None, reuse: bool = True) -> DiscreteMeasure:
     """Reuse a previously minimized measure, with its optimizer verdict and
     section, if one matches the config and the seed; minimize otherwise.
     A state or a measure that does not load is read as absent."""
@@ -57,7 +62,7 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
         if (rho is not None and rho.manifold == cfg.manifold
                 and prior.seed == seed
                 and "optimizer_converged" in prior.verdicts):
-            log("reusing minimized measure from state.json")
+            log.info("reusing minimized measure from state.json")
             state.verdicts["optimizer_converged"] = \
                 prior.verdicts["optimizer_converged"]
             state.optimizer = prior.optimizer
@@ -67,24 +72,24 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
     trace.write_csv(out_dir / "trace.csv")
     state.verdicts["optimizer_converged"] = trace.status == "converged"
     state.optimizer = trace.to_dict()
-    log(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
-        f"({trace.newton_steps} Newton, {trace.trials} trials), "
-        f"pruned atoms {trace.pruned_points}")
+    log.info(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
+             f"({trace.newton_steps} Newton, {trace.trials} trials), "
+             f"pruned atoms {trace.pruned_points}")
     return rho
 
 
-def _stage_report(cfg, ev, state, out_dir, log):
+def _stage_report(cfg, ev, state, out_dir):
     rep = el_report(ev)
     rep.write_csv(out_dir / "el_report.csv")
     state.nu = rep.nu
     state.el_report = rep.to_dict()
     ok = rep.weak_residual <= cfg.tolerances["tol_weak_el"]
     state.verdicts["weak_el"] = bool(ok)
-    log(f"report: weak residual {rep.weak_residual:.3e} "
-        f"({'pass' if ok else 'FAIL'})")
+    log.info(f"report: weak residual {rep.weak_residual:.3e} "
+             f"({'pass' if ok else 'FAIL'})")
 
 
-def _stage_spectrum(cfg, ev, state, out_dir, log):
+def _stage_spectrum(cfg, ev, state, out_dir):
     tau = cfg.tolerances["tau_psd"]
     rows = []
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
@@ -93,8 +98,8 @@ def _stage_spectrum(cfg, ev, state, out_dir, log):
         state.gram_reports.append(rep.to_dict())
         key = f"{form_id.lower()}_{basis}_psd"
         state.verdicts[key] = rep.psd
-        log(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
-            f"({'pass' if rep.psd else 'FAIL'})")
+        log.info(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
+                 f"({'pass' if rep.psd else 'FAIL'})")
         for k, lam in enumerate(rep.eigenvalues):
             rows.append((form_id, basis, k, lam))
     with (out_dir / "spectrum.csv").open("w", newline="") as handle:
@@ -104,7 +109,7 @@ def _stage_spectrum(cfg, ev, state, out_dir, log):
             writer.writerow([form_id, basis, k, repr(float(lam))])
 
 
-def _stage_fragment(cfg, ev, state, out_dir, seed, log):
+def _stage_fragment(cfg, ev, state, out_dir, seed):
     probe = cfg.probe
     rep = stability_probe(
         ev,
@@ -117,22 +122,22 @@ def _stage_fragment(cfg, ev, state, out_dir, seed, log):
     state.probe_summary = rep.to_dict()
     stable = rep.min_delta >= -1e-12 * abs(rep.base_action)
     state.verdicts["probe_stable"] = bool(stable)
-    log(f"fragment: min delta {rep.min_delta:.3e}, worst quadratic-fit "
-        f"deviation {rep.max_fit_deviation:.3%} ({'pass' if stable else 'FAIL'})")
+    log.info(f"fragment: min delta {rep.min_delta:.3e}, worst quadratic-fit "
+             f"deviation {rep.max_fit_deviation:.3%} ({'pass' if stable else 'FAIL'})")
 
 
-def _stage_linfield(ev, state, out_dir, log):
+def _stage_linfield(ev, state, out_dir):
     sol = solve_linfield(ev)
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
     np.save(out_dir / "linfield_operator.npy", ev.linfield)
-    log(f"linfield: kernel dimension {sol.dimension}, "
-        f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
+    log.info(f"linfield: kernel dimension {sol.dimension}, "
+             f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
     return sol
 
 
-def _stage_osi(cfg, ev, sol, state, log):
+def _stage_osi(cfg, ev, sol, state):
     rho = ev.rho
     if rho.manifold.dim == 1 or rho.count < 2:
         regions = arc_regions(rho)    # a one-point measure has none
@@ -151,17 +156,15 @@ def _stage_osi(cfg, ev, sol, state, log):
         "reports": [{"solution_index": k, **rep.to_dict()}
                     for k, rep in enumerate(reports)]}
     state.verdicts["osi_nonnegative"] = bool(ok)
-    log(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
-        f"{'none' if worst is None else f'{worst:.3e}'} "
-        f"({'pass' if ok else 'FAIL'})")
+    log.info(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
+             f"{'none' if worst is None else f'{worst:.3e}'} "
+             f"({'pass' if ok else 'FAIL'})")
 
 
 def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         quiet: bool = False) -> int:
-    def log(msg):
-        if not quiet:
-            print(msg)
-
+    handler = logging.NullHandler() if quiet else logging.StreamHandler(sys.stdout)
+    log.addHandler(handler)
     try:
         if seed is not None and seed < 0:
             raise SchemaError(f"--seed must be an integer >= 0, not {seed}")
@@ -169,32 +172,30 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         state = RunState(config_hash=cfg.hash, seed=seed)
-        rho = _get_measure(cfg, out, state, seed, log,
-                           reuse=stage != "minimize")
+        rho = _get_measure(cfg, out, state, seed, reuse=stage != "minimize")
         state.measure = rho.to_dict()
         ev = FormEvaluator(rho, cfg.kernel)  # for report and every later stage
-        _stage_report(cfg, ev, state, out, log)
+        _stage_report(cfg, ev, state, out)
         if stage in ("spectrum", "verify-all"):
-            _stage_spectrum(cfg, ev, state, out, log)
+            _stage_spectrum(cfg, ev, state, out)
         if stage in ("fragment", "verify-all"):
-            _stage_fragment(cfg, ev, state, out, seed, log)
+            _stage_fragment(cfg, ev, state, out, seed)
         if stage in ("linfield", "osi", "verify-all"):
             sol = (solve_linfield(ev) if stage == "osi"
-                   else _stage_linfield(ev, state, out, log))
+                   else _stage_linfield(ev, state, out))
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, ev, sol, state, log)
+            _stage_osi(cfg, ev, sol, state)
         save_state(state, out / "state.json")
-    except CvpError as exc:
+        if not state.all_verdicts_pass():
+            failing = sorted(k for k, v in state.verdicts.items() if not v)
+            log.info(f"failing verdicts: {failing}")
+            return 2
+        return 0
+    except (CvpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not state.all_verdicts_pass():
-        failing = sorted(k for k, v in state.verdicts.items() if not v)
-        log(f"failing verdicts: {failing}")
-        return 2
-    return 0
+    finally:
+        log.removeHandler(handler)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,23 +15,24 @@ from .jets import action_hessian
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
-NEWTON_RESIDUAL = 0.1   # weak residual from which Newton steps are tried
-NEWTON_HALVINGS = 8     # backtracking halvings of a Newton step
-NEWTON_CUTOFF = 1e-9    # pseudo-inverse cutoff, relative to max |eigenvalue|
-PRUNE_AFTER = 5         # consecutive iterations at the floor before pruning
-BB_STEP_MIN = 1e-10     # clip of a Barzilai-Borwein trial step
+NEWTON_RESIDUAL = 0.1    # weak residual from which Newton steps are tried
+NEWTON_HALVINGS = 8      # backtracking halvings of a Newton step
+NEWTON_CUTOFF = 1e-9     # pseudo-inverse cutoff, relative to max |eigenvalue|
+PRUNE_AFTER = 5          # consecutive iterations at the floor before pruning
+BB_STEP_MIN = 1e-10      # clip of a Barzilai-Borwein trial step
 BB_STEP_MAX = 1e10
+STEP_INITIAL = 0.05      # first gradient trial of a run
+ARMIJO_SLOPE = 1e-4      # sufficient-decrease constant of both searches
+MAX_BACKTRACKS = 80      # gradient trials of one search before a stall
+WEIGHT_FLOOR_REL = 1e-8  # weight floor as a fraction of the mean weight
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """What a run must reach, and how often `trace.csv` records a row."""
+
     max_iterations: int = 100_000
-    step_size_initial: float = 0.05
-    armijo_factor: float = 0.5          # backtracking shrink, in (0, 1)
-    armijo_slope: float = 1e-4
     tolerance_weak_el: float = 1e-6
-    weight_floor_rel: float = 1e-8      # floor as a fraction of the mean weight
-    max_backtracks: int = 80
     trace_period: int = 50
 
     def __post_init__(self):
@@ -40,16 +41,9 @@ class OptimizerConfig:
             kind = Integral if isinstance(f.default, int) else Real
             value = getattr(self, f.name)
             if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not math.isfinite(value)):
-                raise SchemaError(f"optimizer {f.name} must be a finite "
+                    or not math.isfinite(value) or value <= 0):
+                raise SchemaError(f"optimizer {f.name} must be a positive finite "
                                   f"{'integer' if kind is Integral else 'number'}")
-        if not (0.0 < self.armijo_factor < 1.0):
-            raise SchemaError("armijo_factor must lie in (0, 1)")
-        if min(self.max_iterations, self.step_size_initial,
-               self.tolerance_weak_el, self.trace_period) <= 0:
-            raise SchemaError("optimizer config values must be positive")
-        if self.weight_floor_rel < 0:
-            raise SchemaError("weight floor must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,18 +163,20 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     on odd iterations and the short step <s,y>/<y,y> on even ones (the ABB
     rule), clipped to [BB_STEP_MIN, BB_STEP_MAX].  On the first iteration,
     right after pruning and when <s,y> <= 0 (s = 0 included) it is the last
-    accepted gradient step times 1/armijo_factor instead, or
-    step_size_initial before any.  Once the weak residual is at most
+    accepted gradient step doubled instead, or STEP_INITIAL before any;
+    each rejected trial halves it.  Once the weak residual is at most
     NEWTON_RESIDUAL, each iteration first tries a safeguarded Newton step
     (`_newton_direction`, at most NEWTON_HALVINGS halvings from the full
     step), kept only if it satisfies Armijo on its slope and at least
     halves the weak residual; after a rejected trial the next waits until
     the residual has halved.  An atom that ends PRUNE_AFTER consecutive
     iterations at the weight floor is dropped and the weights are projected
-    back onto the volume.  Accepted steps never increase the action.
+    back onto the volume.  The weight floor is WEIGHT_FLOOR_REL times the
+    mean weight, and both searches test sufficient decrease with
+    ARMIJO_SLOPE, so accepted steps never increase the action.
 
     The run stops as stalled when a gradient step finds no decrease in
-    max_backtracks trials, or when an iteration ends in exactly the state
+    MAX_BACKTRACKS trials, or when an iteration ends in exactly the state
     one of the two iterations before it ended in: x, w, the next first
     trial, the fallback step, the Newton threshold and the floor counts are
     everything the next iteration reads, so from there on the run would
@@ -190,9 +186,9 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     x = rho0.points.copy()
     w = rho0.weights.copy()
     volume = rho0.total_volume
-    floor = config.weight_floor_rel * volume / rho0.count
+    floor = WEIGHT_FLOOR_REL * volume / rho0.count
     trace = OptimizerTrace()
-    step = config.step_size_initial
+    step = STEP_INITIAL
     tables = pair_tables(kernel, manifold, x)
     act, gx, gw, residual = _gradients(tables, w)
     trace.rows.append((0, act, residual, step))
@@ -200,7 +196,13 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
         trace.status = "converged"
         return rho0, trace
 
-    grow = 1.0 / config.armijo_factor
+    def evaluate(xn, wn):
+        """The pair tables, row sums and action of one trial (xn, wn)."""
+        trial = pair_tables(kernel, manifold, xn)
+        trace.trials += 1
+        rows = trial.L @ wn
+        return trial, rows, float(wn @ rows)
+
     at_floor = floor * (1 + 1e-12)
     start_index = np.arange(rho0.count)  # each atom's index in the start
     floored_for = np.zeros(rho0.count, dtype=int)
@@ -222,10 +224,8 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
             for _ in range(NEWTON_HALVINGS + 1):
                 xn = x + t * direction[:, 1:]
                 wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
-                trial = pair_tables(kernel, manifold, xn)
-                trace.trials += 1
-                rows = trial.L @ wn
-                if float(wn @ rows) <= act + config.armijo_slope * t * slope:
+                trial, rows, trial_act = evaluate(xn, wn)
+                if trial_act <= act + ARMIJO_SLOPE * t * slope:
                     accepted = _gradients(trial, wn, rows)
                     if accepted[3] <= residual / 2:
                         break
@@ -237,23 +237,20 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
                 trace.newton_steps += 1
         if accepted is None:
             trial_step = first
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 xn = x - trial_step * gx
                 wn = project_volume(w - trial_step * gw, volume, floor)
-                trial = pair_tables(kernel, manifold, xn)
-                trace.trials += 1
-                rows = trial.L @ wn
-                trial_act = float(wn @ rows)
+                trial, rows, trial_act = evaluate(xn, wn)
                 moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
-                if trial_act <= act - config.armijo_slope / trial_step * moved:
+                if trial_act <= act - ARMIJO_SLOPE / trial_step * moved:
                     accepted = _gradients(trial, wn, rows)
                     break
-                trial_step *= config.armijo_factor
+                trial_step *= 0.5
             if accepted is None:
                 trace.status = "stalled"
                 break
             step = trial_step
-            fallback = step * grow
+            fallback = step * 2.0
         sx, sw = xn - x, wn - w   # the secant pair s, y of the accepted change
         yx, yw = accepted[1] - gx, accepted[2] - gw
         ss = float((sx * sx).sum() + sw @ sw)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +112,12 @@ def test_parse_config_generator_and_seed_override():
     # the knobs nothing read are gone
     lambda d: d.update(optimizer={"seed": 0}),
     lambda d: d.update(tolerances={"fd_rel": 1e-5}),
+    # the line-search and floor constants are not settings
+    lambda d: d.update(optimizer={"step_size_initial": 0.1}),
+    lambda d: d.update(optimizer={"armijo_factor": 0.5}),
+    lambda d: d.update(optimizer={"armijo_slope": -10}),
+    lambda d: d.update(optimizer={"weight_floor_rel": 1e-8}),
+    lambda d: d.update(optimizer={"max_backtracks": 0}),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -224,13 +232,22 @@ def test_cli_one_point_measure_checks_no_region(tmp_path, stage, point):
     assert state.osi_summary == {"regions": [], "reports": [], "min_value": None}
 
 
-def test_cli_exit_one_on_bad_config(tmp_path):
+def test_cli_exit_one_on_bad_config(tmp_path, capsys):
     data = json.loads(json.dumps(BASE_CONFIG))
     data["lagrangian"]["family"] = "unknown"
     cfg_path = _write_config(tmp_path, data)
     assert run("minimize", cfg_path, str(tmp_path / "out"), quiet=True) == 1
     assert run("minimize", str(tmp_path / "missing.json"),
                str(tmp_path / "out"), quiet=True) == 1
+    # the line-search and floor constants are not optimizer settings
+    for name, value in (("step_size_initial", 0.05), ("armijo_factor", 0.5),
+                        ("armijo_slope", -10), ("weight_floor_rel", 1e-8),
+                        ("max_backtracks", 0)):
+        path = _write_config(tmp_path, {**BASE_CONFIG, "optimizer": {name: value}})
+        capsys.readouterr()
+        assert run("verify-all", path, str(tmp_path / "out"), quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown optimizer config fields") and name in err
     # a negative seed: the generator's and the probe's seed alike
     data["lagrangian"]["family"] = "compact-support-power"
     data["initial_measure"] = {"generator": {"count": 5, "seed": 0,
@@ -320,6 +337,23 @@ def test_cli_state_records_the_optimizer_section(tmp_path, capsys):
     assert state.config_hash == parse_config(BASE_CONFIG).hash
 
 
+def test_cli_progress_lines_print_once_and_quiet_hides_them(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stdout)
+    root.addHandler(handler)
+    try:
+        assert run("report", cfg_path, str(tmp_path / "loud")) == 0
+        loud = capsys.readouterr().out.splitlines()
+        assert run("report", cfg_path, str(tmp_path / "quiet"), quiet=True) == 0
+        assert main(["report", "--config", cfg_path, "--out",
+                     str(tmp_path / "quiet"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+    finally:
+        root.removeHandler(handler)
+    assert [line.split(":")[0] for line in loud] == ["minimize", "report"]
+
+
 def test_cli_reused_measure_keeps_optimizer_verdict(tmp_path):
     data = json.loads(json.dumps(BASE_CONFIG))
     data["optimizer"]["max_iterations"] = 3     # cannot converge
@@ -375,7 +409,7 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     empty = LinfieldSolution(solutions=(), eigenvalues=np.array([1.0]),
                              threshold=1e-10, residuals=())
     ev = FormEvaluator(cfg.initial_measure(), cfg.kernel)
-    _stage_osi(cfg, ev, empty, state, lambda msg: None)
+    _stage_osi(cfg, ev, empty, state)
     assert state.verdicts["osi_nonnegative"] is False
     labels = arc_regions(ev.rho)[1]
     assert state.osi_summary == {"regions": labels, "reports": [],

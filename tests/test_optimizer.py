@@ -67,14 +67,16 @@ def test_project_volume_is_euclidean_projection():
 
 
 def test_config_validation_and_round_trip():
-    cfg = OptimizerConfig(step_size_initial=0.1, max_backtracks=3)
+    cfg = OptimizerConfig(max_iterations=7, tolerance_weak_el=1e-9, trace_period=3)
+    assert cfg.to_dict() == {"max_iterations": 7, "tolerance_weak_el": 1e-9,
+                             "trace_period": 3}
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(SchemaError):
-        OptimizerConfig(armijo_factor=1.5)
-    with pytest.raises(SchemaError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(SchemaError):
-        OptimizerConfig.from_dict({"not_a_field": 1})
+    for bad in ({"max_iterations": 0}, {"trace_period": -1},
+                {"tolerance_weak_el": 0.0}, {"tolerance_weak_el": float("inf")},
+                {"max_iterations": 2.0}, {"trace_period": True},
+                {"not_a_field": 1}, {"armijo_factor": 0.5}):
+        with pytest.raises(SchemaError):
+            OptimizerConfig.from_dict(bad)
 
 
 def test_minimize_monotone_and_volume_conserving(tmp_path):
@@ -122,7 +124,7 @@ def test_minimize_stops_at_a_repeated_state():
     assert capped_trace.status == "budget-exhausted"
     assert capped.points.tobytes() == rho.points.tobytes()
     assert capped.weights.tobytes() == rho.weights.tobytes()
-    assert trace.trials - capped_trace.trials < OptimizerConfig().max_backtracks
+    assert trace.trials - capped_trace.trials < optimizer.MAX_BACKTRACKS
 
 
 def test_minimize_stops_at_a_two_iteration_cycle():
@@ -149,7 +151,7 @@ def test_budget_exhausted_final_row_keeps_the_accepted_step():
         max_iterations=27, tolerance_weak_el=1e-14))
     assert (stalled.status, stalled.rows[-1][0]) == ("stalled", 28)
     assert (capped.status, capped.rows[-1][0]) == ("budget-exhausted", 27)
-    assert stalled.trials - capped.trials == OptimizerConfig().max_backtracks
+    assert stalled.trials - capped.trials == optimizer.MAX_BACKTRACKS
     assert capped.rows[-1][3] == stalled.rows[-1][3]
     assert capped.rows[-1][3] == pytest.approx(4.63e-3, rel=1e-2)
 
@@ -269,13 +271,12 @@ def test_first_gradient_trial_is_the_abb_step(monkeypatch, it, long):
 
 def test_first_gradient_trial_falls_back_without_positive_curvature(monkeypatch):
     # on this start the second accepted change has <s,y> < 0, so the third
-    # iteration starts from the second's accepted step, grown
+    # iteration starts from the second's accepted step, doubled
     rho0 = _readme_ring(5, seed=1)
     older, _ = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1))
     before, trace, first = _gradient_trial_step(monkeypatch, rho0, README_KERNEL, 3)
     assert _secant(README_KERNEL, older, before)[1] < 0
-    grow = 1.0 / OptimizerConfig().armijo_factor
-    assert first == pytest.approx(trace.rows[-1][3] * grow, rel=1e-9)
+    assert first == pytest.approx(trace.rows[-1][3] * 2.0, rel=1e-9)
 
 
 RING_MINIMIZE_STARTS = (
