@@ -18,7 +18,7 @@ import numpy as np
 from .action import el_report
 from .config import (ExperimentConfig, RunState, load_config, load_state,
                      save_state)
-from .errors import CvpError, DimensionMismatchError, SchemaError
+from .errors import CvpError, DimensionMismatchError, SchemaError, number
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum)
 from .linfield import arc_regions, osi_report, random_regions, solve_linfield
@@ -112,12 +112,8 @@ def _stage_spectrum(cfg, ev, state, out_dir):
 def _stage_fragment(cfg, ev, state, out_dir, seed):
     probe = cfg.probe
     rep = stability_probe(
-        ev,
-        fragments=probe["fragments"],
-        tau_grid=probe["tau_grid"],
-        trials=probe["trials"],
-        seed=probe["seed"] if seed is None else seed,
-        jet_scale=float(probe.get("jet_scale", 1.0)))
+        ev, fragments=probe["fragments"], tau_grid=probe["tau_grid"],
+        trials=probe["trials"], seed=probe["seed"] if seed is None else seed)
     rep.write_csv(out_dir / "probe.csv")
     state.probe_summary = rep.to_dict()
     stable = rep.min_delta >= -1e-12 * abs(rep.base_action)
@@ -166,8 +162,8 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
     handler = logging.NullHandler() if quiet else logging.StreamHandler(sys.stdout)
     log.addHandler(handler)
     try:
-        if seed is not None and seed < 0:
-            raise SchemaError(f"--seed must be an integer >= 0, not {seed}")
+        if seed is not None:
+            number(seed, "--seed", integer=True, least=0)
         cfg = load_config(config_path)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, number
 from .geometry import ChartManifold
 from .kernels import CompactSupportKernel, RadialKernel, kernel_from_dict
 from .measure import DiscreteMeasure, random_measure
@@ -66,33 +65,6 @@ class ExperimentConfig:
             weights=np.asarray(self.initial["weights"], dtype=float))
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) < math.inf)
-
-
-def _check_counts(section: str, values: dict, least: dict) -> None:
-    """Each named value must be an integer (not a bool) of at least least[key]."""
-    for key, low in least.items():
-        value = values[key]
-        if not (isinstance(value, int) and not isinstance(value, bool)
-                and value >= low):
-            raise SchemaError(f"{section} {key} must be an integer >= {low}")
-
-
-def _check_probe(probe: dict) -> None:
-    """Reject probe settings that would run no trial or fit nothing."""
-    _check_counts("probe", probe, {"fragments": 1, "trials": 1, "seed": 0})
-    grid = probe["tau_grid"]
-    if not (isinstance(grid, (list, tuple)) and grid
-            and all(_is_finite_number(t) and t != 0 for t in grid)):
-        raise SchemaError("probe tau_grid must be a non-empty list of "
-                          "finite non-zero numbers")
-    scale = probe.get("jet_scale", 1.0)
-    if not (_is_finite_number(scale) and scale > 0):
-        raise SchemaError("probe jet_scale must be positive and finite")
-
-
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
@@ -120,22 +92,29 @@ def parse_config(data: dict) -> ExperimentConfig:
         missing = {"count", "seed", "total_volume"} - set(gen)
         if missing:
             raise SchemaError(f"generator is missing fields: {sorted(missing)}")
-        _check_counts("generator", gen, {"count": 1, "seed": 0})
-        volume = gen["total_volume"]
-        if not (_is_finite_number(volume) and volume > 0):
-            raise SchemaError("generator total_volume must be positive and finite")
+        number(gen["count"], "generator count", integer=True, least=1)
+        number(gen["seed"], "generator seed", integer=True, least=0)
+        number(gen["total_volume"], "generator total_volume", above=0)
     optimizer = OptimizerConfig.from_dict(data.get("optimizer", {}))
     tolerances = {**_DEFAULT_TOLERANCES, **data.get("tolerances", {})}
     bad = set(tolerances) - set(_DEFAULT_TOLERANCES)
     if bad:
         raise SchemaError(f"unknown tolerance fields: {sorted(bad)}")
-    if not all(_is_finite_number(v) and v > 0 for v in tolerances.values()):
-        raise SchemaError("all tolerances must be positive finite numbers")
+    for key, value in tolerances.items():
+        number(value, f"tolerances {key}", above=0)
     probe = {**_DEFAULT_PROBE, **data.get("probe", {})}
-    bad = set(probe) - set(_DEFAULT_PROBE) - {"jet_scale"}
+    bad = set(probe) - set(_DEFAULT_PROBE)
     if bad:
         raise SchemaError(f"unknown probe fields: {sorted(bad)}")
-    _check_probe(probe)
+    # a probe that would run no trial or fit nothing is rejected
+    for key, least in (("fragments", 1), ("trials", 1), ("seed", 0)):
+        number(probe[key], f"probe {key}", integer=True, least=least)
+    grid = probe["tau_grid"]
+    # number returns each step as a float, and a zero step is falsy
+    if not (isinstance(grid, (list, tuple)) and grid
+            and all(number(tau, "probe tau_grid entry") for tau in grid)):
+        raise SchemaError("probe tau_grid must be a non-empty list of "
+                          "non-zero numbers")
     if (manifold.kind == "torus" and isinstance(kernel, CompactSupportKernel)
             and kernel.radius > min(manifold.periods) / 2.0):
         # beyond half a period the wrapped kernel has a kink at the cut locus
@@ -157,10 +136,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             data = json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"config {path} is not valid JSON (line {exc.lineno}, "
-            f"column {exc.colno}): {exc.msg}") from exc
+    except ValueError as exc:   # bad JSON, or an integer of too many digits
+        raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
 
@@ -194,6 +171,8 @@ class RunState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
+        if not isinstance(data, dict):
+            raise SchemaError("state root must be a JSON object")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaError(
@@ -205,9 +184,8 @@ class RunState:
         if not (isinstance(verdicts, dict)
                 and all(isinstance(v, bool) for v in verdicts.values())):
             raise SchemaError("state verdicts must be an object of booleans")
-        seed = data.get("seed")
-        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
-            raise SchemaError("state seed must be an integer or null")
+        if data.get("seed") is not None:
+            number(data["seed"], "state seed", integer=True)
         for key in ("measure", "optimizer"):
             if not isinstance(data.get(key, {}), dict):
                 raise SchemaError(f"state {key} must be an object")
@@ -224,8 +202,8 @@ def load_state(path: str | Path,
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise SchemaError(f"cannot read state {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"state {path} is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:   # bad JSON, or an integer of too many digits
+        raise SchemaError(f"state {path} is not valid JSON: {exc}") from exc
     state = RunState.from_dict(data)
     if expected_config is not None and state.config_hash != expected_config.hash:
         raise SchemaError(

@@ -1,6 +1,10 @@
-"""Structured exceptions shared across the package."""
+"""Structured exceptions shared across the package, and the one rule for
+every number a config or a state holds: `number`."""
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class CvpError(Exception):
@@ -43,3 +47,23 @@ class NegativeDiagonalError(CvpError):
 
 class SchemaError(CvpError):
     """A config or state file does not match the expected schema."""
+
+
+def number(value, what: str, *, integer: bool = False, least=None, above=None):
+    """`value` as a float, or an int with `integer`, if it is a real number
+    (an integral one with `integer`), not a bool, finite as a float, at
+    least `least` and above `above`; a one-line SchemaError naming `what`
+    otherwise."""
+    try:
+        ok = (isinstance(value, Integral if integer else Real)
+              and not isinstance(value, bool) and math.isfinite(value)
+              and (least is None or value >= least)
+              and (above is None or value > above))
+    except OverflowError:   # an integer beyond float range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        bounds = "".join(f" {op} {bound}" for op, bound in
+                         ((">=", least), (">", above)) if bound is not None)
+        raise SchemaError(f"{what} must be {kind}{bounds}")
+    return int(value) if integer else float(value)

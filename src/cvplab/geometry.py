@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, SchemaError, number
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -29,18 +28,14 @@ class ChartManifold:
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, TORUS):
             raise SchemaError(f"unknown manifold kind {self.kind!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral) \
-                or self.dim < 1:
-            raise SchemaError(f"manifold dimension must be an integer >= 1, "
-                              f"not {self.dim!r}")
+        object.__setattr__(self, "dim", number(
+            self.dim, "manifold dim", integer=True, least=1))
         if self.kind == TORUS:
             if not isinstance(self.periods, (list, tuple, np.ndarray)) \
                     or len(self.periods) != self.dim:
                 raise SchemaError("torus needs one period per dimension")
-            if not all(isinstance(p, Real) and not isinstance(p, bool)
-                       and 0 < p < np.inf for p in self.periods):
-                raise SchemaError("torus periods must be positive finite numbers")
-            object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
+            object.__setattr__(self, "periods", tuple(
+                number(p, "manifold periods entry", above=0) for p in self.periods))
         elif self.periods is not None:
             raise SchemaError("euclidean manifold takes no periods")
 

@@ -14,14 +14,12 @@ with d = displacement(x, y) and s = |d|^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .errors import SchemaError, UnsupportedOrderError
+from .errors import SchemaError, UnsupportedOrderError, number
 from .geometry import ChartManifold
 
 GRAD1 = "grad1"
@@ -54,15 +52,10 @@ class RadialKernel:
         raise NotImplementedError
 
     def _check_positive(self, *names: str) -> None:
-        """Store each named field as a float; it must be a positive finite
-        number, not a bool."""
+        """Store each named field as a float; it must be a positive number."""
         for name in names:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) \
-                    or not 0 < value < math.inf:
-                raise SchemaError(f"{self.family} {name} must be a positive "
-                                  f"finite number, not {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, number(
+                getattr(self, name), f"{self.family} {name}", above=0))
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -130,12 +123,8 @@ class CompactSupportKernel(RadialKernel):
 
     def __post_init__(self):
         self._check_positive("radius")
-        k = self.power
-        if isinstance(k, bool) or not isinstance(k, Real) \
-                or not float(k).is_integer() or k < 3:
-            raise SchemaError(f"compact-support power must be an integer "
-                              f">= 3, not {k!r}")
-        object.__setattr__(self, "power", int(k))
+        object.__setattr__(self, "power", number(
+            self.power, f"{self.family} power", integer=True, least=3))
 
     @property
     def cutoff(self) -> float:

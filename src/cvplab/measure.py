@@ -70,7 +70,7 @@ class DiscreteMeasure:
             manifold = ChartManifold.from_dict(data["manifold"])
             points = np.asarray(data["points"], dtype=float)
             weights = np.asarray(data["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad measure descriptor: {exc}") from exc
         return cls(manifold=manifold, points=points, weights=weights)
 

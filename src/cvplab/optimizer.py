@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleProjectionError, NonFiniteIterateError, SchemaError
+from .errors import (InfeasibleProjectionError, NonFiniteIterateError,
+                     SchemaError, number)
 from .jets import action_hessian
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
@@ -38,12 +37,9 @@ class OptimizerConfig:
     def __post_init__(self):
         for f in fields(self):
             # a field with an integer default takes integers, the rest numbers
-            kind = Integral if isinstance(f.default, int) else Real
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not math.isfinite(value) or value <= 0):
-                raise SchemaError(f"optimizer {f.name} must be a positive finite "
-                                  f"{'integer' if kind is Integral else 'number'}")
+            object.__setattr__(self, f.name, number(
+                getattr(self, f.name), f"optimizer {f.name}",
+                integer=isinstance(f.default, int), above=0))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -16,6 +16,10 @@ from cvplab.config import RunState, config_hash
 from cvplab.jets import FORM_SP1
 from cvplab.linfield import LinfieldSolution
 
+HUGE = 10**400   # an integer that no float holds
+# json reads no integer of more than 4300 digits, so it is written as text
+DIGITS = "1" + "0" * 5000
+
 BASE_CONFIG = {
     "schema_version": 1,
     "manifold": {"kind": "torus", "dim": 1, "periods": [5.0]},
@@ -118,6 +122,32 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d.update(optimizer={"armijo_slope": -10}),
     lambda d: d.update(optimizer={"weight_floor_rel": 1e-8}),
     lambda d: d.update(optimizer={"max_backtracks": 0}),
+    # the probe draws unit jets: a jet scale is not a setting
+    lambda d: d["probe"].update(jet_scale=1.0),
+    # an integral float is not an integer
+    lambda d: d["lagrangian"]["params"].update(power=4.0),
+    # numbers a float cannot hold, such as 10**400
+    lambda d: d["probe"].update(tau_grid=[-0.02, HUGE]),
+    lambda d: d["probe"].update(jet_scale=HUGE),
+    lambda d: d["probe"].update(fragments=HUGE),
+    lambda d: d["probe"].update(trials=HUGE),
+    lambda d: d["probe"].update(seed=HUGE),
+    lambda d: d.update(tolerances={"tau_psd": HUGE}),
+    lambda d: d.update(tolerances={"tol_weak_el": HUGE}),
+    lambda d: d["lagrangian"]["params"].update(radius=HUGE),
+    lambda d: d["lagrangian"]["params"].update(power=HUGE),
+    lambda d: d.update(lagrangian={"family": "gaussian",
+                                   "params": {"sigma": HUGE}}),
+    lambda d: d["manifold"].update(periods=[HUGE]),
+    lambda d: d["manifold"].update(dim=HUGE),
+    lambda d: d.update(optimizer={"max_iterations": HUGE}),
+    lambda d: d.update(optimizer={"tolerance_weak_el": HUGE}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": HUGE, "seed": 0, "total_volume": 5.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": HUGE, "total_volume": 5.0}}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": 0, "total_volume": HUGE}}),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -136,6 +166,10 @@ def test_load_config_bad_json_names_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"manifold": }')
     with pytest.raises(SchemaError, match="line"):
+        load_config(path)
+    # an integer of more digits than json reads is an error, not a traceback
+    path.write_text(json.dumps(BASE_CONFIG).replace('"seed": 1', f'"seed": {DIGITS}'))
+    with pytest.raises(SchemaError):
         load_config(path)
 
 
@@ -266,14 +300,43 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
     {"radius": "1.4", "power": 3},
     {"radius": float("inf"), "power": 3},
     {"radius": 1.4, "power": 3.5},
+    {"radius": HUGE, "power": 3},
+    {"sigma": HUGE},
 ])
 def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
     data = json.loads(json.dumps(BASE_CONFIG))
     data["manifold"] = {"kind": "euclidean", "dim": 1}
+    if "sigma" in params:
+        data["lagrangian"]["family"] = "gaussian"
     data["lagrangian"]["params"] = params
     cfg_path = _write_config(tmp_path, data)
     assert run("verify-all", cfg_path, str(tmp_path / "out"), quiet=True) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, name", [
+    ("probe", "tau_grid"), ("probe", "fragments"), ("probe", "trials"),
+    ("probe", "seed"), ("tolerances", "tau_psd"), ("tolerances", "tol_weak_el"),
+    ("lagrangian", "radius"), ("manifold", "periods"),
+    ("optimizer", "max_iterations"), ("optimizer", "tolerance_weak_el"),
+    ("generator", "seed"), ("generator", "total_volume")])
+def test_cli_exit_one_on_a_number_beyond_float_range(tmp_path, capsys,
+                                                     section, name):
+    """One stderr line that names the field, not a traceback."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    generator = {"count": 5, "seed": 0, "total_volume": 5.0}
+    data["initial_measure"], data["tolerances"] = {"generator": generator}, {}
+    holder = {"probe": data["probe"], "tolerances": data["tolerances"],
+              "lagrangian": data["lagrangian"]["params"],
+              "manifold": data["manifold"], "optimizer": data["optimizer"],
+              "generator": generator}[section]
+    holder[name] = [HUGE] if name in ("tau_grid", "periods") else HUGE
+    cfg_path = _write_config(tmp_path, data)
+    assert run("verify-all", cfg_path, str(tmp_path / "out"), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -281,7 +344,11 @@ def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
     ("seed", "0"), ("seed", True), ("measure", [[0.0]]), ("measure", None),
     ("optimizer", [1]), ("measure.points", "x"),
     ("measure.weights", [-1.0, 1.0, 1.0, 1.0, 1.0]),
-    ("measure.points", [[0.0, 0.0]] * 5)])
+    ("measure.points", [[0.0, 0.0]] * 5),
+    # numbers a float cannot hold
+    ("measure.points", [[HUGE], [1.0], [2.0], [3.0], [4.0]]),
+    ("measure.weights", [HUGE, 1.0, 1.0, 1.0, 1.0]),
+    ("measure.manifold.periods", [HUGE]), ("seed", HUGE)])
 def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -302,6 +369,22 @@ def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
     state = load_state(out / "state.json")
     assert state.verdicts["optimizer_converged"] is True
     assert state.optimizer["status"] == "converged"
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', '{"seed": %s}' % DIGITS],
+                         ids=["list", "string", "digits"])
+def test_cli_state_that_does_not_load_is_minimized_again(tmp_path, text):
+    """A root that is not an object, or an integer json does not read."""
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("minimize", cfg_path, str(out), quiet=True) == 0
+    (out / "trace.csv").unlink()
+    (out / "state.json").write_text(text)
+    with pytest.raises(SchemaError):
+        load_state(out / "state.json")
+    assert run("report", cfg_path, str(out), quiet=True) == 0
+    assert (out / "trace.csv").exists()
+    assert load_state(out / "state.json").verdicts["optimizer_converged"] is True
 
 
 def test_cli_reuses_no_measure_on_another_manifold(tmp_path):

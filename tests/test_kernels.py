@@ -188,7 +188,11 @@ def test_kernel_from_dict_round_trip():
         {"radius": float("inf"), "power": 3}, {"radius": 1.0, "power": 3.5},
         {"radius": 1.0, "power": True}, {"radius": 1.0, "power": "3"},
         {"radius": 1.0, "power": float("inf")},
-        {"radius": 1.0, "power": 3, "sigma": 1})),
+        {"radius": 1.0, "power": 3, "sigma": 1},
+        # an integral float is not an integer, and 10**400 no float
+        {"radius": 1.0, "power": 4.0}, {"radius": 10**400, "power": 3},
+        {"radius": 1.0, "power": 10**400})),
+    {"family": "gaussian", "params": {"sigma": 10**400}},
 ])
 def test_kernel_params_are_exactly_the_family_fields(data):
     with pytest.raises(SchemaError):
@@ -201,5 +205,5 @@ def test_kernel_params_are_stored_as_numbers():
     assert k.params() == {"sigma": 2.0, "exponent": 3.0}
     assert all(type(v) is float for v in k.params().values())
     k = kernel_from_dict({"family": "compact-support-power",
-                          "params": {"radius": 1.5, "power": 4.0}})
+                          "params": {"radius": 1.5, "power": 4}})
     assert k.params() == {"radius": 1.5, "power": 4} and type(k.power) is int

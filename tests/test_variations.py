@@ -453,10 +453,13 @@ def test_frag_second_variation_at_el_points(point, seed):
 
 
 def test_stability_probe_zero_jets(csp5):
-    rep = stability_probe(csp5.ev, fragments=2,
-                          tau_grid=[-0.02, 0.02], trials=5, seed=0,
-                          jet_scale=0.0)
-    assert abs(rep.min_delta) <= 1e-14 * abs(rep.base_action)
+    """Zero jets leave every fragment where it is: each deformed action is
+    the base action."""
+    ev = csp5.ev
+    c, u = sample_scheme(ev.rho, 2, np.random.default_rng(0))
+    base = action(ev.rho, ev.kernel)
+    values = deformed_actions(ev, c, np.zeros_like(u), [-0.02, 0.02])
+    assert np.all(np.abs(values - base) <= 1e-14 * abs(base))
 
 
 def test_stability_probe_report_and_csv(tmp_path, csp5):
@@ -487,24 +490,24 @@ def _reference_second_variation(ev, c, u):
         ev.rho.weights @ sum(ca * ev.q1_terms(ua, ua) for ca, ua in zip(c, u)))
 
 
-def _sequential_probe(ev, fragments, trials, seed, jet_scale=1.0):
+def _sequential_probe(ev, fragments, trials, seed, taus=PROBE_TAUS):
     """The per-trial oracles: sample_scheme, the dense deformed actions and
     the per-scheme second-variation formula, trial by trial."""
     rng = np.random.default_rng(seed)
     base = action(ev.rho, ev.kernel)
     for _ in range(trials):
-        scheme = sample_scheme(ev.rho, fragments, rng, jet_scale)
-        yield (scheme, _dense_actions(ev, scheme, PROBE_TAUS) - base,
+        scheme = sample_scheme(ev.rho, fragments, rng)
+        yield (scheme, _dense_actions(ev, scheme, taus) - base,
                _reference_second_variation(ev, *scheme))
 
 
-def _reference_draws(rho, fragments, rng, jet_scale):
+def _reference_draws(rho, fragments, rng):
     """One scheme's random calls, in their order: the fragment count, the
     Dirichlet weights, then per fragment n scalars and the n x m vectors."""
     n, m = rho.count, rho.manifold.dim
     count = int(rng.integers(1, fragments + 1))
     c = rng.dirichlet(np.ones(count), size=n)
-    draws = jet_scale * rng.normal(size=(count, n * (1 + m)))
+    draws = rng.normal(size=(count, n * (1 + m)))
     return c, np.concatenate(
         [draws[:, :n, None], draws[:, n:].reshape(count, n, m)], axis=2)
 
@@ -513,17 +516,17 @@ def _reference_draws(rho, fragments, rng, jet_scale):
 def test_probe_draws_are_the_sequential_draws(name, request):
     rho = request.getfixturevalue(name).rho
     batched = np.random.default_rng(5)
-    c, jets = _draw_trials(rho, 3, 12, batched, 0.7)
+    c, jets = _draw_trials(rho, 3, 12, batched)
     rng, schemes = np.random.default_rng(5), np.random.default_rng(5)
     counts = set()
     for t in range(12):
-        weights, raw = _reference_draws(rho, 3, rng, 0.7)
+        weights, raw = _reference_draws(rho, 3, rng)
         count = weights.shape[1]
         counts.add(count)
         assert c[t, :count].tobytes() == weights.T.tobytes()
         assert jets[t, :count].tobytes() == raw.tobytes()
         assert not c[t, count:].any() and not jets[t, count:].any()
-        c_one, u_one = sample_scheme(rho, 3, schemes, 0.7)
+        c_one, u_one = sample_scheme(rho, 3, schemes)
         assert c_one.tobytes() == weights.T.tobytes()
         assert u_one[..., 1:].tobytes() == raw[..., 1:].tobytes()
         assert u_one.tobytes() == volume_preserved(rho, weights.T, raw)[1].tobytes()
@@ -594,24 +597,18 @@ def test_zero_weight_fragments_add_nothing(csp5):
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_probe_raises_at_the_first_failing_trial(csp5, seed):
-    """jet_scale 20 makes some weight factor 1 + tau*a non-positive, first
-    at trial 22 (seed 0) or 7 (seed 2)."""
+    """A tau grid 20 times PROBE_TAUS makes some weight factor 1 + tau*a
+    non-positive, first at trial 22 (seed 0) or 7 (seed 2)."""
+    taus = [-0.4, -0.2, 0.2, 0.4]
     with pytest.raises(WeightPositivityError) as loop:
-        for trial, _ in enumerate(_sequential_probe(csp5.ev, 3, 30, seed, 20.0)):
+        for trial, _ in enumerate(_sequential_probe(csp5.ev, 3, 30, seed, taus)):
             pass
-    assert trial > 0
+    assert trial + 1 == {0: 22, 2: 7}[seed]
     with pytest.raises(WeightPositivityError) as batched:
-        stability_probe(csp5.ev, fragments=3, tau_grid=PROBE_TAUS, trials=30,
-                        seed=seed, jet_scale=20.0)
+        stability_probe(csp5.ev, fragments=3, tau_grid=taus, trials=30,
+                        seed=seed)
     assert str(batched.value) == str(loop.value)
     assert batched.value.point_index == loop.value.point_index
-    # a non-finite jet scale: sample_scheme rejects trial 0
-    with pytest.raises(SchemaError) as loop:
-        next(_sequential_probe(csp5.ev, 3, 1, seed, np.inf))
-    with pytest.raises(SchemaError) as batched:
-        stability_probe(csp5.ev, fragments=3, tau_grid=PROBE_TAUS, trials=3,
-                        seed=seed, jet_scale=np.inf)
-    assert str(batched.value) == str(loop.value) == "fragment jets must be finite"
 
 
 def test_probe_memory_stays_flat_over_many_trials(monkeypatch):
