@@ -128,7 +128,9 @@ def _stage_linfield(ev, state, out_dir):
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
     np.save(out_dir / "linfield_operator.npy", ev.linfield)
-    log.info(f"linfield: kernel dimension {sol.dimension}, "
+    path = ("dense" if sol.lattice is None
+            else f"lattice symbols, factors {sol.lattice}")
+    log.info(f"linfield: kernel dimension {sol.dimension} ({path}), "
              f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
     return sol
 

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .errors import SchemaError, number
 from .geometry import ChartManifold
 from .kernels import CompactSupportKernel, RadialKernel, kernel_from_dict
@@ -59,10 +57,9 @@ class ExperimentConfig:
             return random_measure(self.manifold, count=gen["count"],
                                   total_volume=gen["total_volume"], seed=seed,
                                   box=gen.get("box"))
-        return DiscreteMeasure(
-            manifold=self.manifold,
-            points=np.asarray(self.initial["points"], dtype=float),
-            weights=np.asarray(self.initial["weights"], dtype=float))
+        return DiscreteMeasure(manifold=self.manifold,
+                               points=self.initial["points"],
+                               weights=self.initial["weights"])
 
 
 def parse_config(data: dict) -> ExperimentConfig:

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CvpError, DimensionMismatchError, SchemaError
+from .geometry import TORUS
 from .kernels import (GRAD1, HESS12, PairTables, RadialKernel,
                       lagrangian_derivatives, lagrangian_eval, pair_tables)
 from .measure import DiscreteMeasure
@@ -100,6 +101,131 @@ def _point_jets(tables: PairTables, weights: np.ndarray) -> np.ndarray:
     return jets
 
 
+def _smith(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(U, d) with U a V = diag(d), U and V unimodular and each d_k dividing
+    d_k+1 > 0: the Smith form of a square integer matrix, by row and column
+    reduction on the smallest entry left.  None if a is singular."""
+    a, m = a.copy(), len(a)
+    u = np.eye(m, dtype=np.int64)
+    for k in range(m):
+        while True:
+            rest = np.abs(a[k:, k:])
+            if not rest.any():
+                return None
+            i, j = np.unravel_index(np.where(rest > 0, rest, rest.max() + 1).argmin(),
+                                    rest.shape)
+            a[[k, k + i]], u[[k, k + i]] = a[[k + i, k]], u[[k + i, k]]
+            a[:, [k, k + j]] = a[:, [k + j, k]]
+            q = a[k + 1:, k] // a[k, k]
+            a[k + 1:] -= np.outer(q, a[k])
+            u[k + 1:] -= np.outer(q, u[k])
+            a[:, k + 1:] -= np.outer(a[:, k], a[k, k + 1:] // a[k, k])
+            if a[k + 1:, k].any() or a[k, k + 1:].any():
+                continue   # a remainder is left: it is the next, smaller pivot
+            bad = np.argwhere(a[k + 1:, k + 1:] % a[k, k])
+            if not len(bad):
+                break
+            a[k] += a[k + 1 + bad[0, 0]]   # brings in an entry d_k does not divide
+            u[k] += u[k + 1 + bad[0, 0]]
+        if a[k, k] < 0:
+            a[k], u[k] = -a[k], -u[k]
+    return u, np.diag(a).copy()
+
+
+def _lattice(rho: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray] | None:
+    """The translation group whose one orbit rho is, with equal weights.
+
+    Returns None, or (g, d): the invariant factors d > 1 of the group
+    G = Z_d1 x ... x Z_dr, and each point's (n, r) coordinates in G
+    relative to point 0.  Weights must agree to 4 ulp of their mean.  The
+    generators are the m shortest linearly independent wrapped
+    displacements x_j - x_0 (for m <= 3 these successive minima form a
+    basis); every displacement and every period vector must have integer
+    coordinates in them to 1e-12, and the Smith form U Lambda V = diag(d)
+    of the periods' coordinates Lambda must have prod(d) = n and give n
+    distinct coordinates (U a) mod d.  The torus need not be aligned with
+    the lattice: a triangular lattice on a rectangular torus is sheared, so
+    G is not Z_side^2.
+    """
+    manifold, n, w = rho.manifold, rho.count, rho.weights
+    if manifold.kind != TORUS or n < 2 \
+            or np.ptp(w) > 4.0 * np.finfo(float).eps * w.mean():
+        return None
+    m = manifold.dim
+    delta = manifold.displacement(rho.points, rho.points[0])
+    basis, frame = [], []   # frame: the Gram-Schmidt orthonormal rows
+    for v in delta[np.argsort(np.einsum("ja,ja->j", delta, delta), kind="stable")]:
+        rest = v - sum((q @ v) * q for q in frame)
+        if np.linalg.norm(rest) > 1e-6 * np.linalg.norm(v):
+            basis.append(v)
+            frame.append(rest / np.linalg.norm(rest))
+            if len(basis) == m:
+                break
+    else:
+        return None
+    # sum_i a_i b_i = x reads frame.x = tri^T a, tri[i, j] = b_i.q_j lower triangular
+    frame = np.array(frame).T
+    tri = np.array(basis) @ frame
+    target = np.vstack([delta, np.diag(manifold.periods)]) @ frame
+    coords = np.empty_like(target)
+    for j in reversed(range(m)):
+        coords[:, j] = (target[:, j] - coords[:, j + 1:] @ tri[j + 1:, j]) / tri[j, j]
+    whole = np.rint(coords)
+    if np.abs(coords - whole).max() > 1e-12:
+        return None
+    whole = whole.astype(np.int64)
+    smith = _smith(whole[n:].T)   # columns: the period vectors
+    if smith is None or np.prod(smith[1]) != n:
+        return None
+    u, d = smith
+    g = (whole[:n] @ u.T) % d
+    if np.bincount(np.ravel_multi_index(g.T, d)).max() > 1:   # |G| = n
+        return None
+    return g[:, d > 1], d[d > 1]
+
+
+def _waves(g: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The characters chi_k(g) = exp(2 pi i sum_a k_a g_a / d_a) of G at the
+    points, as real waves: the (r, 1, n) values +-1 of each self-conjugate
+    character, and the (c, 2, n) cos and -sin of one character of each
+    other conjugate pair {chi, conj chi}."""
+    k = np.indices(d).reshape(len(d), -1).T
+    key, conj = np.ravel_multi_index(k.T, d), np.ravel_multi_index((-k % d).T, d)
+    period = int(d[-1])   # every d_a divides the last
+    turns = (k * (period // d)) @ g.T % period   # the phases in 1/period turns
+    cos, sin = (f(2.0 * np.pi * np.arange(period) / period) for f in (np.cos, np.sin))
+    pair = turns[key < conj]
+    return cos[turns[key == conj]][:, None], np.stack([cos[pair], -sin[pair]], 1)
+
+
+def _symbol_eigh(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a
+    block-circulant Gram from its symbols.
+
+    Each group holds (q, p, n) waves and the (q, pk, pk) symbols on them,
+    k = 1 + m.  An eigenvector x = (x_1..x_p) of a symbol gives the Gram's
+    eigenvector sum_h wave_h (x) x_h / sqrt(n / p): the two waves of a
+    conjugate pair have squared norm n / 2 and are orthogonal, and so are
+    the waves of any two characters.
+    """
+    solved = [np.linalg.eigh(symbols) for _, symbols in groups]
+    values = np.concatenate([lam.ravel() for lam, _ in solved])
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[np.argsort(values, kind="stable")] = np.arange(values.size)
+    vectors = np.empty((values.size, values.size))   # one column per row
+    start = 0
+    for (waves, _), (lam, e) in zip(groups, solved):
+        q, p, n = waves.shape
+        k = e.shape[-1] // p
+        # (symbol, eigenvector, point, slot), summed over the waves h
+        columns = waves.transpose(0, 2, 1)[:, None] \
+            @ (e.reshape(q, p, k, p * k).transpose(0, 3, 1, 2) * np.sqrt(p / n))
+        vectors.reshape(-1, n, k)[rank[start:start + lam.size]] = \
+            columns.reshape(-1, n, k)
+        start += lam.size
+    return np.sort(values), vectors.T
+
+
 def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
     """Hessian of the action in the unit-jet coordinates a_i = dw_i/w_i, u_i = dx_i.
 
@@ -154,16 +280,67 @@ class FormEvaluator:
         return matrix
 
     @cached_property
+    def _symbols(self) -> tuple[np.ndarray, list] | None:
+        """(d, groups) when rho is one equal-weight orbit of a translation
+        group (`_lattice`) and the SP1 Gram is block circulant over it;
+        None otherwise.
+
+        Block (i, j) of such a Gram is F(g_j - g_i), F(g_j) = block (0, j),
+        so it commutes with the group: on the jets chi (x) e of a character
+        chi it acts as the (1+m) x (1+m) Hermitian symbol
+        S(chi) = sum_j F(g_j) chi(g_j).  The two groups hold the symbols as
+        real symmetric matrices beside their waves (`_waves`): S itself for
+        a self-conjugate chi, and [[X, -Y], [Y, X]] for the pair
+        {chi, conj chi}, S(chi) = X + iY.  The Gram is checked against that
+        form to 1e-12 of its largest entry: a pair at half a period, whose
+        wrapped displacement may take either sign, breaks it for a kernel
+        with a slope there.
+        """
+        found = _lattice(self.rho)
+        if found is None:
+            return None
+        g, d = found
+        n, k = self.rho.count, 1 + self.rho.manifold.dim
+        grid = self.sp1_gram.reshape(n, k, n, k)
+        at = np.empty(n, dtype=np.int64)
+        at[np.ravel_multi_index(g.T, d)] = np.arange(n)
+        # shift[i, j]: the point at g_j - g_i, whose block (0, shift) is F there
+        shift = at[np.ravel_multi_index(
+            ((g[None] - g[:, None]) % d).transpose(2, 0, 1), d)]
+        deviation = np.take(grid[0], shift, axis=1)   # (k, n, n, k), in place
+        deviation -= grid.transpose(1, 0, 2, 3)
+        if np.abs(deviation, out=deviation).max() > 1e-12 * np.abs(grid[0]).max():
+            return None
+        blocks = grid[0].transpose(1, 0, 2).reshape(n, k * k)
+        real, pairs = _waves(g, d)
+        x, y = ((pairs[:, h] @ blocks).reshape(-1, k, k) for h in (0, 1))
+        groups = [(real, (real[:, 0] @ blocks).reshape(-1, k, k)),
+                  (pairs, np.concatenate([np.concatenate([x, y], 2),
+                                          np.concatenate([-y, x], 2)], 1))]
+        return d, [(waves, 0.5 * (sym + sym.transpose(0, 2, 1)))
+                   for waves, sym in groups]
+
+    @property
+    def lattice(self) -> list[int] | None:
+        """The invariant factors of the translation group whose symbols give
+        the SP1 spectrum, or None when it comes from the dense Gram."""
+        return None if self._symbols is None else self._symbols[0].tolist()
+
+    @cached_property
     def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the full SP1 Gram.
+        """Ascending eigenvalues and real orthonormal eigenvectors of the
+        full SP1 Gram.
 
         The one eigenvector solve on the measure: the spectrum stage reads
         its eigenvalues, and since the linearized operator is W^-1 SP1 with
         W positive and diagonal, its kernel is the near-null space of these
-        eigenvectors.
+        eigenvectors.  On a lattice (`lattice`) they come from the symbols,
+        and no (n(1+m))^2 eigenproblem is solved.
         """
         try:
-            return np.linalg.eigh(self.sp1_gram)
+            if self._symbols is None:
+                return np.linalg.eigh(self.sp1_gram)
+            return _symbol_eigh(self._symbols[1])
         except np.linalg.LinAlgError as exc:
             raise CvpError(f"eigendecomposition failed: {exc}") from exc
 
@@ -288,7 +465,9 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     Every SP1 restriction reads the evaluator's one SP1 Gram, and only the
     full basis its one eigendecomposition.  Q1 over the full basis is block
     diagonal, so its spectrum is the sorted union of the spectra of its
-    point blocks w_i ell_jet_i.  Every other Gram takes eigenvalues only.
+    point blocks w_i ell_jet_i.  On a lattice (`ev.lattice`) an SP1
+    restriction takes the spectra of the matching sub-blocks of the
+    symbols.  Every other Gram takes eigenvalues only.
     """
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
     if idx.size > max_dim:
@@ -300,11 +479,21 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
         matrix = full[np.ix_(idx, idx)]
         matrix = 0.5 * (matrix + matrix.T)
         if form_id == FORM_Q1 and basis == BASIS_FULL:
-            stack = ev.rho.weights[:, None, None] * ev.ell_jet
+            stacks = [ev.rho.weights[:, None, None] * ev.ell_jet]
+        elif form_id == FORM_SP1 and ev.lattice is not None:
+            # the restriction is block circulant too: the symbols' sub-blocks
+            k = 1 + ev.rho.manifold.dim
+            slots = slice(0, 1) if basis == BASIS_SCALAR else slice(1, None)
+            stacks = []
+            for waves, symbols in ev._symbols[1]:
+                q, p, _ = waves.shape
+                sub = symbols.reshape(q, p, k, p, k)[:, :, slots, :, slots]
+                stacks.append(sub.reshape(q, p * sub.shape[2], p * sub.shape[2]))
         else:
-            stack = matrix
+            stacks = [matrix]
         try:
-            eigenvalues = np.sort(np.linalg.eigvalsh(stack), axis=None)
+            eigenvalues = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(s).ravel() for s in stacks]))
         except np.linalg.LinAlgError as exc:
             raise CvpError(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.abs(matrix).max())

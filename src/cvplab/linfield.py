@@ -48,6 +48,7 @@ class LinfieldSolution:
     eigenvalues: np.ndarray  # of the symmetrized SP1 Gram, ascending
     threshold: float
     residuals: tuple[float, ...]
+    lattice: list[int] | None = None   # ev.lattice: factors, or None if dense
 
     @property
     def dimension(self) -> int:
@@ -59,6 +60,7 @@ class LinfieldSolution:
             "eigenvalues": self.eigenvalues.tolist(),
             "threshold": self.threshold,
             "residuals": list(self.residuals),
+            "lattice": self.lattice,
             "solutions": [{"scalar": u[:, 0].tolist(), "vector": u[:, 1:].tolist()}
                           for u in self.solutions],
         }
@@ -82,7 +84,8 @@ def solve_linfield(ev: FormEvaluator,
         -1, ev.rho.count, 1 + ev.rho.manifold.dim)
     residuals = tuple(linfield_residual(ev, solutions).tolist())
     return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
-                            threshold=float(cut), residuals=residuals)
+                            threshold=float(cut), residuals=residuals,
+                            lattice=ev.lattice)
 
 
 def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,

@@ -10,6 +10,21 @@ from .errors import DimensionMismatchError, SchemaError
 from .geometry import ChartManifold
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array.  JSON true is not the number 1.0, so a bool
+    at any depth is rejected, as is anything numpy cannot read as floats."""
+    try:
+        if isinstance(value, np.ndarray) and value.dtype != object:
+            kinds = {value.dtype.type}
+        else:   # nested lists: the type of every entry, in one pass
+            kinds = set(map(type, np.asarray(value, dtype=object).flat))
+        if bool in kinds or np.bool_ in kinds:
+            raise SchemaError(f"measure {what} must be numbers, not booleans")
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad measure {what}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A finite sum of weighted Dirac points on a chart manifold.
@@ -23,8 +38,8 @@ class DiscreteMeasure:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        pts = np.atleast_2d(_floats(self.points, "points"))
+        w = _floats(self.weights, "weights").ravel()
         if pts.shape[1] != self.manifold.dim:
             raise DimensionMismatchError(
                 f"points of dimension {pts.shape[1]} on a "
@@ -68,9 +83,8 @@ class DiscreteMeasure:
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
         try:
             manifold = ChartManifold.from_dict(data["manifold"])
-            points = np.asarray(data["points"], dtype=float)
-            weights = np.asarray(data["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            points, weights = data["points"], data["weights"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad measure descriptor: {exc}") from exc
         return cls(manifold=manifold, points=points, weights=weights)
 

@@ -148,6 +148,10 @@ def test_parse_config_generator_and_seed_override():
         "count": 5, "seed": HUGE, "total_volume": 5.0}}),
     lambda d: d.update(initial_measure={"generator": {
         "count": 5, "seed": 0, "total_volume": HUGE}}),
+    # JSON true is not the number 1.0, at any depth of an array
+    lambda d: d["initial_measure"].update(
+        points=[[True], [1.02], [1.97], [3.01], [4.04]]),
+    lambda d: d["initial_measure"].update(weights=[True, 0.95, 1.0, 0.9, 1.05]),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -294,6 +298,20 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
                      str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("name, value", [
+    ("points", [[0.05], [1.02], [True], [3.01], [4.04]]),
+    ("weights", [1.1, 0.95, 1.0, 0.9, True])])
+def test_cli_exit_one_on_a_boolean_in_the_measure(tmp_path, capsys, name, value):
+    """One stderr line that names the array, not a measure holding 1.0."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["initial_measure"][name] = value
+    cfg_path = _write_config(tmp_path, data)
+    assert run("verify-all", cfg_path, str(tmp_path / "out"), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "bool" in err
+
+
 @pytest.mark.parametrize("params", [
     {"radius": 1.4, "power": 3, "scale": 2.0},
     {"radius": True, "power": 3},
@@ -348,7 +366,10 @@ def test_cli_exit_one_on_a_number_beyond_float_range(tmp_path, capsys,
     # numbers a float cannot hold
     ("measure.points", [[HUGE], [1.0], [2.0], [3.0], [4.0]]),
     ("measure.weights", [HUGE, 1.0, 1.0, 1.0, 1.0]),
-    ("measure.manifold.periods", [HUGE]), ("seed", HUGE)])
+    ("measure.manifold.periods", [HUGE]), ("seed", HUGE),
+    # a boolean is not a number
+    ("measure.points", [[True], [1.0], [2.0], [3.0], [4.0]]),
+    ("measure.weights", [1.0, 1.0, True, 1.0, 1.0])])
 def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"

@@ -106,17 +106,23 @@ def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
         assert spectrum.tobytes() == kernel.tobytes()
 
 
-def test_only_the_full_sp1_spectrum_decomposes_the_full_gram(lattice2d,
-                                                             monkeypatch):
-    """The operator, its residual and every SP1 restriction read the SP1
-    Gram and run no eigh, so max_dim bounds every eigensolve of a call;
-    the full spectrum and the kernel solve share one eigh."""
-    f = lattice2d
-    n, m = f.rho.count, f.rho.manifold.dim
+def _count_eigh(monkeypatch) -> list:
+    """The shape of every array np.linalg.eigh is called on from now."""
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *args, **kwargs:
                         calls.append(np.shape(a)) or eigh(a, *args, **kwargs))
+    return calls
+
+
+def test_only_the_full_sp1_spectrum_decomposes_the_full_gram(csp5,
+                                                             monkeypatch):
+    """The operator, its residual and every SP1 restriction read the SP1
+    Gram and run no eigh, so max_dim bounds every eigensolve of a call;
+    the full spectrum and the kernel solve share one eigh."""
+    f = csp5
+    n, m = f.rho.count, f.rho.manifold.dim
+    calls = _count_eigh(monkeypatch)
     ev = FormEvaluator(f.rho, f.kernel)
     assert linfield_residual(ev, np.zeros((n, 1 + m))) == 0.0
     gram_spectrum(ev, FORM_SP1, BASIS_SCALAR, max_dim=n)
@@ -124,7 +130,27 @@ def test_only_the_full_sp1_spectrum_decomposes_the_full_gram(lattice2d,
     assert calls == []
     gram_spectrum(ev, FORM_SP1)
     solve_linfield(ev)
+    assert ev.lattice is None
     assert calls == [(n * (1 + m), n * (1 + m))]
+
+
+def test_a_lattice_spectrum_solves_only_its_symbols(lattice2d, monkeypatch):
+    """On a lattice the full spectrum and the kernel share one batched solve
+    of the symbols and no (N, N) eigh: one batch of (1+m)^2 symbols for the
+    self-conjugate characters, one of 2(1+m) x 2(1+m) symbols for the
+    conjugate pairs."""
+    f = lattice2d
+    n, m = f.rho.count, f.rho.manifold.dim
+    calls = _count_eigh(monkeypatch)
+    ev = FormEvaluator(f.rho, f.kernel)
+    gram_spectrum(ev, FORM_SP1, BASIS_SCALAR, max_dim=n)
+    gram_spectrum(ev, FORM_SP1, BASIS_VECTOR, max_dim=n * m)
+    assert calls == []
+    gram_spectrum(ev, FORM_SP1)
+    solve_linfield(ev)
+    assert ev.lattice == [2, 8]
+    # Z_2 x Z_8 has 4 self-conjugate characters and 6 conjugate pairs
+    assert calls == [(4, 1 + m, 1 + m), (6, 2 + 2 * m, 2 + 2 * m)]
 
 
 @pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
