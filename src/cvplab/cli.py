@@ -127,7 +127,8 @@ def _stage_linfield(ev, state, out_dir):
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
-    np.save(out_dir / "linfield_operator.npy", ev.linfield)
+    rows = np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
+    np.save(out_dir / "linfield_operator.npy", ev.sp1_gram / rows)   # W^-1 SP1
     path = ("dense" if sol.lattice is None
             else f"lattice symbols, factors {sol.lattice}")
     log.info(f"linfield: kernel dimension {sol.dimension} ({path}), "

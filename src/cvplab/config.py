@@ -23,6 +23,10 @@ SCHEMA_VERSION = 1
 _DEFAULT_TOLERANCES = {"tau_psd": 1e-8, "tol_weak_el": 1e-6}
 _DEFAULT_PROBE = {"fragments": 3, "trials": 100,
                   "tau_grid": [-0.02, -0.01, 0.01, 0.02], "seed": 0}
+# The probe draws all trials' weights and jets up front, and each tau step
+# adds as many values again: past 10^8 values (0.8 GB per float64 array) a
+# config is rejected before anything is allocated.
+_PROBE_VALUES_CAP = 10**8
 
 
 def canonical_json(data) -> str:
@@ -82,6 +86,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             "generator" in initial or {"points", "weights"} <= set(initial)):
         raise SchemaError(
             "initial_measure needs either a generator or explicit points/weights")
+    # malformed points fail in initial_measure below
+    count = len(initial["points"]) if isinstance(initial.get("points"), list) else 0
     if "generator" in initial:
         gen = initial["generator"]
         if not isinstance(gen, dict):
@@ -89,7 +95,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         missing = {"count", "seed", "total_volume"} - set(gen)
         if missing:
             raise SchemaError(f"generator is missing fields: {sorted(missing)}")
-        number(gen["count"], "generator count", integer=True, least=1)
+        count = number(gen["count"], "generator count", integer=True, least=1)
         number(gen["seed"], "generator seed", integer=True, least=0)
         number(gen["total_volume"], "generator total_volume", above=0)
     optimizer = OptimizerConfig.from_dict(data.get("optimizer", {}))
@@ -112,6 +118,11 @@ def parse_config(data: dict) -> ExperimentConfig:
             and all(number(tau, "probe tau_grid entry") for tau in grid)):
         raise SchemaError("probe tau_grid must be a non-empty list of "
                           "non-zero numbers")
+    values = (probe["trials"] * probe["fragments"] * count
+              * (1 + manifold.dim) * len(grid))
+    if values > _PROBE_VALUES_CAP:
+        raise SchemaError(f"probe of {values} values (trials x fragments x points"
+                          f" x (1 + m) x tau steps) exceeds {_PROBE_VALUES_CAP}")
     if (manifold.kind == "torus" and isinstance(kernel, CompactSupportKernel)
             and kernel.radius > min(manifold.periods) / 2.0):
         # beyond half a period the wrapped kernel has a kink at the cut locus

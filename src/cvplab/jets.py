@@ -17,7 +17,7 @@ field is its coefficient vector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,9 @@ FORM_SP2 = "SP2"
 BASIS_FULL = "full"
 BASIS_SCALAR = "scalar_only"
 BASIS_VECTOR = "vector_only"
+# the slots of each point's (1 + m) unit jets that a basis keeps
+_BASIS_SLOTS = {BASIS_FULL: slice(None), BASIS_SCALAR: slice(0, 1),
+                BASIS_VECTOR: slice(1, None)}
 
 
 def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
@@ -245,7 +248,7 @@ def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
 
 
 class FormEvaluator:
-    """Pair tables, the calibrated nu, the ell jet and the jet-pair block.
+    """Pair tables, the calibrated nu, the ell jet and the SP1 Gram.
 
     The one handle for the forms and the linearized field equations on a
     measure: every function that evaluates a form, reports on ell or
@@ -267,17 +270,21 @@ class FormEvaluator:
         self.hess_ell = self.ell_jet[:, 1:, 1:]
 
     @cached_property
-    def block(self) -> np.ndarray:
-        return jet_pair_block(self.tables, self.rho.weights)
-
-    @cached_property
     def sp1_gram(self) -> np.ndarray:
-        """The symmetrized full SP1 Gram, which the operator and every SP1
-        restriction read."""
-        matrix = self.form_matrix(FORM_SP1)  # a new array: symmetrize in place
-        matrix += matrix.T
-        matrix *= 0.5
-        return matrix
+        """The symmetrized SP1 Gram, the measure's one (n(1+m))^2 array: the
+        jet-pair block plus the point blocks w_i ell_jet_i.  The forms, the
+        spectra, W^-1 SP1 and the surface-layer integrals all read it."""
+        n, k = self.rho.count, 1 + self.rho.manifold.dim
+        gram = jet_pair_block(self.tables, self.rho.weights)
+        points = np.arange(n)
+        gram[points, :, points, :] += self.rho.weights[:, None, None] * self.ell_jet
+        # LAPACK picks Householder signs from signed zeros, and the block
+        # has -0.0 where G = 0: adding +0.0 makes every zero +0.0
+        gram += 0.0
+        gram = gram.reshape(n * k, n * k)
+        gram += gram.T
+        gram *= 0.5
+        return gram
 
     @cached_property
     def _symbols(self) -> tuple[np.ndarray, list] | None:
@@ -344,15 +351,6 @@ class FormEvaluator:
         except np.linalg.LinAlgError as exc:
             raise CvpError(f"eigendecomposition failed: {exc}") from exc
 
-    @cached_property
-    def linfield(self) -> np.ndarray:
-        """W^-1 SP1, the operator of the linearized field equations (the
-        Euler-Lagrange equations of sp1): the SP1 Gram with each row divided
-        by its point's weight.  `linfield @ u.ravel()` holds the bracket
-        value and gradient of each point."""
-        return self.sp1_gram / np.repeat(self.rho.weights,
-                                         1 + self.rho.manifold.dim)[:, None]
-
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
             raise IndexError(f"point index {i} out of range")
@@ -377,38 +375,35 @@ class FormEvaluator:
     def q1(self, u, v):
         return self.q1_terms(u, v) @ self.rho.weights
 
-    def double_sum(self, u, v):
-        """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included: a
-        float for two jet fields, an array for stacks of them."""
-        u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
-        return (np.tensordot(u, self.block, axes=2) * v).sum(axis=(-2, -1))
-
     def sp1(self, u, v):
-        return self.double_sum(u, v) + self.q1(u, v)
+        """u . SP1 . v over the raveled jets: a float for two jet fields, an
+        array for stacks of them."""
+        u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
+        gram = self.sp1_gram.reshape(u.shape[-2:] * 2)
+        return (np.tensordot(u, gram, axes=2) * v).sum(axis=(-2, -1))
+
+    def double_sum(self, u, v):
+        """sum_ij w_i w_j D1_{u_i} D2_{v_j} L(x_i, x_j), diagonal included."""
+        return self.sp1(u, v) - self.q1(u, v)
 
     def sp2(self, u, v):
         return self.sp1(u, v) + self.q1(u, v)
 
     def form_matrix(self, form_id: str) -> np.ndarray:
-        """Gram matrix over the unit jets: Q1, block + Q1 or block + 2 Q1.
+        """Gram matrix over the unit jets as a new array: Q1, SP1 or SP1 + Q1.
 
-        Q1 is block diagonal, so its point blocks w_i ell_jet_i are added
-        onto the diagonal of one new (n(1+m))^2 array.
+        Q1 is block diagonal with the point blocks w_i ell_jet_i; SP1 is a
+        copy of `sp1_gram`, and SP2 adds the point blocks to that copy.
         """
         if form_id not in (FORM_Q1, FORM_SP1, FORM_SP2):
             raise SchemaError(f"unknown form id {form_id!r}")
-        n, m = self.rho.count, self.rho.manifold.dim
-        points = np.arange(n)
-        q1 = self.rho.weights[:, None, None] * self.ell_jet
-        if form_id == FORM_Q1:
-            out = np.zeros((n, 1 + m, n, 1 + m))
-            out[points, :, points, :] = q1
-        else:
-            # a new array whose zeros are all +0.0: LAPACK picks Householder
-            # signs from signed zeros, and the block has -0.0 where G = 0
-            out = self.block + 0.0
-            out[points, :, points, :] += 2.0 * q1 if form_id == FORM_SP2 else q1
-        return out.reshape(n * (1 + m), n * (1 + m))
+        n, k = self.rho.count, 1 + self.rho.manifold.dim
+        out = (np.zeros((n, k, n, k)) if form_id == FORM_Q1
+               else self.sp1_gram.reshape(n, k, n, k).copy())
+        if form_id != FORM_SP1:
+            points = np.arange(n)
+            out[points, :, points, :] += self.rho.weights[:, None, None] * self.ell_jet
+        return out.reshape(n * k, n * k)
 
 
 def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y, jet_x, jet_y) -> float:
@@ -435,27 +430,15 @@ class GramReport:
 
     def to_dict(self) -> dict:
         """Everything but the matrix, which stays in memory only."""
-        return {
-            "form_id": self.form_id,
-            "basis": self.basis,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "min_eigenvalue": self.min_eigenvalue,
-            "scale": self.scale,
-            "tau_psd": self.tau_psd,
-            "psd": self.psd,
-            "strictly_positive": self.strictly_positive,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "matrix"}
+        return {**out, "eigenvalues": self.eigenvalues.tolist()}
 
 
 def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:
-    blocks = np.arange(n * (1 + m)).reshape(n, 1 + m)
-    if basis == BASIS_FULL:
-        return blocks.ravel()
-    if basis == BASIS_SCALAR:
-        return blocks[:, 0]
-    if basis == BASIS_VECTOR:
-        return blocks[:, 1:].ravel()
-    raise SchemaError(f"unknown basis {basis!r}")
+    if basis not in _BASIS_SLOTS:
+        raise SchemaError(f"unknown basis {basis!r}")
+    return np.arange(n * (1 + m)).reshape(n, 1 + m)[:, _BASIS_SLOTS[basis]].ravel()
 
 
 def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
@@ -475,15 +458,15 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     if form_id == FORM_SP1 and basis == BASIS_FULL:
         matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigh[0]
     else:
-        full = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
-        matrix = full[np.ix_(idx, idx)]
-        matrix = 0.5 * (matrix + matrix.T)
+        matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
+        if basis != BASIS_FULL:
+            matrix = matrix[np.ix_(idx, idx)]
         if form_id == FORM_Q1 and basis == BASIS_FULL:
             stacks = [ev.rho.weights[:, None, None] * ev.ell_jet]
         elif form_id == FORM_SP1 and ev.lattice is not None:
             # the restriction is block circulant too: the symbols' sub-blocks
             k = 1 + ev.rho.manifold.dim
-            slots = slice(0, 1) if basis == BASIS_SCALAR else slice(1, None)
+            slots = _BASIS_SLOTS[basis]
             stacks = []
             for waves, symbols in ev._symbols[1]:
                 q, p, _ = waves.shape

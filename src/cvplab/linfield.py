@@ -7,8 +7,8 @@ point, both the scalar bracket
                       - a_i * nu / 2
 
 and its chart gradient vanish.  These are the Euler-Lagrange equations of
-sp1, so their operator over the unit jets is W^-1 SP1, held as
-`FormEvaluator.linfield`.  The surface-layer integral of a solution
+sp1, so their operator over the unit jets is W^-1 SP1, read from
+`FormEvaluator.sp1_gram`.  The surface-layer integral of a solution
 over a region Omega couples only the pairs straddling the boundary:
 
     osi(Omega) = - sum_{i in Omega} sum_{j not in Omega}
@@ -32,12 +32,13 @@ from .measure import DiscreteMeasure
 
 
 def linfield_residual(ev: FormEvaluator, u):
-    """Max-norm of ev.linfield @ u, the bracket values and gradients: a
-    float for one jet field, a (k,) array for a (k, n, 1 + m) stack."""
+    """Max-norm of W^-1 SP1 u, the bracket values and gradients: a float
+    for one jet field, a (k,) array for a (k, n, 1 + m) stack."""
     u = _as_jets(ev.rho, u)
+    rows = np.repeat(ev.rho.weights, u.shape[-1])[:, None]
     # one (N, 1) column per field: each product stays a matrix-vector one
-    columns = u.reshape(u.shape[:-2] + (len(ev.linfield), 1))
-    return np.abs(ev.linfield @ columns).max(axis=(-2, -1))
+    columns = u.reshape(u.shape[:-2] + (len(rows), 1))
+    return np.abs(ev.sp1_gram @ columns / rows).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,14 @@ def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
     The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
     is the jet-pair block contracted with the jet at both ends; each
     region is the masked sum of P over inside rows and outside columns.
+    That sum skips P_ii, so the SP1 Gram serves as the block.
     """
     u = _as_jets(rho, u, ndim=2)
     mask = np.asarray(inside, dtype=bool).astype(float)
     if mask.ndim != 2 or mask.shape[1] != rho.count:
         raise DimensionMismatchError(f"region masks of shape {mask.shape} on a "
                                      f"measure with {rho.count} points")
-    pair = np.einsum("ia,iajb,jb->ij", u, block, u)
+    pair = np.einsum("ia,iajb,jb->ij", u, block.reshape(u.shape * 2), u)
     inside_rows = mask @ pair
     outside = np.subtract(1.0, mask, out=mask)  # reuses the mask buffer
     return -np.einsum("rj,rj->r", inside_rows, outside)
@@ -116,9 +118,8 @@ def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
     return float(_region_osi(rho, block, np.asarray(inside)[None], u)[0])
 
 
-def arc_regions(rho: DiscreteMeasure,
-                axis: int = 0) -> tuple[np.ndarray, list[str]]:
-    """All proper contiguous arcs in the sorted order along one chart axis.
+def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
+    """All proper contiguous arcs in the sorted order along the first axis.
 
     Intended for one-dimensional supports, where arcs exhaust the
     connected regions up to cyclic relabeling.  Arc (start, length)
@@ -126,7 +127,7 @@ def arc_regions(rho: DiscreteMeasure,
     one-point measure has none.
     """
     n = rho.count
-    rank = np.argsort(np.argsort(rho.points[:, axis]))
+    rank = np.argsort(np.argsort(rho.points[:, 0]))
     start = np.repeat(np.arange(n), n - 1)
     length = np.tile(np.arange(1, n), n)
     inside = (rank[None, :] - start[:, None]) % n < length[:, None]
@@ -193,6 +194,6 @@ def osi_report(ev: FormEvaluator, u, regions: tuple[np.ndarray, list[str]],
         raise SchemaError("need one label for each of at least one region")
     residual = linfield_residual(ev, u)
     return OSIReport(labels=labels,
-                     values=_region_osi(ev.rho, ev.block, inside, u),
+                     values=_region_osi(ev.rho, ev.sp1_gram, inside, u),
                      residual=residual,
                      solution_hypothesis=bool(residual <= residual_tolerance))

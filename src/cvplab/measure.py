@@ -9,6 +9,8 @@ import numpy as np
 from .errors import DimensionMismatchError, SchemaError
 from .geometry import ChartManifold
 
+WEIGHT_JITTER = 0.5   # random_measure draws weights in 1 +- this, then scales them
+
 
 def _floats(value, what: str) -> np.ndarray:
     """value as a float array.  JSON true is not the number 1.0, so a bool
@@ -90,13 +92,12 @@ class DiscreteMeasure:
 
 
 def random_measure(manifold: ChartManifold, count: int, total_volume: float,
-                   seed: int, box: tuple | None = None,
-                   weight_jitter: float = 0.5) -> DiscreteMeasure:
+                   seed: int, box: tuple | None = None) -> DiscreteMeasure:
     """Seeded random configuration with weights jittered around the mean."""
     if count < 1 or total_volume <= 0:
         raise SchemaError("generator needs count >= 1 and positive volume")
     rng = np.random.default_rng(seed)
     pts = manifold.uniform_samples(count, rng, box)
-    w = rng.uniform(1.0 - weight_jitter, 1.0 + weight_jitter, count)
+    w = rng.uniform(1.0 - WEIGHT_JITTER, 1.0 + WEIGHT_JITTER, count)
     w *= total_volume / w.sum()
     return DiscreteMeasure(manifold=manifold, points=pts, weights=w)

@@ -166,7 +166,8 @@ def test_criterion_07_symmetry_kernel(gauss5, csp5):
 def test_criterion_08_linfield_and_osi(csp5):
     """Translation solves the linearized equations; OSI positive on arcs."""
     f = csp5
-    scale = float(np.abs(f.ev.linfield).max())
+    rows = np.repeat(f.rho.weights, 1 + f.rho.manifold.dim)[:, None]
+    scale = float(np.abs(f.ev.sp1_gram / rows).max())
     res = linfield_residual(f.ev, translation(f.rho.count, 1)) / scale
     sol = solve_linfield(f.ev, threshold_rel=1e-8)
     arcs, _ = arc_regions(f.rho)

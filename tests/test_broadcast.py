@@ -12,6 +12,7 @@ from cvplab import (ChartManifold, CompactSupportKernel, FormEvaluator,
                     GaussianKernel, InversePowerKernel, ell,
                     ell_gradient, lagrangian_derivatives, lagrangian_eval,
                     linfield_residual, random_measure, verify_lagrangian)
+from cvplab.jets import jet_pair_block
 from cvplab.kernels import GRAD1, HESS11, HESS12
 
 KERNELS = [GaussianKernel(sigma=1.1), InversePowerKernel(sigma=0.9, exponent=2.5),
@@ -82,8 +83,8 @@ def test_forms_and_residuals_broadcast(kernel, manifold, seed):
         ui, vi = u[idx], v[idx]
         # the magnitudes of the terms summed, against cancellation
         t_scale = np.abs(ui).ravel() @ np.abs(ev.form_matrix("Q1")) @ np.abs(vi).ravel()
-        b_scale = np.abs(ui).ravel() @ np.abs(ev.block).reshape(ui.size, -1) \
-            @ np.abs(vi).ravel()
+        block = jet_pair_block(ev.tables, rho.weights).reshape(ui.size, -1)
+        b_scale = np.abs(ui).ravel() @ np.abs(block) @ np.abs(vi).ravel()
         assert np.abs(terms[idx] - ev.q1_terms(ui, vi)).max() <= 1e-13 * t_scale
         one = ev.double_sum(ui, vi)
         assert isinstance(one, float)

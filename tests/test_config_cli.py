@@ -12,8 +12,9 @@ from cvplab import (DimensionMismatchError, DiscreteMeasure, FormEvaluator,
                     SchemaError, arc_regions, load_config, load_state,
                     pair_tables, parse_config, save_state)
 from cvplab.cli import _stage_osi, main, run
-from cvplab.config import RunState, config_hash
-from cvplab.jets import FORM_SP1
+from cvplab.config import (_PROBE_VALUES_CAP, ExperimentConfig, RunState,
+                           config_hash)
+from cvplab.jets import jet_pair_block
 from cvplab.linfield import LinfieldSolution
 
 HUGE = 10**400   # an integer that no float holds
@@ -164,6 +165,27 @@ def test_parse_config_accepts_radius_of_half_the_period():
     data = json.loads(json.dumps(BASE_CONFIG))
     data["lagrangian"]["params"]["radius"] = 2.5
     assert parse_config(data).kernel.radius == 2.5
+
+
+@pytest.mark.parametrize("initial", [
+    BASE_CONFIG["initial_measure"],
+    {"generator": {"count": 5, "seed": 0, "total_volume": 5.0}}])
+def test_parse_config_caps_the_probe_size(initial, monkeypatch):
+    """trials x fragments x points x (1 + m) x tau steps may reach the cap
+    but not pass it, and a probe past it is rejected before a measure is
+    built."""
+    data = json.loads(json.dumps({**BASE_CONFIG, "initial_measure": initial}))
+    per_trial = 2 * 5 * 2 * 2   # fragments, points, 1 + m, tau steps
+    data["probe"]["trials"] = _PROBE_VALUES_CAP // per_trial
+    assert parse_config(data).probe["trials"] * per_trial == _PROBE_VALUES_CAP
+    builds = []
+    monkeypatch.setattr(ExperimentConfig, "initial_measure",
+                        lambda self, seed_override=None: builds.append(self))
+    for trials in (_PROBE_VALUES_CAP // per_trial + 1, 10**9):
+        data["probe"]["trials"] = trials
+        with pytest.raises(SchemaError, match=f"^probe of {trials * per_trial} values"):
+            parse_config(data)
+    assert builds == []
 
 
 def test_load_config_bad_json_names_location(tmp_path):
@@ -594,11 +616,11 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
         svd_args.append(np.array(a))
         return svd(a, *args, **kwargs)
 
-    form_matrix, forms = FormEvaluator.form_matrix, []
+    block, blocks = jet_pair_block, []
 
-    def counting_form_matrix(self, form_id):
-        forms.append(form_id)
-        return form_matrix(self, form_id)
+    def counting_block(tables, weights):
+        blocks.append(len(weights))
+        return block(tables, weights)
 
     # minimize solves Newton systems; verify-all reuses its measure, so the
     # counts below cover the stages after minimize
@@ -607,13 +629,43 @@ def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
     # cvplab.jets and cvplab.linfield reach both through np.linalg
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(FormEvaluator, "form_matrix", counting_form_matrix)
+    for name in ("jets", "linfield"):
+        monkeypatch.setattr(importlib.import_module(f"cvplab.{name}"),
+                            "jet_pair_block", counting_block)
     assert run("verify-all", cfg_path, str(out), quiet=True) == 0
     assert svd_args == [] and len(eigh_args) == 1
-    # one SP1 Gram: the spectrum, the operator and the kernel all read it
-    assert forms.count(FORM_SP1) == 1
+    # one SP1 Gram: the spectrum, the operator, the kernel and OSI all read it
+    assert len(blocks) == 1
     state = load_state(out / "state.json")
     cfg = parse_config(BASE_CONFIG)
     rho = DiscreteMeasure.from_dict(state.measure)
-    sp1 = FormEvaluator(rho, cfg.kernel).form_matrix(FORM_SP1)
-    assert np.array_equal(eigh_args[0], 0.5 * (sp1 + sp1.T))
+    assert np.array_equal(eigh_args[0], FormEvaluator(rho, cfg.kernel).sp1_gram)
+
+
+def _cached_arrays(value, name):
+    """(name, array) for every array held in value, through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, (tuple, list)):
+        for k, item in enumerate(value):
+            yield from _cached_arrays(item, f"{name}[{k}]")
+
+
+def test_cli_verify_all_holds_one_gram_sized_array(tmp_path, monkeypatch):
+    """After every stage the evaluator holds only the SP1 Gram and its
+    eigenvectors at (n(1+m))^2 entries: the form, the linearized operator
+    and the surface-layer integrals read the one Gram."""
+    evaluators, init = [], FormEvaluator.__init__
+
+    def keeping_init(self, *args, **kwargs):
+        evaluators.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormEvaluator, "__init__", keeping_init)
+    assert run("verify-all", _write_config(tmp_path), str(tmp_path / "out"),
+               quiet=True) == 0
+    (ev,) = evaluators
+    size = (ev.rho.count * (1 + ev.rho.manifold.dim)) ** 2
+    large = sorted(name for key, value in vars(ev).items()
+                   for name, array in _cached_arrays(value, key) if array.size >= size)
+    assert large == ["sp1_eigh[1]", "sp1_gram"]

@@ -117,7 +117,8 @@ def test_the_kernel_is_the_translations(lattice_case):
     sol = solve_linfield(ev)
     m = ev.rho.manifold.dim
     assert sol.dimension == m and sol.lattice == ev.lattice
-    assert max(sol.residuals) <= 1e-10 * np.abs(ev.linfield).max()
+    rows = np.repeat(ev.rho.weights, 1 + m)[:, None]
+    assert max(sol.residuals) <= 1e-10 * np.abs(ev.sp1_gram / rows).max()
 
 
 def test_a_group_of_self_conjugate_characters_only():

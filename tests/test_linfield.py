@@ -20,6 +20,11 @@ def _random_field(n, m, rng):
     return np.column_stack([scalar, rng.normal(size=(n, m))])
 
 
+def _operator(ev):
+    """W^-1 SP1: the SP1 Gram with each row divided by its point's weight."""
+    return ev.sp1_gram / np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
+
+
 def _mask(n, indices):
     inside = np.zeros(n, dtype=bool)
     inside[indices] = True
@@ -29,13 +34,13 @@ def _mask(n, indices):
 def test_operator_shape_and_zero_jet(csp5):
     ev = csp5.ev
     n = csp5.rho.count
-    assert ev.linfield.shape == (2 * n, 2 * n)
-    assert np.isfinite(ev.linfield).all()
+    assert _operator(ev).shape == (2 * n, 2 * n)
+    assert np.isfinite(_operator(ev)).all()
     assert linfield_residual(ev, np.zeros((n, 2))) == 0.0
 
 
 def test_translation_jet_solves_linearized_equations(csp5):
-    scale = float(np.abs(csp5.ev.linfield).max())
+    scale = float(np.abs(_operator(csp5.ev)).max())
     u = translation(csp5.rho.count, 1)
     assert linfield_residual(csp5.ev, u) <= 1e-8 * scale
 
@@ -46,7 +51,7 @@ def test_constant_scalar_jet_is_not_a_solution(csp5):
     beta = 0.7
     jf = np.column_stack([np.full(csp5.rho.count, beta),
                           np.zeros((csp5.rho.count, 1))])
-    values = (csp5.ev.linfield @ jf.ravel()).reshape(csp5.rho.count, 2)
+    values = (_operator(csp5.ev) @ jf.ravel()).reshape(csp5.rho.count, 2)
     assert np.allclose(values[:, 0], beta * csp5.nu / 2.0, atol=1e-5)
     assert linfield_residual(csp5.ev, jf) > 1.0
 
@@ -61,7 +66,7 @@ def test_random_jets_have_positive_residual(csp5):
 def test_solve_linfield_contains_translation(csp5):
     sol = solve_linfield(csp5.ev, threshold_rel=1e-8)
     assert sol.dimension >= 1
-    scale = float(np.abs(csp5.ev.linfield).max())
+    scale = float(np.abs(_operator(csp5.ev)).max())
     for res in sol.residuals:
         assert res <= 1e-8 * scale * 10
     # the translation jet lies in the returned span
@@ -94,8 +99,8 @@ def test_solve_linfield_matches_svd_null_space(name, request):
     sol = solve_linfield(f.ev)
     assert sol.dimension >= 1
     basis = sol.solutions.reshape(sol.dimension, -1)
-    assert np.abs(basis.T @ basis - _svd_null_projector(f.ev.linfield)).max() <= 1e-8
-    scale = float(np.abs(f.ev.linfield).max())
+    assert np.abs(basis.T @ basis - _svd_null_projector(_operator(f.ev))).max() <= 1e-8
+    scale = float(np.abs(_operator(f.ev)).max())
     assert max(sol.residuals) <= 1e-8 * scale
 
 
@@ -162,7 +167,7 @@ def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
     sp1 = ev.form_matrix(FORM_SP1)
     assert sp1.tobytes() == sp1.T.tobytes()
     rows = np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
-    assert ev.linfield.tobytes() == (sp1 / rows).tobytes()
+    assert _operator(ev).tobytes() == (sp1 / rows).tobytes()
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, BASIS_SCALAR)
     scalar = gram_spectrum(ev, FORM_SP1, BASIS_SCALAR).matrix
     assert scalar.tobytes() == ev.sp1_gram[np.ix_(idx, idx)].tobytes()
@@ -196,7 +201,7 @@ def test_operator_matches_pointwise_brackets(csp5):
         for _ in range(3):
             jf = _random_field(rho.count, rho.manifold.dim, rng)
             oracle = _pointwise_brackets(rho, ev.kernel, ev.nu, jf)
-            err = np.abs(ev.linfield @ jf.ravel() - oracle).max()
+            err = np.abs(_operator(ev) @ jf.ravel() - oracle).max()
             assert err <= 1e-12 * np.abs(oracle).max()
 
 

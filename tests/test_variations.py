@@ -620,7 +620,7 @@ def test_probe_memory_stays_flat_over_many_trials(monkeypatch):
     manifold = ChartManifold(kind="torus", dim=1, periods=(2.0 * np.pi,))
     rho = random_measure(manifold, count=40, total_volume=5.0, seed=2)
     ev = FormEvaluator(rho, GaussianKernel(sigma=1.0))
-    ev.block
+    ev.sp1_gram
     sizes = _count_evaluations(monkeypatch, ev.kernel)
     tracemalloc.start()
     try:
