@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .jets import FormEvaluator
+from .jets import FormEvaluator, weak_residual
 from .kernels import (GRAD1, RadialKernel, lagrangian_derivatives,
                       lagrangian_eval, pair_tables)
 from .measure import DiscreteMeasure
@@ -70,10 +70,9 @@ class ELReport:
 def el_report(ev: FormEvaluator) -> ELReport:
     """EL diagnostics on the support, read from the evaluator's ell jet and
     calibrated nu; builds no tables."""
-    strong = float(np.abs(ev.ell).max())
-    weak = max(strong, float(np.abs(ev.grad_ell).max()))
     return ELReport(nu=ev.nu, ell_values=ev.ell, ell_gradients=ev.grad_ell,
-                    strong_residual=strong, weak_residual=weak)
+                    strong_residual=float(np.abs(ev.ell).max()),
+                    weak_residual=weak_residual(ev.ell, ev.grad_ell))
 
 
 def action_difference(rho: DiscreteMeasure, rho_tilde: DiscreteMeasure,

@@ -21,7 +21,8 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
 from .errors import CvpError, DimensionMismatchError, SchemaError, number
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum)
-from .linfield import arc_regions, osi_report, random_regions, solve_linfield
+from .linfield import (arc_regions, linfield_operator, osi_report, random_regions,
+                       solve_linfield)
 from .measure import DiscreteMeasure
 from .optimizer import minimize
 from .variations import stability_probe
@@ -127,8 +128,7 @@ def _stage_linfield(ev, state, out_dir):
     state.linfield_summary = sol.to_dict()
     ok = sol.dimension >= 1
     state.verdicts["linfield_kernel_nonempty"] = bool(ok)
-    rows = np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
-    np.save(out_dir / "linfield_operator.npy", ev.sp1_gram / rows)   # W^-1 SP1
+    np.save(out_dir / "linfield_operator.npy", linfield_operator(ev))
     path = ("dense" if sol.lattice is None
             else f"lattice symbols, factors {sol.lattice}")
     log.info(f"linfield: kernel dimension {sol.dimension} ({path}), "
@@ -144,7 +144,7 @@ def _stage_osi(cfg, ev, sol, state):
         regions = random_regions(rho, count=32, seed=0)
     labels = regions[1]
     # with no region or no solution jet nothing is checked, so the verdict fails
-    reports = [osi_report(ev, u, regions) for u in sol.solutions] if labels else []
+    reports = osi_report(ev, sol.solutions, regions) if labels and sol.dimension else []
     values = np.array([rep.values for rep in reports])   # (k, R)
     worst = float(values.min()) if values.size else None
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))

@@ -229,26 +229,41 @@ def _symbol_eigh(groups) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(values), vectors.T
 
 
+def weak_residual(ell: np.ndarray, grad_ell: np.ndarray) -> float:
+    """max_i max(|ell(x_i)|, |grad ell(x_i)|_inf): the EL residual on the support."""
+    return max(float(np.abs(ell).max()), float(np.abs(grad_ell).max()))
+
+
+def _gram(tables: PairTables, weights: np.ndarray,
+          point_blocks: np.ndarray) -> np.ndarray:
+    """The symmetrized jet-pair block with the point blocks on its diagonal."""
+    n, k, _ = point_blocks.shape
+    gram = jet_pair_block(tables, weights)
+    gram[range(n), :, range(n), :] += point_blocks
+    # LAPACK picks Householder signs from signed zeros, and the block
+    # has -0.0 where G = 0: adding +0.0 makes every zero +0.0
+    gram += 0.0
+    gram = gram.reshape(n * k, n * k)
+    gram += gram.T
+    gram *= 0.5
+    return gram
+
+
 def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
     """Hessian of the action in the unit-jet coordinates a_i = dw_i/w_i, u_i = dx_i.
 
-    It is 2 (SP1 - diag(w_i ell_i) on the scalar slots) for any nu: the
-    jet-pair block plus the point blocks w_i ell_jet_i with their scalar
-    slot zeroed, in the canonical basis ordering.  At an EL point, where
-    every ell_i vanishes, it is twice the SP1 Gram.
+    It is 2 (SP1 - diag(w_i ell_i) on the scalar slots) for any nu: twice
+    the Gram of the point blocks w_i ell_jet_i with their scalar slot
+    zeroed, so at an EL point, where every ell_i vanishes, twice SP1.
     """
-    n = weights.size
-    jets = _point_jets(tables, weights)
-    jets[:, 0, 0] = 0.0
-    out = jet_pair_block(tables, weights)
-    points = np.arange(n)
-    out[points, :, points, :] += weights[:, None, None] * jets
-    out *= 2.0
-    return out.reshape(n * jets.shape[1], n * jets.shape[1])
+    blocks = weights[:, None, None] * _point_jets(tables, weights)
+    blocks[:, 0, 0] = 0.0
+    return 2.0 * _gram(tables, weights, blocks)
 
 
 class FormEvaluator:
-    """Pair tables, the calibrated nu, the ell jet and the SP1 Gram.
+    """Pair tables, the calibrated nu, the ell jet, the (n, 1+m, 1+m) point
+    blocks w_i ell_jet_i (Q1's diagonal) and the SP1 Gram.
 
     The one handle for the forms and the linearized field equations on a
     measure: every function that evaluates a form, reports on ell or
@@ -268,29 +283,19 @@ class FormEvaluator:
         self.ell = self.ell_jet[:, 0, 0]
         self.grad_ell = self.ell_jet[:, 0, 1:]
         self.hess_ell = self.ell_jet[:, 1:, 1:]
+        self.point_blocks = rho.weights[:, None, None] * self.ell_jet
 
     @cached_property
     def sp1_gram(self) -> np.ndarray:
         """The symmetrized SP1 Gram, the measure's one (n(1+m))^2 array: the
-        jet-pair block plus the point blocks w_i ell_jet_i.  The forms, the
-        spectra, W^-1 SP1 and the surface-layer integrals all read it."""
-        n, k = self.rho.count, 1 + self.rho.manifold.dim
-        gram = jet_pair_block(self.tables, self.rho.weights)
-        points = np.arange(n)
-        gram[points, :, points, :] += self.rho.weights[:, None, None] * self.ell_jet
-        # LAPACK picks Householder signs from signed zeros, and the block
-        # has -0.0 where G = 0: adding +0.0 makes every zero +0.0
-        gram += 0.0
-        gram = gram.reshape(n * k, n * k)
-        gram += gram.T
-        gram *= 0.5
-        return gram
+        jet-pair block plus the point blocks.  The forms, the spectra,
+        W^-1 SP1 and the surface-layer integrals all read it."""
+        return _gram(self.tables, self.rho.weights, self.point_blocks)
 
     @cached_property
     def _symbols(self) -> tuple[np.ndarray, list] | None:
         """(d, groups) when rho is one equal-weight orbit of a translation
-        group (`_lattice`) and the SP1 Gram is block circulant over it;
-        None otherwise.
+        group (`_lattice`) whose SP1 Gram is block circulant; None otherwise.
 
         Block (i, j) of such a Gram is F(g_j - g_i), F(g_j) = block (0, j),
         so it commutes with the group: on the jets chi (x) e of a character
@@ -298,27 +303,21 @@ class FormEvaluator:
         S(chi) = sum_j F(g_j) chi(g_j).  The two groups hold the symbols as
         real symmetric matrices beside their waves (`_waves`): S itself for
         a self-conjugate chi, and [[X, -Y], [Y, X]] for the pair
-        {chi, conj chi}, S(chi) = X + iY.  The Gram is checked against that
-        form to 1e-12 of its largest entry: a pair at half a period, whose
-        wrapped displacement may take either sign, breaks it for a kernel
-        with a slope there.
+        {chi, conj chi}, S(chi) = X + iY.  A pair at half a period breaks
+        that form for a kernel with a slope there, as its wrapped displacement
+        may take either sign: a displacement from point 0 within 1e-9 of half
+        a period keeps the dense path unless the kernel's cutoff is at most it.
         """
         found = _lattice(self.rho)
         if found is None:
             return None
+        half = 0.5 * np.asarray(self.rho.manifold.periods)
+        at_half = np.abs(np.abs(self.tables.D[:, 0]) - half) <= 1e-9
+        if (at_half & (half < (self.kernel.cutoff or np.inf))).any():
+            return None
         g, d = found
         n, k = self.rho.count, 1 + self.rho.manifold.dim
-        grid = self.sp1_gram.reshape(n, k, n, k)
-        at = np.empty(n, dtype=np.int64)
-        at[np.ravel_multi_index(g.T, d)] = np.arange(n)
-        # shift[i, j]: the point at g_j - g_i, whose block (0, shift) is F there
-        shift = at[np.ravel_multi_index(
-            ((g[None] - g[:, None]) % d).transpose(2, 0, 1), d)]
-        deviation = np.take(grid[0], shift, axis=1)   # (k, n, n, k), in place
-        deviation -= grid.transpose(1, 0, 2, 3)
-        if np.abs(deviation, out=deviation).max() > 1e-12 * np.abs(grid[0]).max():
-            return None
-        blocks = grid[0].transpose(1, 0, 2).reshape(n, k * k)
+        blocks = self.sp1_gram[:k].reshape(k, n, k).transpose(1, 0, 2).reshape(n, k * k)
         real, pairs = _waves(g, d)
         x, y = ((pairs[:, h] @ blocks).reshape(-1, k, k) for h in (0, 1))
         groups = [(real, (real[:, 0] @ blocks).reshape(-1, k, k)),
@@ -401,8 +400,7 @@ class FormEvaluator:
         out = (np.zeros((n, k, n, k)) if form_id == FORM_Q1
                else self.sp1_gram.reshape(n, k, n, k).copy())
         if form_id != FORM_SP1:
-            points = np.arange(n)
-            out[points, :, points, :] += self.rho.weights[:, None, None] * self.ell_jet
+            out[range(n), :, range(n), :] += self.point_blocks
         return out.reshape(n * k, n * k)
 
 
@@ -448,12 +446,14 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     Every SP1 restriction reads the evaluator's one SP1 Gram, and only the
     full basis its one eigendecomposition.  Q1 over the full basis is block
     diagonal, so its spectrum is the sorted union of the spectra of its
-    point blocks w_i ell_jet_i.  On a lattice (`ev.lattice`) an SP1
-    restriction takes the spectra of the matching sub-blocks of the
-    symbols.  Every other Gram takes eigenvalues only.
+    point blocks.  On a lattice (`ev.lattice`) an SP1 restriction takes
+    the spectra of the matching sub-blocks of the symbols.  Every other
+    Gram takes eigenvalues only, and only these are capped at max_dim.
     """
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
-    if idx.size > max_dim:
+    blocks = form_id == FORM_Q1 and basis == BASIS_FULL
+    symbols = form_id == FORM_SP1 and ev.lattice is not None
+    if idx.size > max_dim and not (blocks or symbols):
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
     if form_id == FORM_SP1 and basis == BASIS_FULL:
         matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigh[0]
@@ -461,17 +461,14 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
         matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
         if basis != BASIS_FULL:
             matrix = matrix[np.ix_(idx, idx)]
-        if form_id == FORM_Q1 and basis == BASIS_FULL:
-            stacks = [ev.rho.weights[:, None, None] * ev.ell_jet]
-        elif form_id == FORM_SP1 and ev.lattice is not None:
+        if blocks:
+            stacks = [ev.point_blocks]
+        elif symbols:
             # the restriction is block circulant too: the symbols' sub-blocks
-            k = 1 + ev.rho.manifold.dim
-            slots = _BASIS_SLOTS[basis]
             stacks = []
-            for waves, symbols in ev._symbols[1]:
-                q, p, _ = waves.shape
-                sub = symbols.reshape(q, p, k, p, k)[:, :, slots, :, slots]
-                stacks.append(sub.reshape(q, p * sub.shape[2], p * sub.shape[2]))
+            for waves, sym in ev._symbols[1]:
+                j = _basis_indices(waves.shape[1], ev.rho.manifold.dim, basis)
+                stacks.append(sym[:, j[:, None], j])
         else:
             stacks = [matrix]
         try:

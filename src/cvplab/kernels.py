@@ -14,7 +14,7 @@ with d = displacement(x, y) and s = |d|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -253,12 +253,7 @@ class KernelVerification:
         return max(self.grad1_rel_error, self.hess11_rel_error, self.hess12_rel_error)
 
     def to_dict(self) -> dict:
-        return {
-            "symmetry_defect": self.symmetry_defect,
-            "grad1_rel_error": self.grad1_rel_error,
-            "hess11_rel_error": self.hess11_rel_error,
-            "hess12_rel_error": self.hess12_rel_error,
-        }
+        return asdict(self)
 
 
 def verify_lagrangian(kernel: RadialKernel, manifold: ChartManifold,

@@ -31,14 +31,23 @@ from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
 
+def _rows(ev: FormEvaluator) -> np.ndarray:
+    """W over the unit jets: each point's weight once per slot, as (N, 1)."""
+    return np.repeat(ev.rho.weights, 1 + ev.rho.manifold.dim)[:, None]
+
+
+def linfield_operator(ev: FormEvaluator) -> np.ndarray:
+    """W^-1 SP1 over the unit jets, as a new (N, N) array."""
+    return ev.sp1_gram / _rows(ev)
+
+
 def linfield_residual(ev: FormEvaluator, u):
     """Max-norm of W^-1 SP1 u, the bracket values and gradients: a float
     for one jet field, a (k,) array for a (k, n, 1 + m) stack."""
     u = _as_jets(ev.rho, u)
-    rows = np.repeat(ev.rho.weights, u.shape[-1])[:, None]
     # one (N, 1) column per field: each product stays a matrix-vector one
-    columns = u.reshape(u.shape[:-2] + (len(rows), 1))
-    return np.abs(ev.sp1_gram @ columns / rows).max(axis=(-2, -1))
+    columns = u.reshape(u.shape[:-2] + (len(ev.sp1_gram), 1))
+    return np.abs(ev.sp1_gram @ columns / _rows(ev)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -91,22 +100,24 @@ def solve_linfield(ev: FormEvaluator,
 
 def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
                 u) -> np.ndarray:
-    """Surface-layer integrals of one jet over a family of regions.
+    """Surface-layer integrals (k, R) of a (k, n, 1 + m) stack over R regions.
 
     The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
     is the jet-pair block contracted with the jet at both ends; each
     region is the masked sum of P over inside rows and outside columns.
     That sum skips P_ii, so the SP1 Gram serves as the block.
     """
-    u = _as_jets(rho, u, ndim=2)
-    mask = np.asarray(inside, dtype=bool).astype(float)
-    if mask.ndim != 2 or mask.shape[1] != rho.count:
-        raise DimensionMismatchError(f"region masks of shape {mask.shape} on a "
+    u = _as_jets(rho, u, ndim=3)
+    inside = np.asarray(inside, dtype=bool)
+    if inside.ndim != 2 or inside.shape[1] != rho.count:
+        raise DimensionMismatchError(f"region masks of shape {inside.shape} on a "
                                      f"measure with {rho.count} points")
-    pair = np.einsum("ia,iajb,jb->ij", u, block.reshape(u.shape * 2), u)
-    inside_rows = mask @ pair
-    outside = np.subtract(1.0, mask, out=mask)  # reuses the mask buffer
-    return -np.einsum("rj,rj->r", inside_rows, outside)
+    pair = np.einsum("kia,iajb,kjb->kij", u, block.reshape(u.shape[1:] * 2), u)
+    values = np.empty((len(u), len(inside)))
+    for p, out in zip(pair, values):   # two (R, n) arrays at a time, not k + 1
+        mask = inside.astype(float)   # summed over rows, then turned into 1 - mask
+        np.einsum("rj,rj->r", mask @ p, np.subtract(1.0, mask, out=mask), out=out)
+    return -values
 
 
 def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
@@ -115,7 +126,8 @@ def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
     region of the (n,) boolean mask `inside`."""
     block = jet_pair_block(pair_tables(kernel, rho.manifold, rho.points),
                            rho.weights)
-    return float(_region_osi(rho, block, np.asarray(inside)[None], u)[0])
+    u = _as_jets(rho, u, ndim=2)[None]
+    return float(_region_osi(rho, block, np.asarray(inside)[None], u)[0, 0])
 
 
 def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
@@ -144,8 +156,7 @@ def random_regions(rho: DiscreteMeasure, count: int,
     rng = np.random.default_rng(seed)
     inside = np.zeros((count, n), dtype=bool)
     for row in inside:
-        size = int(rng.integers(1, n))
-        row[rng.choice(n, size=size, replace=False)] = True
+        row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
     return inside, [f"random(seed_draw={k})" for k in range(count)]
 
 
@@ -182,18 +193,17 @@ class OSIReport:
 
 
 def osi_report(ev: FormEvaluator, u, regions: tuple[np.ndarray, list[str]],
-               residual_tolerance: float = 1e-6) -> OSIReport:
-    """Evaluate the surface-layer integral of one jet over a region family.
-
-    Positivity is only expected when the jet solves the linearized field
-    equations on `ev`'s measure; the report records the residual and
-    whether it is below the stated tolerance, without enforcing anything.
+               residual_tolerance: float = 1e-6) -> list[OSIReport]:
+    """Surface-layer integrals over a region family, one report per jet of
+    a (k, n, 1 + m) stack.  Positivity is only expected when a jet solves
+    the linearized field equations on `ev`'s measure; its report records
+    the residual and whether it is below the stated tolerance, without
+    enforcing anything.
     """
     inside, labels = regions
     if not labels or len(labels) != len(inside):
         raise SchemaError("need one label for each of at least one region")
-    residual = linfield_residual(ev, u)
-    return OSIReport(labels=labels,
-                     values=_region_osi(ev.rho, ev.sp1_gram, inside, u),
-                     residual=residual,
-                     solution_hypothesis=bool(residual <= residual_tolerance))
+    values = _region_osi(ev.rho, ev.sp1_gram, inside, u)
+    return [OSIReport(labels=labels, values=row, residual=residual,
+                      solution_hypothesis=residual <= residual_tolerance)
+            for row, residual in zip(values, linfield_residual(ev, u).tolist())]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (InfeasibleProjectionError, NonFiniteIterateError,
                      SchemaError, number)
-from .jets import action_hessian
+from .jets import action_hessian, weak_residual
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
@@ -119,10 +119,8 @@ def _gradients(tables, weights, rows=None):
     grad_ell = np.einsum("ija,j->ia", tables.G, weights)
     # dS/dx_i = 2 w_i sum_j w_j grad1 L(x_i, x_j); dS/dw_i = 2 row_sum_i
     gx = 2.0 * weights[:, None] * grad_ell
-    gw = 2.0 * rows
-    act = float(weights @ rows)
-    residual = max(float((rows - rows.min()).max()), float(np.abs(grad_ell).max()))
-    return act, gx, gw, residual
+    return (float(weights @ rows), gx, 2.0 * rows,
+            weak_residual(rows - rows.min(), grad_ell))
 
 
 def _newton_direction(tables, weights, gx, gw):

@@ -669,3 +669,33 @@ def test_cli_verify_all_holds_one_gram_sized_array(tmp_path, monkeypatch):
     large = sorted(name for key, value in vars(ev).items()
                    for name, array in _cached_arrays(value, key) if array.size >= size)
     assert large == ["sp1_eigh[1]", "sp1_gram"]
+
+
+def test_cli_verify_all_contracts_the_solution_stack_once(tmp_path, monkeypatch):
+    """The OSI stage takes all kernel jets of a run in one contraction: on
+    an exact triangular lattice, whose kernel is its two translations."""
+    linfield, calls = importlib.import_module("cvplab.linfield"), []
+    region_osi = linfield._region_osi
+
+    def counting_region_osi(rho, block, inside, u):
+        calls.append(np.shape(u))
+        return region_osi(rho, block, inside, u)
+
+    monkeypatch.setattr(linfield, "_region_osi", counting_region_osi)
+    side = 10
+    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    cfg = dict(BASE_CONFIG,
+               manifold={"kind": "torus", "dim": 2,
+                         "periods": [float(side), side * np.sqrt(3.0) / 2.0]},
+               lagrangian={"family": "compact-support-power",
+                           "params": {"radius": 1.2, "power": 3}},
+               initial_measure={"points": np.stack(
+                   [(i + 0.5 * j).ravel() % side,
+                    (j * np.sqrt(3.0) / 2.0).ravel()], axis=1).tolist(),
+                   "weights": [1.0] * side**2})
+    out = tmp_path / "out"
+    assert run("verify-all", _write_config(tmp_path, cfg), str(out), quiet=True) == 0
+    state = load_state(out / "state.json")
+    assert state.linfield_summary["lattice"] == [5, 20]
+    assert calls == [(2, side**2, 3)]
+    assert len(state.osi_summary["reports"]) == 2

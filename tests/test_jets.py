@@ -78,7 +78,7 @@ def _field_takers(f, good):
         lambda u: ev.sp1(u, good), lambda u: ev.sp1(good, u),
         lambda u: ev.sp2(u, good), lambda u: ev.sp2(good, u),
         lambda u: linfield_residual(ev, u),
-        lambda u: osi_report(ev, u, arc_regions(f.rho)),
+        lambda u: osi_report(ev, u[None], arc_regions(f.rho)),
         lambda u: surface_layer_integral(f.rho, f.kernel, np.arange(n) < 2, u),
         # the fragment-jet functions take L such fields stacked on a first axis
         lambda u: frag_lower_bound(ev, u[None]),

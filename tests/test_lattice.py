@@ -184,3 +184,16 @@ def test_a_slope_at_half_a_period_keeps_the_dense_path():
     assert _lattice(rho) is not None and ev.lattice is None
     dense = np.linalg.eigvalsh(ev.sp1_gram)
     assert np.abs(ev.sp1_eigh[0] - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
+
+
+def test_a_cutoff_beyond_half_a_period_keeps_the_dense_path():
+    """A compact-support kernel whose radius exceeds half the period (which
+    a config rejects) has a slope at the antipodal pair of an even ring,
+    here a displacement within rounding of half a period."""
+    rho = _ring(4, shift=0.3)
+    ev = FormEvaluator(rho, CompactSupportKernel(radius=2.5, power=3))
+    assert _lattice(rho) is not None and ev.lattice is None
+    dense = np.linalg.eigvalsh(ev.sp1_gram)
+    assert np.abs(ev.sp1_eigh[0] - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
+    # at radius 2 the kernel vanishes there to second order: the symbols run
+    assert FormEvaluator(rho, CompactSupportKernel(radius=2.0, power=3)).lattice == [4]

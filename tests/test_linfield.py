@@ -9,8 +9,8 @@ from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
 from cvplab.errors import SchemaError
-from cvplab.jets import (BASIS_SCALAR, BASIS_VECTOR, FORM_SP1, _basis_indices,
-                         nabla1_nabla2_L)
+from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
+                         FORM_SP1, FORM_SP2, _basis_indices, nabla1_nabla2_L)
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
@@ -271,7 +271,7 @@ def test_arc_regions_enumeration(csp5):
 
 def test_osi_report_translation_positive(csp5):
     u = translation(csp5.rho.count, 1)
-    rep = osi_report(csp5.ev, u, arc_regions(csp5.rho))
+    (rep,) = osi_report(csp5.ev, u[None], arc_regions(csp5.rho))
     assert rep.solution_hypothesis
     assert rep.min_value > 0.0
     assert rep.all_positive
@@ -284,10 +284,10 @@ def test_osi_report_translation_positive(csp5):
 def test_osi_report_flags_non_solution(csp5):
     rng = np.random.default_rng(6)
     jf = _random_field(csp5.rho.count, 1, rng)
-    rep = osi_report(csp5.ev, jf, random_regions(csp5.rho, count=4, seed=1))
+    (rep,) = osi_report(csp5.ev, jf[None], random_regions(csp5.rho, count=4, seed=1))
     assert not rep.solution_hypothesis
     with pytest.raises(SchemaError):
-        osi_report(csp5.ev, jf, (np.zeros((0, csp5.rho.count), dtype=bool), []))
+        osi_report(csp5.ev, jf[None], (np.zeros((0, csp5.rho.count), dtype=bool), []))
 
 
 def _pointwise_osi(rho, kernel, inside, jf):
@@ -303,7 +303,7 @@ def _pointwise_osi(rho, kernel, inside, jf):
 
 def _assert_osi_matches_oracle(ev, jf, regions):
     rho, kernel = ev.rho, ev.kernel
-    rep = osi_report(ev, jf, regions)
+    (rep,) = osi_report(ev, jf[None], regions)
     masks, labels = regions
     assert rep.labels == labels and len(rep.values) == len(labels)
     for val, inside in zip(rep.values, masks):
@@ -353,8 +353,48 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
     jets = [_random_field(n, m, np.random.default_rng(9)),
             *solve_linfield(ev).solutions]
     for u in jets:
-        values = osi_report(ev, u, regions).values
+        values = osi_report(ev, u[None], regions)[0].values
         restricted = [inside[:, None] * u for inside in regions[0]]
         identity = np.array([ev.sp1(chi_u, chi_u) - ev.sp1(chi_u, u)
                              for chi_u in restricted])
         assert np.abs(values - identity).max() <= 1e-12 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("name", ["csp5", "lattice2d"])
+def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
+    """One report per jet of a (k, n, 1+m) stack, bit for bit the report
+    of that jet alone: values, residual and hypothesis."""
+    f = request.getfixturevalue(name)
+    ev, n, m = f.ev, f.rho.count, f.rho.manifold.dim
+    regions = (arc_regions(f.rho) if m == 1
+               else random_regions(f.rho, count=32, seed=0))
+    rng = np.random.default_rng(12)
+    stack = np.stack([*solve_linfield(ev).solutions, translation(n, m),
+                      _random_field(n, m, rng), _random_field(n, m, rng)])
+    reports = osi_report(ev, stack, regions)
+    assert len(reports) == len(stack)
+    for u, rep in zip(stack, reports):
+        (alone,) = osi_report(ev, u[None], regions)
+        assert rep.labels == alone.labels
+        assert rep.values.tobytes() == alone.values.tobytes()
+        assert (rep.residual, rep.solution_hypothesis) == \
+            (alone.residual, alone.solution_hypothesis)
+    with pytest.raises(DimensionMismatchError):
+        osi_report(ev, stack[0], regions)   # one jet is a stack of one
+
+
+def test_max_dim_caps_only_dense_eigensolves(csp5, lattice2d):
+    """Q1 over the full basis takes the point blocks, and a lattice's SP1
+    spectra the symbols: neither runs an (N, N) eigensolve, so neither is
+    capped.  The dense Grams are."""
+    ev = FormEvaluator(lattice2d.rho, lattice2d.kernel)
+    for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
+                           (FORM_SP1, BASIS_SCALAR), (FORM_SP1, BASIS_VECTOR)):
+        gram_spectrum(ev, form_id, basis, max_dim=10)
+    with pytest.raises(SchemaError, match="exceeds cap 10"):
+        gram_spectrum(ev, FORM_SP2, max_dim=10)
+    gram_spectrum(csp5.ev, FORM_Q1, max_dim=1)
+    for form_id, basis in ((FORM_SP1, BASIS_FULL), (FORM_SP1, BASIS_SCALAR),
+                           (FORM_SP2, BASIS_FULL)):
+        with pytest.raises(SchemaError, match="exceeds cap 1"):
+            gram_spectrum(csp5.ev, form_id, basis, max_dim=1)
