@@ -62,9 +62,9 @@ class ELReport:
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "ell", "grad_ell_norm"])
-            for i, (v, g) in enumerate(zip(self.ell_values, self.ell_gradients)):
-                writer.writerow([i, repr(float(v)),
-                                 repr(float(np.abs(g).max()))])
+            norms = np.abs(self.ell_gradients).max(axis=1)
+            writer.writerows(zip(range(len(norms)), map(repr, self.ell_values.tolist()),
+                                 map(repr, norms.tolist())))
 
 
 def el_report(ev: FormEvaluator) -> ELReport:

@@ -101,13 +101,12 @@ def _stage_spectrum(cfg, ev, state, out_dir):
         state.verdicts[key] = rep.psd
         log.info(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
                  f"({'pass' if rep.psd else 'FAIL'})")
-        for k, lam in enumerate(rep.eigenvalues):
-            rows.append((form_id, basis, k, lam))
+        rows += ((form_id, basis, k, repr(lam))
+                 for k, lam in enumerate(rep.eigenvalues.tolist()))
     with (out_dir / "spectrum.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["form", "basis", "index", "eigenvalue"])
-        for form_id, basis, k, lam in rows:
-            writer.writerow([form_id, basis, k, repr(float(lam))])
+        writer.writerows(rows)
 
 
 def _stage_fragment(cfg, ev, state, out_dir, seed):

@@ -201,9 +201,9 @@ def _waves(g: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos[turns[key == conj]][:, None], np.stack([cos[pair], -sin[pair]], 1)
 
 
-def _symbol_eigh(groups) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a
-    block-circulant Gram from its symbols.
+def _symbol_vectors(groups, solved, select) -> np.ndarray:
+    """The (N, s) eigenvector columns that select picks over the ascending
+    eigenvalues of a block-circulant Gram, mapped from its symbols' eigenpairs.
 
     Each group holds (q, p, n) waves and the (q, pk, pk) symbols on them,
     k = 1 + m.  An eigenvector x = (x_1..x_p) of a symbol gives the Gram's
@@ -211,22 +211,27 @@ def _symbol_eigh(groups) -> tuple[np.ndarray, np.ndarray]:
     conjugate pair have squared norm n / 2 and are orthogonal, and so are
     the waves of any two characters.
     """
-    solved = [np.linalg.eigh(symbols) for _, symbols in groups]
     values = np.concatenate([lam.ravel() for lam, _ in solved])
-    rank = np.empty(values.size, dtype=np.int64)
-    rank[np.argsort(values, kind="stable")] = np.arange(values.size)
-    vectors = np.empty((values.size, values.size))   # one column per row
+    order = np.argsort(values, kind="stable")[select]   # where each pick is in values
+    vectors = np.empty((order.size, values.size))   # one row per column
     start = 0
     for (waves, _), (lam, e) in zip(groups, solved):
-        q, p, n = waves.shape
+        _, p, n = waves.shape
         k = e.shape[-1] // p
-        # (symbol, eigenvector, point, slot), summed over the waves h
-        columns = waves.transpose(0, 2, 1)[:, None] \
-            @ (e.reshape(q, p, k, p * k).transpose(0, 3, 1, 2) * np.sqrt(p / n))
-        vectors.reshape(-1, n, k)[rank[start:start + lam.size]] = \
-            columns.reshape(-1, n, k)
+        mine = (order >= start) & (order < start + lam.size)
+        symbol, vector = np.divmod(order[mine] - start, p * k)
+        # (selected, point, slot), summed over the waves h
+        vectors.reshape(-1, n, k)[mine] = waves[symbol].transpose(0, 2, 1) \
+            @ (e[symbol, :, vector].reshape(-1, p, k) * np.sqrt(p / n))
         start += lam.size
-    return np.sort(values), vectors.T
+    return vectors.T
+
+
+def _eigh(a: np.ndarray, vectors: bool = True):
+    try:
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(a)
+    except np.linalg.LinAlgError as exc:
+        raise CvpError(f"eigendecomposition failed: {exc}") from exc
 
 
 def weak_residual(ell: np.ndarray, grad_ell: np.ndarray) -> float:
@@ -236,17 +241,15 @@ def weak_residual(ell: np.ndarray, grad_ell: np.ndarray) -> float:
 
 def _gram(tables: PairTables, weights: np.ndarray,
           point_blocks: np.ndarray) -> np.ndarray:
-    """The symmetrized jet-pair block with the point blocks on its diagonal."""
+    """The jet-pair block with the point blocks on its diagonal, symmetric
+    bit for bit: L and H11 are symmetric, the wrapped displacements antisymmetric."""
     n, k, _ = point_blocks.shape
     gram = jet_pair_block(tables, weights)
     gram[range(n), :, range(n), :] += point_blocks
     # LAPACK picks Householder signs from signed zeros, and the block
     # has -0.0 where G = 0: adding +0.0 makes every zero +0.0
     gram += 0.0
-    gram = gram.reshape(n * k, n * k)
-    gram += gram.T
-    gram *= 0.5
-    return gram
+    return gram.reshape(n * k, n * k)
 
 
 def action_hessian(tables: PairTables, weights: np.ndarray) -> np.ndarray:
@@ -287,9 +290,9 @@ class FormEvaluator:
 
     @cached_property
     def sp1_gram(self) -> np.ndarray:
-        """The symmetrized SP1 Gram, the measure's one (n(1+m))^2 array: the
-        jet-pair block plus the point blocks.  The forms, the spectra,
-        W^-1 SP1 and the surface-layer integrals all read it."""
+        """The SP1 Gram, the measure's one (n(1+m))^2 array: the jet-pair
+        block plus the point blocks, symmetric as built.  The forms, the
+        spectra, W^-1 SP1 and the surface-layer integrals all read it."""
         return _gram(self.tables, self.rho.weights, self.point_blocks)
 
     @cached_property
@@ -335,20 +338,31 @@ class FormEvaluator:
     @cached_property
     def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and real orthonormal eigenvectors of the
-        full SP1 Gram.
+        full SP1 Gram: the dense path's one eigensolve.  On a lattice
+        (`lattice`) this maps every symbol eigenvector, which a run never
+        needs: it reads `sp1_eigenvalues` and `sp1_eigenvectors(select)`."""
+        if self._symbols is None:
+            return _eigh(self.sp1_gram)
+        return self.sp1_eigenvalues, self.sp1_eigenvectors(slice(None))
 
-        The one eigenvector solve on the measure: the spectrum stage reads
-        its eigenvalues, and since the linearized operator is W^-1 SP1 with
-        W positive and diagonal, its kernel is the near-null space of these
-        eigenvectors.  On a lattice (`lattice`) they come from the symbols,
-        and no (n(1+m))^2 eigenproblem is solved.
-        """
-        try:
-            if self._symbols is None:
-                return np.linalg.eigh(self.sp1_gram)
-            return _symbol_eigh(self._symbols[1])
-        except np.linalg.LinAlgError as exc:
-            raise CvpError(f"eigendecomposition failed: {exc}") from exc
+    @cached_property
+    def _symbol_eigh(self) -> tuple[np.ndarray, list]:
+        """A lattice's ascending SP1 eigenvalues, and the eigenpairs of
+        each group of its symbols: one batched eigh per group."""
+        solved = [_eigh(symbols) for _, symbols in self._symbols[1]]
+        return np.sort(np.concatenate([lam.ravel() for lam, _ in solved])), solved
+
+    @property
+    def sp1_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the full SP1 Gram, from its one solve."""
+        return (self.sp1_eigh if self._symbols is None else self._symbol_eigh)[0]
+
+    def sp1_eigenvectors(self, select) -> np.ndarray:
+        """The (N, s) columns of `sp1_eigh` that select picks over the
+        ascending eigenvalues; on a lattice only these are mapped."""
+        if self._symbols is None:
+            return self.sp1_eigh[1][:, select]
+        return _symbol_vectors(self._symbols[1], self._symbol_eigh[1], select)
 
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
@@ -456,7 +470,7 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     if idx.size > max_dim and not (blocks or symbols):
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
     if form_id == FORM_SP1 and basis == BASIS_FULL:
-        matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigh[0]
+        matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigenvalues
     else:
         matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
         if basis != BASIS_FULL:
@@ -471,12 +485,9 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                 stacks.append(sym[:, j[:, None], j])
         else:
             stacks = [matrix]
-        try:
-            eigenvalues = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(s).ravel() for s in stacks]))
-        except np.linalg.LinAlgError as exc:
-            raise CvpError(f"eigendecomposition failed: {exc}") from exc
-    scale = float(np.abs(matrix).max())
+        eigenvalues = np.sort(np.concatenate(
+            [_eigh(s, vectors=False).ravel() for s in stacks]))
+    scale = float(max(matrix.max(), -matrix.min()))   # |matrix|, not a copy
     min_eig = float(eigenvalues[0])
     return GramReport(form_id=form_id, basis=basis, matrix=matrix,
                       eigenvalues=eigenvalues, min_eigenvalue=min_eig,

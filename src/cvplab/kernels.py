@@ -202,10 +202,10 @@ class PairTables:
 
     @cached_property
     def H11(self) -> np.ndarray:
-        D = self.D
-        g2 = self.kernel.profile_d2(self.s)
-        return 2.0 * self._g1[..., None, None] * np.eye(D.shape[-1]) + \
-            4.0 * g2[..., None, None] * np.einsum("...a,...b->...ab", D, D)
+        h = np.einsum("...a,...b->...ab", self.D, self.D)   # then in place: one (..., m, m) array
+        h *= 4.0 * self.kernel.profile_d2(self.s)[..., None, None]
+        np.einsum("...aa->...a", h)[...] += 2.0 * self._g1[..., None]
+        return h
 
 
 def pair_tables(kernel: RadialKernel, manifold: ChartManifold,

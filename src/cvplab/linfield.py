@@ -55,7 +55,7 @@ class LinfieldSolution:
     """Numerical kernel of the linearized operator W^-1 SP1."""
 
     solutions: np.ndarray    # (k, n, 1 + m) kernel jets
-    eigenvalues: np.ndarray  # of the symmetrized SP1 Gram, ascending
+    eigenvalues: np.ndarray  # of the SP1 Gram, ascending
     threshold: float
     residuals: tuple[float, ...]
     lattice: list[int] | None = None   # ev.lattice: factors, or None if dense
@@ -87,10 +87,10 @@ def solve_linfield(ev: FormEvaluator,
     """
     if not 0.0 <= threshold_rel < 1.0:
         raise SchemaError("kernel threshold must lie in [0, 1)")
-    eigenvalues, eigenvectors = ev.sp1_eigh
+    eigenvalues = ev.sp1_eigenvalues
     magnitude = np.abs(eigenvalues)
     cut = threshold_rel * magnitude.max()
-    solutions = eigenvectors[:, magnitude <= cut].T.reshape(
+    solutions = ev.sp1_eigenvectors(magnitude <= cut).T.reshape(
         -1, ev.rho.count, 1 + ev.rho.manifold.dim)
     residuals = tuple(linfield_residual(ev, solutions).tolist())
     return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
@@ -140,11 +140,10 @@ def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
     """
     n = rho.count
     rank = np.argsort(np.argsort(rho.points[:, 0]))
-    start = np.repeat(np.arange(n), n - 1)
-    length = np.tile(np.arange(1, n), n)
-    inside = (rank[None, :] - start[:, None]) % n < length[:, None]
+    offset = (rank - np.arange(n)[:, None]) % n   # (start, point): rank - start
+    inside = (offset[:, None] < np.arange(1, n)[:, None]).reshape(-1, n)
     return inside, [f"arc(start={s}, length={k})"
-                    for s, k in zip(start.tolist(), length.tolist())]
+                    for s in range(n) for k in range(1, n)]
 
 
 def random_regions(rho: DiscreteMeasure, count: int,

@@ -651,10 +651,25 @@ def _cached_arrays(value, name):
             yield from _cached_arrays(item, f"{name}[{k}]")
 
 
+def _lattice_config(side: int) -> dict:
+    """The exact side x side triangular lattice of the lattice-2d benchmark."""
+    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    return dict(BASE_CONFIG,
+                manifold={"kind": "torus", "dim": 2,
+                          "periods": [float(side), side * np.sqrt(3.0) / 2.0]},
+                lagrangian={"family": "compact-support-power",
+                            "params": {"radius": 1.2, "power": 3}},
+                initial_measure={"points": np.stack(
+                    [(i + 0.5 * j).ravel() % side,
+                     (j * np.sqrt(3.0) / 2.0).ravel()], axis=1).tolist(),
+                    "weights": [1.0] * side**2})
+
+
 def test_cli_verify_all_holds_one_gram_sized_array(tmp_path, monkeypatch):
-    """After every stage the evaluator holds only the SP1 Gram and its
-    eigenvectors at (n(1+m))^2 entries: the form, the linearized operator
-    and the surface-layer integrals read the one Gram."""
+    """After every stage the evaluator holds only the SP1 Gram and, on the
+    dense path, its eigenvectors at (n(1+m))^2 entries: the form, the
+    linearized operator and the surface-layer integrals read the one Gram.
+    A lattice maps only the kernel's eigenvectors from its symbols."""
     evaluators, init = [], FormEvaluator.__init__
 
     def keeping_init(self, *args, **kwargs):
@@ -662,13 +677,17 @@ def test_cli_verify_all_holds_one_gram_sized_array(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FormEvaluator, "__init__", keeping_init)
-    assert run("verify-all", _write_config(tmp_path), str(tmp_path / "out"),
-               quiet=True) == 0
-    (ev,) = evaluators
-    size = (ev.rho.count * (1 + ev.rho.manifold.dim)) ** 2
-    large = sorted(name for key, value in vars(ev).items()
-                   for name, array in _cached_arrays(value, key) if array.size >= size)
-    assert large == ["sp1_eigh[1]", "sp1_gram"]
+    for case, cfg, expected in (("dense", BASE_CONFIG, ["sp1_eigh[1]", "sp1_gram"]),
+                                ("lattice", _lattice_config(10), ["sp1_gram"])):
+        evaluators.clear()
+        assert run("verify-all", _write_config(tmp_path, cfg, f"{case}.json"),
+                   str(tmp_path / case), quiet=True) == 0
+        (ev,) = evaluators
+        size = (ev.rho.count * (1 + ev.rho.manifold.dim)) ** 2
+        large = sorted(name for key, value in vars(ev).items()
+                       for name, array in _cached_arrays(value, key)
+                       if array.size >= size)
+        assert large == expected, case
 
 
 def test_cli_verify_all_contracts_the_solution_stack_once(tmp_path, monkeypatch):
@@ -683,18 +702,9 @@ def test_cli_verify_all_contracts_the_solution_stack_once(tmp_path, monkeypatch)
 
     monkeypatch.setattr(linfield, "_region_osi", counting_region_osi)
     side = 10
-    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    cfg = dict(BASE_CONFIG,
-               manifold={"kind": "torus", "dim": 2,
-                         "periods": [float(side), side * np.sqrt(3.0) / 2.0]},
-               lagrangian={"family": "compact-support-power",
-                           "params": {"radius": 1.2, "power": 3}},
-               initial_measure={"points": np.stack(
-                   [(i + 0.5 * j).ravel() % side,
-                    (j * np.sqrt(3.0) / 2.0).ravel()], axis=1).tolist(),
-                   "weights": [1.0] * side**2})
     out = tmp_path / "out"
-    assert run("verify-all", _write_config(tmp_path, cfg), str(out), quiet=True) == 0
+    assert run("verify-all", _write_config(tmp_path, _lattice_config(side)), str(out),
+               quiet=True) == 0
     state = load_state(out / "state.json")
     assert state.linfield_summary["lattice"] == [5, 20]
     assert calls == [(2, side**2, 3)]

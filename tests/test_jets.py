@@ -220,6 +220,14 @@ def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss):
     assert gram_spectrum(single_gauss.ev, FORM_Q1).min_eigenvalue <= -1.0
 
 
+def test_the_scale_is_the_largest_entry_magnitude(csp5, lattice2d, single_gauss):
+    for f in (csp5, lattice2d, single_gauss):
+        for form_id in (FORM_Q1, FORM_SP1, FORM_SP2):
+            for basis in (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR):
+                rep = gram_spectrum(f.ev, form_id, basis)
+                assert rep.scale == np.abs(rep.matrix).max()
+
+
 def test_gram_report_serialization(csp5):
     f = csp5
     rep = gram_spectrum(f.ev, FORM_Q1)

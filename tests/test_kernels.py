@@ -105,6 +105,24 @@ def test_pair_tables_structure():
                 np.testing.assert_allclose(table[i, j], exact, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("kernel", [
+    GaussianKernel(sigma=0.8),
+    InversePowerKernel(sigma=0.7, exponent=2.5),
+    CompactSupportKernel(radius=1.5, power=3),
+], ids=["gaussian", "inverse-power", "compact-support"])
+def test_hess11_table_is_the_closed_form_bit_for_bit(kernel):
+    """H11, built in place, is 2 g1 I + 4 g2 d d^T to the bit: each profile
+    decreases, so g1 <= 0 and an off-diagonal 2 g1 * 0 is -0.0, which adds
+    nothing.  Pairs beyond the cutoff, where g1 = -0.0, included."""
+    pts = np.random.default_rng(12).uniform(-2.0, 2.0, size=(16, 2))
+    t = pair_tables(kernel, EUC2, pts)
+    g1, g2 = kernel.profile_d1(t.s), kernel.profile_d2(t.s)
+    closed = 2.0 * g1[..., None, None] * np.eye(2) + \
+        4.0 * g2[..., None, None] * (t.D[..., :, None] * t.D[..., None, :])
+    assert t.H11.tobytes() == closed.tobytes()
+    assert kernel.cutoff is None or (t.s > kernel.cutoff**2).any()
+
+
 @pytest.mark.parametrize("manifold", [
     ChartManifold(kind="torus", dim=1, periods=(5.0,)),
     ChartManifold(kind="torus", dim=2, periods=(3.0, 7.0)),

@@ -97,6 +97,25 @@ def test_symbol_eigenvectors_are_real_and_orthonormal(lattice_case):
     assert np.abs(vectors.T @ vectors - np.eye(len(values))).max() <= 1e-12
 
 
+def test_selected_symbol_eigenvectors_are_columns_of_all_of_them(lattice_case):
+    """A selection maps only its own symbol eigenvectors: each is the
+    matching column of the all-selected mapping (`sp1_eigh`) bit for bit,
+    and an eigenvector of the dense Gram."""
+    ev, _ = lattice_case
+    values, vectors = ev.sp1_eigh
+    gram = ev.sp1_gram
+    scale = np.abs(gram).max()
+    magnitude = np.abs(values)
+    picks = np.random.default_rng(5).random(values.size) < 0.2
+    for select in (magnitude <= 1e-10 * magnitude.max(), picks,
+                   np.arange(values.size) == values.size - 1):
+        chosen = ev.sp1_eigenvectors(select)
+        assert chosen.shape == (len(values), select.sum())
+        assert chosen.tobytes() == vectors[:, select].tobytes()
+        residual = gram @ chosen - chosen * values[select]
+        assert np.abs(residual).max() <= 1e-12 * scale
+
+
 def test_the_gram_is_block_circulant_from_block_row_zero(lattice_case):
     """Block (i, j) is block (0, p) for the point p at g_j - g_i."""
     ev, _ = lattice_case

@@ -3,14 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, DimensionMismatchError, FormEvaluator,
-                    GaussianKernel, arc_regions, gram_spectrum,
+from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
+                    FormEvaluator, GaussianKernel, arc_regions, gram_spectrum,
                     linfield_residual, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
 from cvplab.errors import SchemaError
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
-                         FORM_SP1, FORM_SP2, _basis_indices, nabla1_nabla2_L)
+                         FORM_SP1, FORM_SP2, _basis_indices, action_hessian,
+                         nabla1_nabla2_L)
 from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
@@ -171,6 +172,34 @@ def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
     idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, BASIS_SCALAR)
     scalar = gram_spectrum(ev, FORM_SP1, BASIS_SCALAR).matrix
     assert scalar.tobytes() == ev.sp1_gram[np.ix_(idx, idx)].tobytes()
+
+
+def _even_gauss_ring() -> FormEvaluator:
+    """n=8 on a period-8 torus: the antipodal pair's wrapped displacement
+    takes its sign from rounding, and the Gaussian has a slope there."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
+    rho = DiscreteMeasure(manifold=manifold, points=(np.arange(8.0) + 0.37)[:, None],
+                          weights=np.ones(8))
+    return FormEvaluator(rho, GaussianKernel(sigma=1.5))
+
+
+def _euclidean() -> FormEvaluator:
+    rng = np.random.default_rng(8)
+    rho = DiscreteMeasure(manifold=ChartManifold(kind="euclidean", dim=2),
+                          points=rng.normal(size=(7, 2)),
+                          weights=rng.uniform(0.5, 1.5, size=7))
+    return FormEvaluator(rho, GaussianKernel(sigma=1.0))
+
+
+@pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d", "even-gauss-ring",
+                                  "euclidean"])
+def test_the_gram_and_the_action_hessian_are_symmetric_bit_for_bit(name, request):
+    """Neither is symmetrized: L is symmetric, the wrapped displacements are
+    antisymmetric (rint rounds ties to even) and H11 is symmetric."""
+    built = {"even-gauss-ring": _even_gauss_ring, "euclidean": _euclidean}
+    ev = built[name]() if name in built else request.getfixturevalue(name).ev
+    for matrix in (ev.sp1_gram, action_hessian(ev.tables, ev.rho.weights)):
+        assert matrix.tobytes() == matrix.T.tobytes()
 
 
 def _pointwise_brackets(rho, kernel, nu, jf):
