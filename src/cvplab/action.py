@@ -63,8 +63,8 @@ class ELReport:
             writer = csv.writer(handle)
             writer.writerow(["index", "ell", "grad_ell_norm"])
             norms = np.abs(self.ell_gradients).max(axis=1)
-            writer.writerows(zip(range(len(norms)), map(repr, self.ell_values.tolist()),
-                                 map(repr, norms.tolist())))
+            writer.writerows(zip(range(len(norms)), self.ell_values.tolist(),
+                                 norms.tolist()))
 
 
 def el_report(ev: FormEvaluator) -> ELReport:

@@ -101,7 +101,7 @@ def _stage_spectrum(cfg, ev, state, out_dir):
         state.verdicts[key] = rep.psd
         log.info(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
                  f"({'pass' if rep.psd else 'FAIL'})")
-        rows += ((form_id, basis, k, repr(lam))
+        rows += ((form_id, basis, k, lam)
                  for k, lam in enumerate(rep.eigenvalues.tolist()))
     with (out_dir / "spectrum.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)

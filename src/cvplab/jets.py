@@ -201,9 +201,9 @@ def _waves(g: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos[turns[key == conj]][:, None], np.stack([cos[pair], -sin[pair]], 1)
 
 
-def _symbol_vectors(groups, solved, select) -> np.ndarray:
-    """The (N, s) eigenvector columns that select picks over the ascending
-    eigenvalues of a block-circulant Gram, mapped from its symbols' eigenpairs.
+def _symbol_vectors(groups, solved, picks) -> np.ndarray:
+    """The (N, s) eigenvector columns of a block-circulant Gram at picks, places
+    in its symbols' eigenvalues raveled group by group, from their eigenpairs.
 
     Each group holds (q, p, n) waves and the (q, pk, pk) symbols on them,
     k = 1 + m.  An eigenvector x = (x_1..x_p) of a symbol gives the Gram's
@@ -211,15 +211,13 @@ def _symbol_vectors(groups, solved, select) -> np.ndarray:
     conjugate pair have squared norm n / 2 and are orthogonal, and so are
     the waves of any two characters.
     """
-    values = np.concatenate([lam.ravel() for lam, _ in solved])
-    order = np.argsort(values, kind="stable")[select]   # where each pick is in values
-    vectors = np.empty((order.size, values.size))   # one row per column
+    vectors = np.empty((picks.size, sum(lam.size for lam, _ in solved)))
     start = 0
     for (waves, _), (lam, e) in zip(groups, solved):
         _, p, n = waves.shape
         k = e.shape[-1] // p
-        mine = (order >= start) & (order < start + lam.size)
-        symbol, vector = np.divmod(order[mine] - start, p * k)
+        mine = (picks >= start) & (picks < start + lam.size)
+        symbol, vector = np.divmod(picks[mine] - start, p * k)
         # (selected, point, slot), summed over the waves h
         vectors.reshape(-1, n, k)[mine] = waves[symbol].transpose(0, 2, 1) \
             @ (e[symbol, :, vector].reshape(-1, p, k) * np.sqrt(p / n))
@@ -336,33 +334,30 @@ class FormEvaluator:
         return None if self._symbols is None else self._symbols[0].tolist()
 
     @cached_property
-    def sp1_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and real orthonormal eigenvectors of the
-        full SP1 Gram: the dense path's one eigensolve.  On a lattice
-        (`lattice`) this maps every symbol eigenvector, which a run never
-        needs: it reads `sp1_eigenvalues` and `sp1_eigenvectors(select)`."""
+    def _sp1_solve(self) -> tuple:
+        """The one SP1 solve: the `eigh` of `sp1_gram`, or on a lattice the
+        ascending eigenvalues, the eigenpairs of each group of symbols from
+        one batched eigh, and the stable order that sorts their eigenvalues."""
         if self._symbols is None:
             return _eigh(self.sp1_gram)
-        return self.sp1_eigenvalues, self.sp1_eigenvectors(slice(None))
-
-    @cached_property
-    def _symbol_eigh(self) -> tuple[np.ndarray, list]:
-        """A lattice's ascending SP1 eigenvalues, and the eigenpairs of
-        each group of its symbols: one batched eigh per group."""
         solved = [_eigh(symbols) for _, symbols in self._symbols[1]]
-        return np.sort(np.concatenate([lam.ravel() for lam, _ in solved])), solved
+        values = np.concatenate([lam.ravel() for lam, _ in solved])
+        order = np.argsort(values, kind="stable")
+        return values[order], solved, order
 
     @property
     def sp1_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the full SP1 Gram, from its one solve."""
-        return (self.sp1_eigh if self._symbols is None else self._symbol_eigh)[0]
+        return self._sp1_solve[0]
 
     def sp1_eigenvectors(self, select) -> np.ndarray:
-        """The (N, s) columns of `sp1_eigh` that select picks over the
-        ascending eigenvalues; on a lattice only these are mapped."""
+        """The (N, s) orthonormal eigenvector columns that select picks over
+        `sp1_eigenvalues`, from the one solve; on a lattice only these are
+        mapped from the symbols."""
         if self._symbols is None:
-            return self.sp1_eigh[1][:, select]
-        return _symbol_vectors(self._symbols[1], self._symbol_eigh[1], select)
+            return self._sp1_solve[1][:, select]
+        _, solved, order = self._sp1_solve
+        return _symbol_vectors(self._symbols[1], solved, order[select])
 
     def _check_point(self, i: int) -> None:
         if not 0 <= i < self.rho.count:
@@ -406,7 +401,8 @@ class FormEvaluator:
         """Gram matrix over the unit jets as a new array: Q1, SP1 or SP1 + Q1.
 
         Q1 is block diagonal with the point blocks w_i ell_jet_i; SP1 is a
-        copy of `sp1_gram`, and SP2 adds the point blocks to that copy.
+        copy of `sp1_gram`, and SP2 adds the point blocks to that copy.  The
+        tier-1 oracle of the forms; a run reads it only as a report's matrix.
         """
         if form_id not in (FORM_Q1, FORM_SP1, FORM_SP2):
             raise SchemaError(f"unknown form id {form_id!r}")
@@ -420,7 +416,7 @@ class FormEvaluator:
 
 def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y, jet_x, jet_y) -> float:
     """D1_{jet_x} D2_{jet_y} L(x, y) at two arbitrary chart points, along
-    two (1 + m,) jets."""
+    two (1 + m,) jets: the tier-1 oracle of the double sum and the OSI."""
     (ax, ux), (ay, uy) = _as_jet(jet_x, manifold.dim), _as_jet(jet_y, manifold.dim)
     L = lagrangian_eval(kernel, manifold, x, y)
     g1 = lagrangian_derivatives(kernel, manifold, x, y, GRAD1)
@@ -457,34 +453,29 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
                   tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
 
-    Every SP1 restriction reads the evaluator's one SP1 Gram, and only the
-    full basis its one eigendecomposition.  Q1 over the full basis is block
-    diagonal, so its spectrum is the sorted union of the spectra of its
-    point blocks.  On a lattice (`ev.lattice`) an SP1 restriction takes
-    the spectra of the matching sub-blocks of the symbols.  Every other
-    Gram takes eigenvalues only, and only these are capped at max_dim.
+    Every SP1 restriction reads the evaluator's one SP1 Gram, and the full
+    basis its one solve.  A form that owns blocks, Q1 its point blocks and
+    on a lattice (`ev.lattice`) SP1 its symbols, takes every spectrum from
+    the sub-blocks on the basis's slots.  Only the other Grams run a dense
+    eigensolve, and only these are capped at max_dim.
     """
-    idx = _basis_indices(ev.rho.count, ev.rho.manifold.dim, basis)
-    blocks = form_id == FORM_Q1 and basis == BASIS_FULL
-    symbols = form_id == FORM_SP1 and ev.lattice is not None
-    if idx.size > max_dim and not (blocks or symbols):
+    m = ev.rho.manifold.dim
+    idx = _basis_indices(ev.rho.count, m, basis)
+    owned = None   # (blocks, the indices of the basis's slots in each block)
+    if form_id == FORM_Q1:
+        owned = [(ev.point_blocks, _basis_indices(1, m, basis))]
+    elif form_id == FORM_SP1 and ev.lattice is not None:
+        owned = [(sym, _basis_indices(waves.shape[1], m, basis))
+                 for waves, sym in ev._symbols[1]]
+    if owned is None and idx.size > max_dim:
         raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
+    matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
+    if basis != BASIS_FULL:
+        matrix = matrix[np.ix_(idx, idx)]
     if form_id == FORM_SP1 and basis == BASIS_FULL:
-        matrix, eigenvalues = ev.sp1_gram, ev.sp1_eigenvalues
+        eigenvalues = ev.sp1_eigenvalues
     else:
-        matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
-        if basis != BASIS_FULL:
-            matrix = matrix[np.ix_(idx, idx)]
-        if blocks:
-            stacks = [ev.point_blocks]
-        elif symbols:
-            # the restriction is block circulant too: the symbols' sub-blocks
-            stacks = []
-            for waves, sym in ev._symbols[1]:
-                j = _basis_indices(waves.shape[1], ev.rho.manifold.dim, basis)
-                stacks.append(sym[:, j[:, None], j])
-        else:
-            stacks = [matrix]
+        stacks = [matrix] if owned is None else [b[:, j[:, None], j] for b, j in owned]
         eigenvalues = np.sort(np.concatenate(
             [_eigh(s, vectors=False).ravel() for s in stacks]))
     scale = float(max(matrix.max(), -matrix.min()))   # |matrix|, not a copy

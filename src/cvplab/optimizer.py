@@ -82,8 +82,7 @@ class OptimizerTrace:
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["iteration", "action", "weak_residual", "step"])
-            for row in self.rows:
-                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+            writer.writerows(self.rows)
 
 
 def project_volume(weights: np.ndarray, target_volume: float,

@@ -64,7 +64,8 @@ def fragment_deform(rho: DiscreteMeasure, c, u, tau: float) -> DiscreteMeasure:
     Fragment a of point i sits at x_i + tau*u_ia with weight
     w_i c_ia (1 + tau*a_ia); the fragments are listed fragment by
     fragment.  At tau = 0 the coincident fragments merge back to the base
-    support.  Fragments with zero weight carry no point.
+    support.  Fragments with zero weight carry no point.  The tier-1 oracle
+    of `deformed_actions`, which calls it only for an invalid trial's error.
     """
     c, jets = _as_scheme(rho, c, u)
     if tau == 0.0:
@@ -160,7 +161,7 @@ def second_variation_fd(rho: DiscreteMeasure, kernel: RadialKernel, c, u,
 
     Returns half the extrapolated second derivative, matching the
     convention of the analytic formula.  The scheme must preserve the
-    volume to first order.
+    volume to first order.  The tier-1 oracle of the analytic second variation.
     """
     c, u = _as_scheme(rho, c, u)
     defect = float(_volume_change(rho, c, u))
@@ -274,8 +275,7 @@ class ProbeReport:
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["trial", "tau", "delta_action"])
-            for trial, tau, ds in self.rows:
-                writer.writerow([trial, repr(float(tau)), repr(float(ds))])
+            writer.writerows(self.rows)
 
 
 def _draw_trials(rho: DiscreteMeasure, fragments: int, trials: int,

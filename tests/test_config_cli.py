@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import logging
@@ -320,6 +321,19 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
                      str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 1
 
 
+def test_cli_exit_one_on_a_non_finite_action(tmp_path, capsys):
+    """A generator volume near the float limit overflows the start's action:
+    the optimizer stops at iteration 1 and the run exits with a message."""
+    data = {**BASE_CONFIG, "initial_measure": {"generator": {
+        "count": 5, "seed": 0, "total_volume": 1e300}}}
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("verify-all", _write_config(tmp_path, data),
+                   str(tmp_path / "out"), quiet=True) == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite action or gradient at iteration 1\n")
+
+
 @pytest.mark.parametrize("name, value", [
     ("points", [[0.05], [1.02], [True], [3.01], [4.04]]),
     ("weights", [1.1, 0.95, 1.0, 0.9, True])])
@@ -461,6 +475,24 @@ def test_cli_state_records_the_optimizer_section(tmp_path, capsys):
     state = load_state(out / "state.json")
     assert state.optimizer == section
     assert state.config_hash == parse_config(BASE_CONFIG).hash
+
+
+def test_cli_csv_floats_are_python_float_reprs(tmp_path):
+    """Every float cell of the four CSVs of a run is the repr of a Python
+    float, which reads back to the same float (a numpy scalar's repr would
+    not): the rows are written from Python values."""
+    out = tmp_path / "out"
+    assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
+    for name, columns in (("trace.csv", ["action", "weak_residual", "step"]),
+                          ("el_report.csv", ["ell", "grad_ell_norm"]),
+                          ("spectrum.csv", ["eigenvalue"]),
+                          ("probe.csv", ["tau", "delta_action"])):
+        with (out / name).open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows, name
+        for row in rows:
+            for column in columns:
+                assert row[column] == repr(float(row[column])), (name, column, row)
 
 
 def test_cli_progress_lines_print_once_and_quiet_hides_them(tmp_path, capsys):
@@ -677,7 +709,7 @@ def test_cli_verify_all_holds_one_gram_sized_array(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FormEvaluator, "__init__", keeping_init)
-    for case, cfg, expected in (("dense", BASE_CONFIG, ["sp1_eigh[1]", "sp1_gram"]),
+    for case, cfg, expected in (("dense", BASE_CONFIG, ["_sp1_solve[1]", "sp1_gram"]),
                                 ("lattice", _lattice_config(10), ["sp1_gram"])):
         evaluators.clear()
         assert run("verify-all", _write_config(tmp_path, cfg, f"{case}.json"),

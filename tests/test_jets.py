@@ -216,6 +216,11 @@ def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss):
         rep = gram_spectrum(f.ev, FORM_Q1)
         dense = np.linalg.eigvalsh(f.ev.form_matrix(FORM_Q1))
         assert np.abs(rep.eigenvalues - dense).max() <= 1e-13 * rep.scale
+        # each restriction from the sub-blocks of the point blocks, uncapped
+        for basis in (BASIS_SCALAR, BASIS_VECTOR):
+            rep = gram_spectrum(f.ev, FORM_Q1, basis, max_dim=1)
+            dense = np.linalg.eigvalsh(rep.matrix)
+            assert np.abs(rep.eigenvalues - dense).max() <= 1e-13 * rep.scale
     # the negative control keeps failing its Q1 verdict
     assert gram_spectrum(single_gauss.ev, FORM_Q1).min_eigenvalue <= -1.0
 

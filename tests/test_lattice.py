@@ -3,8 +3,9 @@
 A measure whose support is one orbit of a translation group, with equal
 weights, has an SP1 Gram that commutes with the group.  Its spectrum is
 then the union of the spectra of one (1+m) x (1+m) symbol per character,
-which `FormEvaluator.sp1_eigh` and `gram_spectrum` use in place of a dense
-eigensolve.  These tests hold that path to the dense one.
+which `FormEvaluator.sp1_eigenvalues`, `FormEvaluator.sp1_eigenvectors`
+and `gram_spectrum` read in place of a dense eigensolve.  These tests hold
+that path to the dense one.
 """
 
 from __future__ import annotations
@@ -50,6 +51,20 @@ def _triangular(side: int, seed: int | None = None):
                            weights=np.ones(side * side))
 
 
+def _rectangular(rows: int, cols: int, seed: int):
+    """rows x cols unit cells on a torus of periods (rows, cols), moved and
+    shuffled by a seeded draw."""
+    i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    rng = np.random.default_rng(seed)
+    periods = np.array([float(rows), float(cols)])
+    points = np.stack([i.ravel(), j.ravel()], axis=1).astype(float)
+    points = np.mod(points[rng.permutation(len(points))]
+                    + rng.uniform(0.0, periods), periods)
+    manifold = ChartManifold(kind="torus", dim=2, periods=tuple(periods))
+    return DiscreteMeasure(manifold=manifold, points=points,
+                           weights=np.ones(rows * cols))
+
+
 # (measure, kernel, invariant factors)
 CASES = {
     "ring40": (_ring(40, shift=0.3, seed=1), README_KERNEL, [40]),
@@ -57,10 +72,15 @@ CASES = {
                  GaussianKernel(sigma=1.0), [9]),
     "triangular10": (_triangular(10, seed=3),
                      CompactSupportKernel(radius=1.2, power=3), [5, 20]),
+    # Z_4 x Z_6 = Z_2 x Z_12: 4 does not divide 6, so its Smith form needs
+    # the step that brings in an entry the pivot does not divide
+    "rectangular4x6": (_rectangular(4, 6, seed=4),
+                       CompactSupportKernel(radius=1.5, power=3), [2, 12]),
 }
 
 
-@pytest.fixture(params=["ring40", "odd-ring", "lattice2d", "triangular10"])
+@pytest.fixture(params=["ring40", "odd-ring", "lattice2d", "triangular10",
+                        "rectangular4x6"])
 def lattice_case(request):
     if request.param == "lattice2d":
         f = request.getfixturevalue("lattice2d")
@@ -89,7 +109,7 @@ def test_symbol_spectra_match_the_dense_gram(lattice_case, basis):
 
 def test_symbol_eigenvectors_are_real_and_orthonormal(lattice_case):
     ev, _ = lattice_case
-    values, vectors = ev.sp1_eigh
+    values, vectors = ev.sp1_eigenvalues, ev.sp1_eigenvectors(slice(None))
     gram = ev.sp1_gram
     assert vectors.dtype == np.float64 and vectors.shape == gram.shape
     scale = np.abs(gram).max()
@@ -99,10 +119,10 @@ def test_symbol_eigenvectors_are_real_and_orthonormal(lattice_case):
 
 def test_selected_symbol_eigenvectors_are_columns_of_all_of_them(lattice_case):
     """A selection maps only its own symbol eigenvectors: each is the
-    matching column of the all-selected mapping (`sp1_eigh`) bit for bit,
+    matching column of the all-selected mapping bit for bit,
     and an eigenvector of the dense Gram."""
     ev, _ = lattice_case
-    values, vectors = ev.sp1_eigh
+    values, vectors = ev.sp1_eigenvalues, ev.sp1_eigenvectors(slice(None))
     gram = ev.sp1_gram
     scale = np.abs(gram).max()
     magnitude = np.abs(values)
@@ -146,7 +166,7 @@ def test_a_group_of_self_conjugate_characters_only():
     kernel = CompactSupportKernel(radius=0.9, power=3)
     ev = FormEvaluator(_ring(2, shift=0.25), kernel)
     assert ev.lattice == [2]
-    values, vectors = ev.sp1_eigh
+    values, vectors = ev.sp1_eigenvalues, ev.sp1_eigenvectors(slice(None))
     assert np.abs(values - np.linalg.eigvalsh(ev.sp1_gram)).max() <= 1e-12
     assert np.abs(vectors.T @ vectors - np.eye(4)).max() <= 1e-12
     for basis in (BASIS_SCALAR, BASIS_VECTOR):
@@ -156,13 +176,15 @@ def test_a_group_of_self_conjugate_characters_only():
 def test_smith_form():
     for a, factors in (([[10, 0], [-5, 10]], [5, 20]), ([[4, 0], [-2, 4]], [2, 8]),
                        ([[40]], [40]), ([[6, 4], [2, 8]], [2, 20]),
-                       ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12])):
+                       ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+                       ([[4, 0], [0, 6]], [2, 12]), ([[2, 0], [0, 3]], [1, 6])):
         a = np.array(a, dtype=np.int64)
         u, d = _smith(a)
         assert d.tolist() == factors
         assert round(abs(np.linalg.det(u))) == 1
         # U a = diag(d) V^-1: row k of U a is a multiple of d_k
         assert not ((u @ a) % d[:, None]).any()
+    assert _smith(np.array([[2, 4], [1, 2]], dtype=np.int64)) is None   # singular
 
 
 def _lattice_none_cases():
@@ -172,7 +194,12 @@ def _lattice_none_cases():
     moved = rho.points.copy()
     moved[5, 1] += 1e-9
     flat = ChartManifold(kind="euclidean", dim=2)
+    plane = ChartManifold(kind="torus", dim=2, periods=(5.0, 5.0))
+    line = np.stack([np.arange(5.0), np.zeros(5)], axis=1)
     return {
+        # an orbit of Z_5 along one axis: one independent displacement, not 2
+        "collinear": DiscreteMeasure(manifold=plane, points=line,
+                                     weights=np.ones(5)),
         "weight-off-1e-13": rho.replace(weights=w),
         "point-moved-1e-9": rho.replace(points=moved),
         "point-removed": rho.replace(points=rho.points[1:],
@@ -202,7 +229,7 @@ def test_a_slope_at_half_a_period_keeps_the_dense_path():
     ev = FormEvaluator(rho, GaussianKernel(sigma=1.5))
     assert _lattice(rho) is not None and ev.lattice is None
     dense = np.linalg.eigvalsh(ev.sp1_gram)
-    assert np.abs(ev.sp1_eigh[0] - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
+    assert np.abs(ev.sp1_eigenvalues - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
 
 
 def test_a_cutoff_beyond_half_a_period_keeps_the_dense_path():
@@ -213,6 +240,6 @@ def test_a_cutoff_beyond_half_a_period_keeps_the_dense_path():
     ev = FormEvaluator(rho, CompactSupportKernel(radius=2.5, power=3))
     assert _lattice(rho) is not None and ev.lattice is None
     dense = np.linalg.eigvalsh(ev.sp1_gram)
-    assert np.abs(ev.sp1_eigh[0] - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
+    assert np.abs(ev.sp1_eigenvalues - dense).max() <= 1e-12 * np.abs(ev.sp1_gram).max()
     # at radius 2 the kernel vanishes there to second order: the symbols run
     assert FormEvaluator(rho, CompactSupportKernel(radius=2.0, power=3)).lattice == [4]

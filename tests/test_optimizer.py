@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import cvplab.optimizer as optimizer
-from cvplab import (ChartManifold, CompactSupportKernel, FormEvaluator,
-                    GaussianKernel, InfeasibleProjectionError, OptimizerConfig,
-                    SchemaError, minimize, pair_tables, project_volume,
-                    random_measure)
+from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
+                    FormEvaluator, GaussianKernel, InfeasibleProjectionError,
+                    NonFiniteIterateError, OptimizerConfig, SchemaError,
+                    minimize, pair_tables, project_volume, random_measure)
 from cvplab.jets import FORM_SP1, action_hessian
 from cvplab.optimizer import _gradients
 
@@ -93,6 +93,20 @@ def test_minimize_monotone_and_volume_conserving(tmp_path):
     trace.write_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "iteration,action,weak_residual,step"
+
+
+def test_minimize_stops_on_a_non_finite_action():
+    """Weights near the float limit overflow the action of the start: the
+    first iteration raises, carrying the start's points and weights."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(2.0 * np.pi,))
+    rho0 = DiscreteMeasure(manifold=manifold, points=np.array([[0.0], [1.0]]),
+                           weights=np.array([1e200, 2e200]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteIterateError, match="at iteration 1") as info:
+        minimize(rho0, GaussianKernel(sigma=1.0), OptimizerConfig())
+    assert info.value.iteration == 1
+    assert np.array_equal(info.value.points, rho0.points)
+    assert np.array_equal(info.value.weights, rho0.weights)
 
 
 def test_minimize_returns_immediately_at_stationary_point(single_gauss):
