@@ -135,6 +135,11 @@ def _stage_linfield(ev, state, out_dir):
     return sol
 
 
+# residual below which a kernel jet counts as a solution of the linearized
+# field equations, so that its surface-layer integrals are expected positive
+OSI_SOLUTION_TOLERANCE = 1e-6
+
+
 def _stage_osi(cfg, ev, sol, state):
     rho = ev.rho
     if rho.manifold.dim == 1 or rho.count < 2:
@@ -143,16 +148,21 @@ def _stage_osi(cfg, ev, sol, state):
         regions = random_regions(rho, count=32, seed=0)
     labels = regions[1]
     # with no region or no solution jet nothing is checked, so the verdict fails
-    reports = osi_report(ev, sol.solutions, regions) if labels and sol.dimension else []
-    values = np.array([rep.values for rep in reports])   # (k, R)
+    values = (osi_report(ev, sol.solutions, regions) if labels and sol.dimension
+              else np.empty((0, 0)))   # (k, R)
     worst = float(values.min()) if values.size else None
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     # the region labels once; each report holds its values in their order
-    state.osi_summary = {
-        "regions": labels, "min_value": worst,
-        "reports": [{"solution_index": k, **rep.to_dict()}
-                    for k, rep in enumerate(reports)]}
+    reports = []
+    for k, (row, residual) in enumerate(zip(values, sol.residuals)):
+        least = float(row.min())
+        reports.append({
+            "solution_index": k, "osi": row.tolist(), "min_value": least,
+            "min_region": labels[int(np.argmin(row))], "residual": residual,
+            "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
+            "all_positive": least > 0.0})
+    state.osi_summary = {"regions": labels, "min_value": worst, "reports": reports}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log.info(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
              f"{'none' if worst is None else f'{worst:.3e}'} "

@@ -17,6 +17,7 @@ over a region Omega couples only the pairs straddling the boundary:
 Jet fields are (n, 1 + m) arrays as in `cvplab.jets`, and the solutions
 one (k, n, 1 + m) array.  A region family is a pair: an (R, n) boolean
 array whose row r marks the points inside region r, and its R labels.
+`osi_report` evaluates a whole stack over a family as one (k, R) array.
 """
 
 from __future__ import annotations
@@ -159,50 +160,14 @@ def random_regions(rho: DiscreteMeasure, count: int,
     return inside, [f"random(seed_draw={k})" for k in range(count)]
 
 
-@dataclass(frozen=True)
-class OSIReport:
-    """Surface-layer integral values over a family of regions."""
-
-    labels: list[str]
-    values: np.ndarray               # one per region, in the order of the labels
-    residual: float                  # linearized-equation residual of the jet
-    solution_hypothesis: bool        # residual small enough to claim positivity
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def min_region(self) -> str:
-        return self.labels[int(np.argmin(self.values))]
-
-    @property
-    def all_positive(self) -> bool:
-        return self.min_value > 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "osi": self.values.tolist(),
-            "min_value": self.min_value,
-            "min_region": self.min_region,
-            "residual": self.residual,
-            "solution_hypothesis": self.solution_hypothesis,
-            "all_positive": self.all_positive,
-        }
-
-
-def osi_report(ev: FormEvaluator, u, regions: tuple[np.ndarray, list[str]],
-               residual_tolerance: float = 1e-6) -> list[OSIReport]:
-    """Surface-layer integrals over a region family, one report per jet of
-    a (k, n, 1 + m) stack.  Positivity is only expected when a jet solves
-    the linearized field equations on `ev`'s measure; its report records
-    the residual and whether it is below the stated tolerance, without
-    enforcing anything.
+def osi_report(ev: FormEvaluator, u,
+               regions: tuple[np.ndarray, list[str]]) -> np.ndarray:
+    """Surface-layer integrals (k, R) of a (k, n, 1 + m) stack over a region
+    family: row k holds jet k's values in the order of the R labels.
+    Positivity is only expected of jets that solve the linearized field
+    equations on `ev`'s measure; their residuals are the solve's.
     """
     inside, labels = regions
     if not labels or len(labels) != len(inside):
         raise SchemaError("need one label for each of at least one region")
-    values = _region_osi(ev.rho, ev.sp1_gram, inside, u)
-    return [OSIReport(labels=labels, values=row, residual=residual,
-                      solution_hypothesis=residual <= residual_tolerance)
-            for row, residual in zip(values, linfield_residual(ev, u).tolist())]
+    return _region_osi(ev.rho, ev.sp1_gram, inside, u)

@@ -741,3 +741,31 @@ def test_cli_verify_all_contracts_the_solution_stack_once(tmp_path, monkeypatch)
     assert state.linfield_summary["lattice"] == [5, 20]
     assert calls == [(2, side**2, 3)]
     assert len(state.osi_summary["reports"]) == 2
+
+
+README_CONFIG = dict(BASE_CONFIG, initial_measure={
+    "generator": {"count": 5, "seed": 0, "total_volume": 5.0}})
+
+
+@pytest.mark.parametrize("case", ["readme", "lattice"])
+def test_cli_verify_all_computes_the_kernel_residuals_once(tmp_path, monkeypatch,
+                                                           case):
+    """The linfield solve measures each kernel jet's residual, and the OSI
+    summary reports that measurement: one `linfield_residual` per run."""
+    linfield, calls = importlib.import_module("cvplab.linfield"), []
+    residual = linfield.linfield_residual
+
+    def counting_residual(ev, u):
+        calls.append(np.shape(u))
+        return residual(ev, u)
+
+    monkeypatch.setattr(linfield, "linfield_residual", counting_residual)
+    cfg = README_CONFIG if case == "readme" else _lattice_config(10)
+    out = tmp_path / "out"
+    assert run("verify-all", _write_config(tmp_path, cfg), str(out), quiet=True) == 0
+    assert len(calls) == 1
+    state = load_state(out / "state.json")
+    reports = state.osi_summary["reports"]
+    assert len(reports) == state.linfield_summary["dimension"] >= 1
+    for k, report in enumerate(reports):
+        assert report["residual"] == state.linfield_summary["residuals"][k]

@@ -8,6 +8,7 @@ from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
                     linfield_residual, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
+from cvplab.cli import OSI_SOLUTION_TOLERANCE
 from cvplab.errors import SchemaError
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, action_hessian,
@@ -300,23 +301,23 @@ def test_arc_regions_enumeration(csp5):
 
 def test_osi_report_translation_positive(csp5):
     u = translation(csp5.rho.count, 1)
-    (rep,) = osi_report(csp5.ev, u[None], arc_regions(csp5.rho))
-    assert rep.solution_hypothesis
-    assert rep.min_value > 0.0
-    assert rep.all_positive
-    d = rep.to_dict()
-    assert d["min_value"] == rep.min_value
-    assert d["osi"] == rep.values.tolist()
-    assert len(d["osi"]) == len(arc_regions(csp5.rho)[1])
+    values = osi_report(csp5.ev, u[None], arc_regions(csp5.rho))
+    assert linfield_residual(csp5.ev, u) <= OSI_SOLUTION_TOLERANCE
+    assert values.shape == (1, len(arc_regions(csp5.rho)[1]))
+    assert values.min() > 0.0
 
 
 def test_osi_report_flags_non_solution(csp5):
     rng = np.random.default_rng(6)
     jf = _random_field(csp5.rho.count, 1, rng)
-    (rep,) = osi_report(csp5.ev, jf[None], random_regions(csp5.rho, count=4, seed=1))
-    assert not rep.solution_hypothesis
+    values = osi_report(csp5.ev, jf[None], random_regions(csp5.rho, count=4, seed=1))
+    assert values.shape == (1, 4)
+    assert linfield_residual(csp5.ev, jf) > OSI_SOLUTION_TOLERANCE
     with pytest.raises(SchemaError):
         osi_report(csp5.ev, jf[None], (np.zeros((0, csp5.rho.count), dtype=bool), []))
+    inside, labels = random_regions(csp5.rho, count=4, seed=1)
+    with pytest.raises(SchemaError):   # one label short
+        osi_report(csp5.ev, jf[None], (inside, labels[:-1]))
 
 
 def _pointwise_osi(rho, kernel, inside, jf):
@@ -332,14 +333,12 @@ def _pointwise_osi(rho, kernel, inside, jf):
 
 def _assert_osi_matches_oracle(ev, jf, regions):
     rho, kernel = ev.rho, ev.kernel
-    (rep,) = osi_report(ev, jf[None], regions)
+    (values,) = osi_report(ev, jf[None], regions)
     masks, labels = regions
-    assert rep.labels == labels and len(rep.values) == len(labels)
-    for val, inside in zip(rep.values, masks):
+    assert len(values) == len(labels)
+    for val, inside in zip(values, masks):
         assert val == pytest.approx(_pointwise_osi(rho, kernel, inside, jf),
                                     rel=1e-12)
-    k = int(np.argmin(rep.values))
-    assert (rep.min_region, rep.min_value) == (labels[k], rep.values[k])
 
 
 def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
@@ -382,7 +381,7 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
     jets = [_random_field(n, m, np.random.default_rng(9)),
             *solve_linfield(ev).solutions]
     for u in jets:
-        values = osi_report(ev, u[None], regions)[0].values
+        (values,) = osi_report(ev, u[None], regions)
         restricted = [inside[:, None] * u for inside in regions[0]]
         identity = np.array([ev.sp1(chi_u, chi_u) - ev.sp1(chi_u, u)
                              for chi_u in restricted])
@@ -391,8 +390,8 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
 
 @pytest.mark.parametrize("name", ["csp5", "lattice2d"])
 def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
-    """One report per jet of a (k, n, 1+m) stack, bit for bit the report
-    of that jet alone: values, residual and hypothesis."""
+    """One row per jet of a (k, n, 1+m) stack, bit for bit the row of that
+    jet alone."""
     f = request.getfixturevalue(name)
     ev, n, m = f.ev, f.rho.count, f.rho.manifold.dim
     regions = (arc_regions(f.rho) if m == 1
@@ -400,14 +399,11 @@ def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
     rng = np.random.default_rng(12)
     stack = np.stack([*solve_linfield(ev).solutions, translation(n, m),
                       _random_field(n, m, rng), _random_field(n, m, rng)])
-    reports = osi_report(ev, stack, regions)
-    assert len(reports) == len(stack)
-    for u, rep in zip(stack, reports):
+    values = osi_report(ev, stack, regions)
+    assert values.shape == (len(stack), len(regions[1]))
+    for u, row in zip(stack, values):
         (alone,) = osi_report(ev, u[None], regions)
-        assert rep.labels == alone.labels
-        assert rep.values.tobytes() == alone.values.tobytes()
-        assert (rep.residual, rep.solution_hypothesis) == \
-            (alone.residual, alone.solution_hypothesis)
+        assert row.tobytes() == alone.tobytes()
     with pytest.raises(DimensionMismatchError):
         osi_report(ev, stack[0], regions)   # one jet is a stack of one
 
