@@ -75,7 +75,8 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
     state.optimizer = trace.to_dict()
     log.info(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
              f"({trace.newton_steps} Newton, {trace.trials} trials), "
-             f"pruned atoms {trace.pruned_points}")
+             f"pruned atoms {trace.pruned_points}, "
+             f"merged atoms {trace.merged_points}")
     return rho
 
 

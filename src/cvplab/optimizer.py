@@ -60,14 +60,15 @@ class OptimizerTrace:
     The step is the last accepted gradient step, which a Newton iteration
     leaves as it is.  `trials` counts the pair tables built for gradient
     and Newton trials.  Atoms are named by their index in the start
-    measure: those pruned at the floor, in pruning order, and those at the
-    floor at the end.
+    measure: those pruned at the floor, in pruning order, those merged
+    into an earlier atom on return, and those at the floor at the end.
     """
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
     status: str = "running"       # "converged" | "stalled" | "budget-exhausted"
     newton_steps: int = 0
     pruned_points: list[int] = field(default_factory=list)
+    merged_points: list[int] = field(default_factory=list)
     floored_points: list[int] = field(default_factory=list)
     trials: int = 0
 
@@ -76,6 +77,7 @@ class OptimizerTrace:
         return {"status": self.status, "iterations": self.rows[-1][0],
                 "newton_steps": self.newton_steps, "trials": self.trials,
                 "pruned_points": self.pruned_points,
+                "merged_points": self.merged_points,
                 "floored_points": self.floored_points}
 
     def write_csv(self, path: str | Path) -> None:
@@ -144,6 +146,21 @@ def _newton_direction(tables, weights, gx, gw):
     return direction.reshape(n, 1 + m), float(grad @ direction)
 
 
+def _merge(tables, x, w, start_index, trace):
+    """Merge each atom into the first earlier kept atom i that the kernel
+    cannot tell it from, L[i, j] == L[i, i]: their distance rounds away in
+    the profile.  The weights add up and atom i keeps its position."""
+    close = np.triu(tables.L == np.diag(tables.L)[:, None], 1)
+    into = np.arange(len(w))
+    for j in np.flatnonzero(close.any(axis=0)):
+        kept = np.flatnonzero(close[:j, j] & (into[:j] == np.arange(j)))
+        into[j] = kept[0] if kept.size else j
+    merged = into != np.arange(len(w))
+    trace.merged_points = start_index[merged].tolist()
+    return (x[~merged], np.bincount(into, weights=w, minlength=len(w))[~merged],
+            start_index[~merged])
+
+
 def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
              config: OptimizerConfig) -> tuple[DiscreteMeasure, OptimizerTrace]:
     """Minimize the action over positions and weights at fixed total volume.
@@ -174,6 +191,9 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     trial, the fallback step, the Newton threshold and the floor counts are
     everything the next iteration reads, so from there on the run would
     cycle forever.
+
+    On return, atoms that the kernel cannot tell apart are merged
+    (`_merge`); the trace rows belong to the last iterate before that.
     """
     manifold = rho0.manifold
     x = rho0.points.copy()
@@ -185,9 +205,12 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     tables = pair_tables(kernel, manifold, x)
     act, gx, gw, residual = _gradients(tables, w)
     trace.rows.append((0, act, residual, step))
+    start_index = np.arange(rho0.count)  # each atom's index in the start
     if residual <= config.tolerance_weak_el:
         trace.status = "converged"
-        return rho0, trace
+        x, w, _ = _merge(tables, x, w, start_index, trace)
+        return (rho0.replace(points=x, weights=w) if trace.merged_points
+                else rho0), trace
 
     def evaluate(xn, wn):
         """The pair tables, row sums and action of one trial (xn, wn)."""
@@ -197,7 +220,6 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
         return trial, rows, float(wn @ rows)
 
     at_floor = floor * (1 + 1e-12)
-    start_index = np.arange(rho0.count)  # each atom's index in the start
     floored_for = np.zeros(rho0.count, dtype=int)
     newton_below = NEWTON_RESIDUAL
     fallback = step   # the first gradient trial without a secant pair
@@ -281,5 +303,6 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     # act and residual belong to the last accepted (x, w)
     if not trace.rows or trace.rows[-1][0] != it:
         trace.rows.append((it, act, residual, step))
+    x, w, start_index = _merge(tables, x, w, start_index, trace)
     trace.floored_points = start_index[w <= at_floor].tolist()
     return rho0.replace(points=x, weights=w), trace

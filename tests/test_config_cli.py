@@ -464,7 +464,7 @@ def test_cli_state_records_the_optimizer_section(tmp_path, capsys):
     assert run("minimize", cfg_path, str(out)) == 0
     section = load_state(out / "state.json").optimizer
     assert set(section) == {"status", "iterations", "newton_steps", "trials",
-                            "pruned_points", "floored_points"}
+                            "pruned_points", "merged_points", "floored_points"}
     assert section["status"] == "converged"
     assert 0 < section["iterations"] <= section["trials"]
     with (out / "trace.csv").open() as handle:

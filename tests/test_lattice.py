@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
                     FormEvaluator, GaussianKernel, gram_spectrum,
@@ -185,6 +187,37 @@ def test_smith_form():
         # U a = diag(d) V^-1: row k of U a is a multiple of d_k
         assert not ((u @ a) % d[:, None]).any()
     assert _smith(np.array([[2, 4], [1, 2]], dtype=np.int64)) is None   # singular
+
+
+def _det(a) -> int:
+    """Exact determinant of a small integer matrix, by cofactors."""
+    a = [[int(v) for v in row] for row in a]
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.integers(-12, 12), min_size=m * m, max_size=m * m).map(
+        lambda v: np.array(v, dtype=np.int64).reshape(m, m))))
+def test_smith_form_properties(a):
+    """U a V = diag(d) with U and V unimodular, d positive, each d_k
+    dividing d_k+1: diag(d)^-1 U a is V^-1, an integer matrix of |det| 1."""
+    det = _det(a)
+    result = _smith(a)
+    if det == 0:
+        assert result is None
+        return
+    u, d = result
+    assert abs(_det(u)) == 1
+    assert (d > 0).all()
+    assert not (d[1:] % d[:-1]).any()
+    assert math.prod(d.tolist()) == abs(det)
+    ua = u @ a
+    assert not (ua % d[:, None]).any()
+    assert abs(_det(ua // d[:, None])) == 1
 
 
 def _lattice_none_cases():

@@ -7,7 +7,8 @@ import cvplab.optimizer as optimizer
 from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
                     FormEvaluator, GaussianKernel, InfeasibleProjectionError,
                     NonFiniteIterateError, OptimizerConfig, SchemaError,
-                    minimize, pair_tables, project_volume, random_measure)
+                    arc_regions, minimize, osi_report, pair_tables,
+                    project_volume, random_measure, solve_linfield)
 from cvplab.jets import FORM_SP1, action_hessian
 from cvplab.optimizer import _gradients
 
@@ -208,10 +209,76 @@ def test_minimize_prunes_the_floor_atom_of_the_n40_ring():
     rho0 = _readme_ring(40, seed=0)
     rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000))
     assert trace.status == "converged" and trace.newton_steps > 0
-    assert rho.count == 39 and trace.pruned_points == [23]
+    # one atom pruned at the floor, five merged into a neighbor they coincide with
+    assert rho.count == 34 and trace.pruned_points == [23]
+    assert trace.merged_points == [11, 16, 26, 29, 33]
     assert trace.floored_points == []
     assert trace.rows[-1][1] == pytest.approx(398.4612116, rel=1e-9)
     assert rho.total_volume == pytest.approx(40.0, rel=1e-12)
+
+
+def test_minimize_merges_the_coincident_atoms_of_the_readme_ring(monkeypatch):
+    """The README start converges to a 4-ring with a doubled atom: the merge
+    sums its two weights at the earlier atom's position, after the last
+    iterate, and leaves the linearized kernel the translation alone."""
+    rho0 = _readme_ring(5, seed=0)
+    rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig())
+    monkeypatch.setattr(optimizer, "_merge", lambda tables, x, w, start, trace:
+                        (x, w, start))
+    unmerged, unmerged_trace = minimize(rho0, README_KERNEL, OptimizerConfig())
+    monkeypatch.undo()
+    assert trace.rows == unmerged_trace.rows and trace.status == "converged"
+    assert trace.merged_points == [3] and unmerged_trace.merged_points == []
+    L = pair_tables(README_KERNEL, rho0.manifold, unmerged.points).L
+    (into,) = np.flatnonzero(L[:3, 3] == L[3, 3])
+    kept = [0, 1, 2, 4]
+    assert rho.points.tobytes() == unmerged.points[kept].tobytes()
+    expected = unmerged.weights[kept]
+    expected[into] += unmerged.weights[3]
+    assert rho.weights.tobytes() == expected.tobytes()
+    assert rho.count == 4
+    assert np.abs(rho.weights - 1.25).max() <= 1e-12
+    ev = FormEvaluator(rho, README_KERNEL)
+    sol = solve_linfield(ev)
+    assert sol.dimension == 1
+    assert osi_report(ev, sol.solutions, arc_regions(rho)).min() > 1.0
+
+
+def test_minimize_merges_on_return_at_iteration_zero():
+    """An exact 4-ring with one atom split into two coincident halves
+    solves the EL equations: the run returns at once, with the ring."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(4.0,))
+    ring = DiscreteMeasure(manifold=manifold, points=np.arange(4.0)[:, None],
+                           weights=np.ones(4))
+    split = ring.replace(points=np.array([[0.0], [1.0], [2.0], [1.0], [3.0]]),
+                         weights=np.array([1.0, 0.5, 1.0, 0.5, 1.0]))
+    rho, trace = minimize(split, README_KERNEL, OptimizerConfig())
+    assert trace.status == "converged" and trace.rows[-1][0] == 0
+    assert trace.merged_points == [3] and trace.pruned_points == []
+    assert rho.points.tobytes() == ring.points.tobytes()
+    assert rho.weights.tobytes() == ring.weights.tobytes()
+    same, same_trace = minimize(ring, README_KERNEL, OptimizerConfig())
+    assert same is ring and same_trace.merged_points == []
+
+
+# The 22 starts of the ring-minimize benchmark workload: the README family
+# at counts 5, 8 and 12, three Gaussian rings and the n=40 README ring.
+RING_STARTS = ([(README_KERNEL, n, float(n), s) for n in (5, 8, 12) for s in range(6)]
+               + [(GaussianKernel(sigma=1.0), 5, 2.0 * np.pi, s) for s in range(3)]
+               + [(README_KERNEL, 40, 40.0, 0)])
+
+
+def test_minimize_returns_no_pair_the_kernel_cannot_tell_apart():
+    for kernel, count, period, seed in RING_STARTS:
+        manifold = ChartManifold(kind="torus", dim=1, periods=(period,))
+        rho0 = random_measure(manifold, count=count, total_volume=float(count),
+                              seed=seed)
+        rho, trace = minimize(rho0, kernel, OptimizerConfig(max_iterations=1000))
+        L = pair_tables(kernel, manifold, rho.points).L
+        same = np.triu(L == np.diag(L)[:, None], 1)
+        assert not same.any(), (count, period, seed, np.argwhere(same))
+        assert rho.count == count - len(trace.pruned_points) - len(trace.merged_points)
+        assert rho.total_volume == pytest.approx(count, rel=1e-12)
 
 
 def test_minimize_keeps_an_atom_that_leaves_the_floor():
@@ -221,7 +288,9 @@ def test_minimize_keeps_an_atom_that_leaves_the_floor():
     assert first.floored_points == [7]
     rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig(max_iterations=1000))
     assert trace.status == "converged"
-    assert rho.count == 12 and trace.pruned_points == []
+    # atom 7 stays; atom 8 is merged into an atom it coincides with
+    assert rho.count == 11 and trace.pruned_points == []
+    assert trace.merged_points == [8]
 
 
 def test_rejected_newton_trials_keep_the_gradient_path(monkeypatch):
