@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -38,41 +34,14 @@ def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel, x) -> np.ndarray:
                                                 rho.points, GRAD1)
 
 
-@dataclass(frozen=True)
-class ELReport:
-    """Pointwise ell values/gradients and the EL residuals of a measure."""
-
-    nu: float
-    ell_values: np.ndarray      # (n,)
-    ell_gradients: np.ndarray   # (n, m)
-    strong_residual: float      # max_i |ell(x_i)|
-    weak_residual: float        # max_i max(|ell(x_i)|, |grad ell(x_i)|_inf)
-
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "nu_convention": "2 * min_i row_sum_i (min row sum)",
-            "ell_values": self.ell_values.tolist(),
-            "ell_gradients": self.ell_gradients.tolist(),
-            "strong_residual": self.strong_residual,
-            "weak_residual": self.weak_residual,
-        }
-
-    def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "ell", "grad_ell_norm"])
-            norms = np.abs(self.ell_gradients).max(axis=1)
-            writer.writerows(zip(range(len(norms)), self.ell_values.tolist(),
-                                 norms.tolist()))
-
-
-def el_report(ev: FormEvaluator) -> ELReport:
-    """EL diagnostics on the support, read from the evaluator's ell jet and
-    calibrated nu; builds no tables."""
-    return ELReport(nu=ev.nu, ell_values=ev.ell, ell_gradients=ev.grad_ell,
-                    strong_residual=float(np.abs(ev.ell).max()),
-                    weak_residual=weak_residual(ev.ell, ev.grad_ell))
+def el_report(ev: FormEvaluator) -> dict:
+    """The `state.el_report` section: ell and grad ell on the support and
+    their EL residuals (strong: max |ell|, weak: `weak_residual`), read
+    from the evaluator's ell jet and calibrated nu; builds no tables."""
+    return {"nu": ev.nu, "nu_convention": "2 * min_i row_sum_i (min row sum)",
+            "ell_values": ev.ell.tolist(), "ell_gradients": ev.grad_ell.tolist(),
+            "strong_residual": float(np.abs(ev.ell).max()),
+            "weak_residual": weak_residual(ev.ell, ev.grad_ell)}
 
 
 def action_difference(rho: DiscreteMeasure, rho_tilde: DiscreteMeasure,

@@ -21,8 +21,8 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
 from .errors import CvpError, DimensionMismatchError, SchemaError, number
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum)
-from .linfield import (arc_regions, linfield_operator, osi_report, random_regions,
-                       solve_linfield)
+from .linfield import (arc_regions, linfield_operator, linfield_residual,
+                       osi_report, random_regions, solve_linfield)
 from .measure import DiscreteMeasure
 from .optimizer import minimize
 from .variations import stability_probe
@@ -48,6 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
                  seed: int | None, reuse: bool = True) -> DiscreteMeasure:
     """Reuse a previously minimized measure, with its optimizer verdict and
@@ -70,7 +77,8 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
             return rho
     rho0 = cfg.initial_measure(seed_override=seed)
     rho, trace = minimize(rho0, cfg.kernel, cfg.optimizer)
-    trace.write_csv(out_dir / "trace.csv")
+    _write_csv(out_dir / "trace.csv", ["iteration", "action", "weak_residual", "step"],
+               trace.rows)
     state.verdicts["optimizer_converged"] = trace.status == "converged"
     state.optimizer = trace.to_dict()
     log.info(f"minimize: status={trace.status} after {trace.rows[-1][0]} iterations "
@@ -82,12 +90,14 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
 
 def _stage_report(cfg, ev, state, out_dir):
     rep = el_report(ev)
-    rep.write_csv(out_dir / "el_report.csv")
-    state.nu = rep.nu
-    state.el_report = rep.to_dict()
-    ok = rep.weak_residual <= cfg.tolerances["tol_weak_el"]
+    norms = np.abs(ev.grad_ell).max(axis=1)
+    _write_csv(out_dir / "el_report.csv", ["index", "ell", "grad_ell_norm"],
+               zip(range(len(norms)), rep["ell_values"], norms.tolist()))
+    state.nu = ev.nu
+    state.el_report = rep
+    ok = rep["weak_residual"] <= cfg.tolerances["tol_weak_el"]
     state.verdicts["weak_el"] = bool(ok)
-    log.info(f"report: weak residual {rep.weak_residual:.3e} "
+    log.info(f"report: weak residual {rep['weak_residual']:.3e} "
              f"({'pass' if ok else 'FAIL'})")
 
 
@@ -104,10 +114,7 @@ def _stage_spectrum(cfg, ev, state, out_dir):
                  f"({'pass' if rep.psd else 'FAIL'})")
         rows += ((form_id, basis, k, lam)
                  for k, lam in enumerate(rep.eigenvalues.tolist()))
-    with (out_dir / "spectrum.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["form", "basis", "index", "eigenvalue"])
-        writer.writerows(rows)
+    _write_csv(out_dir / "spectrum.csv", ["form", "basis", "index", "eigenvalue"], rows)
 
 
 def _stage_fragment(cfg, ev, state, out_dir, seed):
@@ -115,7 +122,7 @@ def _stage_fragment(cfg, ev, state, out_dir, seed):
     rep = stability_probe(
         ev, fragments=probe["fragments"], tau_grid=probe["tau_grid"],
         trials=probe["trials"], seed=probe["seed"] if seed is None else seed)
-    rep.write_csv(out_dir / "probe.csv")
+    _write_csv(out_dir / "probe.csv", ["trial", "tau", "delta_action"], rep.rows)
     state.probe_summary = rep.to_dict()
     stable = rep.min_delta >= -1e-12 * abs(rep.base_action)
     state.verdicts["probe_stable"] = bool(stable)
@@ -124,16 +131,21 @@ def _stage_fragment(cfg, ev, state, out_dir, seed):
 
 
 def _stage_linfield(ev, state, out_dir):
-    sol = solve_linfield(ev)
-    state.linfield_summary = sol.to_dict()
-    ok = sol.dimension >= 1
-    state.verdicts["linfield_kernel_nonempty"] = bool(ok)
+    """Solve the linearized field equations: the kernel jets and, as a list,
+    each one's residual, which the OSI stage reports."""
+    jets, threshold = solve_linfield(ev)
+    residuals = linfield_residual(ev, jets).tolist()
+    state.linfield_summary = {
+        "dimension": len(jets), "eigenvalues": ev.sp1_eigenvalues.tolist(),
+        "threshold": threshold, "residuals": residuals, "lattice": ev.lattice,
+        "solutions": [{"scalar": u[:, 0].tolist(), "vector": u[:, 1:].tolist()}
+                      for u in jets]}
+    state.verdicts["linfield_kernel_nonempty"] = len(jets) >= 1
     np.save(out_dir / "linfield_operator.npy", linfield_operator(ev))
-    path = ("dense" if sol.lattice is None
-            else f"lattice symbols, factors {sol.lattice}")
-    log.info(f"linfield: kernel dimension {sol.dimension} ({path}), "
-             f"max |eigenvalue| {np.abs(sol.eigenvalues).max():.3e}")
-    return sol
+    path = "dense" if ev.lattice is None else f"lattice symbols, factors {ev.lattice}"
+    log.info(f"linfield: kernel dimension {len(jets)} ({path}), "
+             f"max |eigenvalue| {np.abs(ev.sp1_eigenvalues).max():.3e}")
+    return jets, residuals
 
 
 # residual below which a kernel jet counts as a solution of the linearized
@@ -141,7 +153,7 @@ def _stage_linfield(ev, state, out_dir):
 OSI_SOLUTION_TOLERANCE = 1e-6
 
 
-def _stage_osi(cfg, ev, sol, state):
+def _stage_osi(cfg, ev, jets, residuals, state):
     rho = ev.rho
     if rho.manifold.dim == 1 or rho.count < 2:
         regions = arc_regions(rho)    # a one-point measure has none
@@ -149,7 +161,7 @@ def _stage_osi(cfg, ev, sol, state):
         regions = random_regions(rho, count=32, seed=0)
     labels = regions[1]
     # with no region or no solution jet nothing is checked, so the verdict fails
-    values = (osi_report(ev, sol.solutions, regions) if labels and sol.dimension
+    values = (osi_report(ev, jets, regions) if labels and len(jets)
               else np.empty((0, 0)))   # (k, R)
     worst = float(values.min()) if values.size else None
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
@@ -159,10 +171,10 @@ def _stage_osi(cfg, ev, sol, state):
                 "min_region": labels[int(np.argmin(row))], "residual": residual,
                 "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
                 "all_positive": float(row.min()) > 0.0}
-               for k, (row, residual) in enumerate(zip(values, sol.residuals))]
+               for k, (row, residual) in enumerate(zip(values, residuals))]
     state.osi_summary = {"regions": labels, "min_value": worst, "reports": reports}
     state.verdicts["osi_nonnegative"] = bool(ok)
-    log.info(f"osi: {len(sol.solutions)} solution jet(s), minimum value "
+    log.info(f"osi: {len(jets)} solution jet(s), minimum value "
              f"{'none' if worst is None else f'{worst:.3e}'} "
              f"({'pass' if ok else 'FAIL'})")
 
@@ -187,10 +199,9 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         if stage in ("fragment", "verify-all"):
             _stage_fragment(cfg, ev, state, out, seed)
         if stage in ("linfield", "osi", "verify-all"):
-            sol = (solve_linfield(ev) if stage == "osi"
-                   else _stage_linfield(ev, state, out))
+            jets, residuals = _stage_linfield(ev, state, out)
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, ev, sol, state)
+            _stage_osi(cfg, ev, jets, residuals, state)
         save_state(state, out / "state.json")
         if not state.all_verdicts_pass():
             failing = sorted(k for k, v in state.verdicts.items() if not v)

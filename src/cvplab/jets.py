@@ -37,6 +37,8 @@ BASIS_VECTOR = "vector_only"
 # the slots of each point's (1 + m) unit jets that a basis keeps
 _BASIS_SLOTS = {BASIS_FULL: slice(None), BASIS_SCALAR: slice(0, 1),
                 BASIS_VECTOR: slice(1, None)}
+# largest basis whose Gram `gram_spectrum` gives a dense (N, N) eigensolve
+MAX_DENSE_DIM = 4096
 
 
 def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
@@ -450,14 +452,14 @@ def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:
 
 
 def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
-                  tau_psd: float = 1e-8, max_dim: int = 4096) -> GramReport:
+                  tau_psd: float = 1e-8) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
 
     Every SP1 restriction reads the evaluator's one SP1 Gram, and the full
     basis its one solve.  A form that owns blocks, Q1 its point blocks and
     on a lattice (`ev.lattice`) SP1 its symbols, takes every spectrum from
     the sub-blocks on the basis's slots.  Only the other Grams run a dense
-    eigensolve, and only these are capped at max_dim.
+    eigensolve, and only these are capped at MAX_DENSE_DIM.
     """
     m = ev.rho.manifold.dim
     idx = _basis_indices(ev.rho.count, m, basis)
@@ -467,8 +469,8 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     elif form_id == FORM_SP1 and ev.lattice is not None:
         owned = [(sym, _basis_indices(waves.shape[1], m, basis))
                  for waves, sym in ev._symbols[1]]
-    if owned is None and idx.size > max_dim:
-        raise SchemaError(f"basis dimension {idx.size} exceeds cap {max_dim}")
+    if owned is None and idx.size > MAX_DENSE_DIM:
+        raise SchemaError(f"basis dimension {idx.size} exceeds cap {MAX_DENSE_DIM}")
     matrix = ev.sp1_gram if form_id == FORM_SP1 else ev.form_matrix(form_id)
     if basis != BASIS_FULL:
         matrix = matrix[np.ix_(idx, idx)]

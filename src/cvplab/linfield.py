@@ -22,8 +22,6 @@ array whose row r marks the points inside region r, and its R labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaError
@@ -51,52 +49,24 @@ def linfield_residual(ev: FormEvaluator, u):
     return np.abs(ev.sp1_gram @ columns / _rows(ev)).max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class LinfieldSolution:
-    """Numerical kernel of the linearized operator W^-1 SP1."""
-
-    solutions: np.ndarray    # (k, n, 1 + m) kernel jets
-    eigenvalues: np.ndarray  # of the SP1 Gram, ascending
-    threshold: float
-    residuals: tuple[float, ...]
-    lattice: list[int] | None = None   # ev.lattice: factors, or None if dense
-
-    @property
-    def dimension(self) -> int:
-        return len(self.solutions)
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "threshold": self.threshold,
-            "residuals": list(self.residuals),
-            "lattice": self.lattice,
-            "solutions": [{"scalar": u[:, 0].tolist(), "vector": u[:, 1:].tolist()}
-                          for u in self.solutions],
-        }
+# kernel cut of `solve_linfield`, relative to the largest |eigenvalue| of SP1
+KERNEL_THRESHOLD_REL = 1e-10
 
 
-def solve_linfield(ev: FormEvaluator,
-                   threshold_rel: float = 1e-10) -> LinfieldSolution:
+def solve_linfield(ev: FormEvaluator) -> tuple[np.ndarray, float]:
     """Kernel of the linearized operator from the SP1 eigendecomposition.
 
     W is positive and diagonal, so ker(W^-1 SP1) = ker(SP1): the
-    evaluator's SP1 eigenvectors with |lambda| <= threshold_rel *
-    max |lambda| span the returned solution space (orthonormal in
-    coefficient space).
+    evaluator's SP1 eigenvectors with |lambda| <= threshold, the cut
+    KERNEL_THRESHOLD_REL * max |lambda|, span the solution space.  Returns
+    them as a (k, n, 1 + m) stack (orthonormal in coefficient space) and
+    the threshold.
     """
-    if not 0.0 <= threshold_rel < 1.0:
-        raise SchemaError("kernel threshold must lie in [0, 1)")
-    eigenvalues = ev.sp1_eigenvalues
-    magnitude = np.abs(eigenvalues)
-    cut = threshold_rel * magnitude.max()
-    solutions = ev.sp1_eigenvectors(magnitude <= cut).T.reshape(
+    magnitude = np.abs(ev.sp1_eigenvalues)
+    cut = float(KERNEL_THRESHOLD_REL * magnitude.max())
+    jets = ev.sp1_eigenvectors(magnitude <= cut).T.reshape(
         -1, ev.rho.count, 1 + ev.rho.manifold.dim)
-    residuals = tuple(linfield_residual(ev, solutions).tolist())
-    return LinfieldSolution(solutions=solutions, eigenvalues=eigenvalues,
-                            threshold=float(cut), residuals=residuals,
-                            lattice=ev.lattice)
+    return jets, cut
 
 
 def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
@@ -165,7 +135,7 @@ def osi_report(ev: FormEvaluator, u,
     """Surface-layer integrals (k, R) of a (k, n, 1 + m) stack over a region
     family: row k holds jet k's values in the order of the R labels.
     Positivity is only expected of jets that solve the linearized field
-    equations on `ev`'s measure; their residuals are the solve's.
+    equations on `ev`'s measure, which `linfield_residual` measures.
     """
     inside, labels = regions
     if not labels or len(labels) != len(inside):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -79,12 +77,6 @@ class OptimizerTrace:
                 "pruned_points": self.pruned_points,
                 "merged_points": self.merged_points,
                 "floored_points": self.floored_points}
-
-    def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["iteration", "action", "weak_residual", "step"])
-            writer.writerows(self.rows)
 
 
 def project_volume(weights: np.ndarray, target_volume: float,

@@ -13,9 +13,7 @@ jet field.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -270,12 +268,6 @@ class ProbeReport:
             "fits": [{"trial": t, "fitted": f, "predicted": p}
                      for t, f, p in self.fits],
         }
-
-    def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["trial", "tau", "delta_action"])
-            writer.writerows(self.rows)
 
 
 def _draw_trials(rho: DiscreteMeasure, fragments: int, trials: int,

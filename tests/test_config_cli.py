@@ -16,7 +16,7 @@ from cvplab.cli import OSI_SOLUTION_TOLERANCE, _stage_osi, main, run
 from cvplab.config import (_PROBE_VALUES_CAP, ExperimentConfig, RunState,
                            config_hash)
 from cvplab.jets import jet_pair_block, translation
-from cvplab.linfield import LinfieldSolution, linfield_residual
+from cvplab.linfield import KERNEL_THRESHOLD_REL, linfield_residual
 
 HUGE = 10**400   # an integer that no float holds
 # json reads no integer of more than 4300 digits, so it is written as text
@@ -478,21 +478,52 @@ def test_cli_state_records_the_optimizer_section(tmp_path, capsys):
 
 
 def test_cli_csv_floats_are_python_float_reprs(tmp_path):
-    """Every float cell of the four CSVs of a run is the repr of a Python
-    float, which reads back to the same float (a numpy scalar's repr would
-    not): the rows are written from Python values."""
+    """Each of the four CSVs of a run is its header and then one row per
+    trace record, support point, eigenvalue of each spectrum and (trial,
+    tau) pair.  Every float cell is the repr of a Python float, which reads
+    back to the same float (a numpy scalar's repr would not): the rows are
+    written from Python values."""
     out = tmp_path / "out"
     assert run("verify-all", _write_config(tmp_path), str(out), quiet=True) == 0
-    for name, columns in (("trace.csv", ["action", "weak_residual", "step"]),
-                          ("el_report.csv", ["ell", "grad_ell_norm"]),
-                          ("spectrum.csv", ["eigenvalue"]),
-                          ("probe.csv", ["tau", "delta_action"])):
+    state = load_state(out / "state.json")
+    probe = BASE_CONFIG["probe"]
+    tables = {}
+    for name, header, floats, count in (
+            ("trace.csv", ["iteration"], ["action", "weak_residual", "step"], None),
+            ("el_report.csv", ["index"], ["ell", "grad_ell_norm"],
+             len(state.measure["weights"])),
+            ("spectrum.csv", ["form", "basis", "index"], ["eigenvalue"],
+             sum(len(r["eigenvalues"]) for r in state.gram_reports)),
+            ("probe.csv", ["trial"], ["tau", "delta_action"],
+             probe["trials"] * len(probe["tau_grid"]))):
         with (out / name).open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows, name
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == header + floats, name
+        assert rows and (count is None or len(rows) == count), name
         for row in rows:
-            for column in columns:
+            for column in floats:
                 assert row[column] == repr(float(row[column])), (name, column, row)
+        tables[name] = rows
+    assert int(tables["trace.csv"][-1]["iteration"]) == state.optimizer["iterations"]
+    assert ([row["ell"] for row in tables["el_report.csv"]]
+            == [repr(v) for v in state.el_report["ell_values"]])
+
+
+@pytest.mark.parametrize("case", ["dense", "lattice"])
+def test_cli_linfield_summary_holds_the_cut_of_its_kernel(tmp_path, case):
+    """The summary's threshold is the cut the kernel was taken with,
+    KERNEL_THRESHOLD_REL times the largest |eigenvalue|, and the kernel
+    holds one solution jet per eigenvalue within it."""
+    cfg = BASE_CONFIG if case == "dense" else _lattice_config(10)
+    out = tmp_path / "out"
+    assert run("linfield", _write_config(tmp_path, cfg), str(out), quiet=True) == 0
+    summary = load_state(out / "state.json").linfield_summary
+    assert (summary["lattice"] is None) == (case == "dense")
+    magnitude = np.abs(summary["eigenvalues"])
+    assert summary["threshold"] == KERNEL_THRESHOLD_REL * magnitude.max()
+    within = int(np.count_nonzero(magnitude <= summary["threshold"]))
+    assert summary["dimension"] == within == len(summary["solutions"]) >= 1
 
 
 def test_cli_progress_lines_print_once_and_quiet_hides_them(tmp_path, capsys):
@@ -564,10 +595,8 @@ def test_cli_main_entry_point(tmp_path):
 def test_osi_stage_fails_without_solution_jet(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     state = RunState(config_hash=cfg.hash)
-    empty = LinfieldSolution(solutions=(), eigenvalues=np.array([1.0]),
-                             threshold=1e-10, residuals=())
     ev = FormEvaluator(cfg.initial_measure(), cfg.kernel)
-    _stage_osi(cfg, ev, empty, state)
+    _stage_osi(cfg, ev, np.empty((0, ev.rho.count, 2)), [], state)
     assert state.verdicts["osi_nonnegative"] is False
     labels = arc_regions(ev.rho)[1]
     assert state.osi_summary == {"regions": labels, "reports": [],
@@ -586,12 +615,10 @@ def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
     rng = np.random.default_rng(6)
     jets = np.stack([translation(csp5.rho.count, 1),
                      rng.normal(size=(csp5.rho.count, 2))])
-    residuals = tuple(linfield_residual(csp5.ev, u) for u in jets)
-    sol = LinfieldSolution(solutions=jets, eigenvalues=np.array([0.0, 1.0]),
-                           threshold=1e-10, residuals=residuals)
-    _stage_osi(cfg, csp5.ev, sol, state)
+    residuals = linfield_residual(csp5.ev, jets).tolist()
+    _stage_osi(cfg, csp5.ev, jets, residuals, state)
     reports = state.osi_summary["reports"]
-    assert [r["residual"] for r in reports] == list(residuals)
+    assert [r["residual"] for r in reports] == residuals
     assert residuals[0] <= OSI_SOLUTION_TOLERANCE < residuals[1]
     assert [r["solution_hypothesis"] for r in reports] == [True, False]
     assert [r["all_positive"] for r in reports] == [True, False]
@@ -600,30 +627,37 @@ def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
     assert state.verdicts["osi_nonnegative"] is False
 
 
-# The state section and the verdicts each stage writes on its own.
+# The state sections and the verdicts each stage writes on its own: the osi
+# stage runs the linfield step first, so it writes that stage's records too.
 STAGE_OUTPUTS = {
-    "minimize": ("measure", ["optimizer_converged", "weak_el"]),
-    "report": ("el_report", ["weak_el"]),
-    "spectrum": ("gram_reports",
+    "minimize": (["measure"], ["optimizer_converged", "weak_el"]),
+    "report": (["el_report"], ["weak_el"]),
+    "spectrum": (["gram_reports"],
                  ["q1_full_psd", "sp1_full_psd", "sp1_scalar_only_psd"]),
-    "fragment": ("probe_summary", ["probe_stable"]),
-    "linfield": ("linfield_summary", ["linfield_kernel_nonempty"]),
-    "osi": ("osi_summary", ["osi_nonnegative"]),
+    "fragment": (["probe_summary"], ["probe_stable"]),
+    "linfield": (["linfield_summary"], ["linfield_kernel_nonempty"]),
+    "osi": (["linfield_summary", "osi_summary"],
+            ["linfield_kernel_nonempty", "osi_nonnegative"]),
 }
 
 
 @pytest.mark.parametrize("stage", list(STAGE_OUTPUTS))
 def test_cli_osi_stage_matches_verify_all(tmp_path, stage):
-    section, verdicts = STAGE_OUTPUTS[stage]
+    sections, verdicts = STAGE_OUTPUTS[stage]
     cfg_path = _write_config(tmp_path)
     assert run(stage, cfg_path, str(tmp_path / stage), quiet=True) == 0
     assert run("verify-all", cfg_path, str(tmp_path / "all"), quiet=True) == 0
     alone = load_state(tmp_path / stage / "state.json")
     full = load_state(tmp_path / "all" / "state.json")
-    assert getattr(alone, section) == getattr(full, section)
+    for section in sections:
+        assert getattr(alone, section) == getattr(full, section), section
     assert alone.verdicts == {k: full.verdicts[k] for k in alone.verdicts}
     for key in verdicts:
         assert alone.verdicts[key] is True
+    if "linfield_summary" in sections:
+        operator = "linfield_operator.npy"
+        assert ((tmp_path / stage / operator).read_bytes()
+                == (tmp_path / "all" / operator).read_bytes())
 
 
 def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
@@ -783,7 +817,8 @@ def test_cli_verify_all_computes_the_kernel_residuals_once(tmp_path, monkeypatch
         calls.append(np.shape(u))
         return residual(ev, u)
 
-    monkeypatch.setattr(linfield, "linfield_residual", counting_residual)
+    for module in (linfield, importlib.import_module("cvplab.cli")):
+        monkeypatch.setattr(module, "linfield_residual", counting_residual)
     cfg = README_CONFIG if case == "readme" else _lattice_config(10)
     out = tmp_path / "out"
     assert run("verify-all", _write_config(tmp_path, cfg), str(out), quiet=True) == 0

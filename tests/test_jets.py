@@ -192,7 +192,7 @@ def test_nabla1_nabla2_consistent_with_double_sum(csp5):
     assert ev.double_sum(u, u) == pytest.approx(brute, rel=1e-12)
 
 
-def test_gram_spectrum_bases_and_errors(csp5):
+def test_gram_spectrum_bases_and_errors(csp5, monkeypatch):
     f = csp5
     full = gram_spectrum(f.ev, FORM_SP1, BASIS_FULL)
     scal = gram_spectrum(f.ev, FORM_SP1, BASIS_SCALAR)
@@ -207,18 +207,22 @@ def test_gram_spectrum_bases_and_errors(csp5):
         gram_spectrum(f.ev, "SP9")
     with pytest.raises(SchemaError):
         gram_spectrum(f.ev, FORM_SP1, basis="diagonal")
+    monkeypatch.setattr("cvplab.jets.MAX_DENSE_DIM", 3)
     with pytest.raises(SchemaError):
-        gram_spectrum(f.ev, FORM_SP1, max_dim=3)
+        gram_spectrum(f.ev, FORM_SP1)
 
 
-def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss):
+def test_q1_spectrum_from_point_blocks(csp5, gauss5, lattice2d, single_gauss,
+                                      monkeypatch):
+    # every Q1 spectrum comes from the point blocks, so none is capped
+    monkeypatch.setattr("cvplab.jets.MAX_DENSE_DIM", 1)
     for f in (csp5, gauss5, lattice2d, single_gauss):
         rep = gram_spectrum(f.ev, FORM_Q1)
         dense = np.linalg.eigvalsh(f.ev.form_matrix(FORM_Q1))
         assert np.abs(rep.eigenvalues - dense).max() <= 1e-13 * rep.scale
-        # each restriction from the sub-blocks of the point blocks, uncapped
+        # each restriction from the sub-blocks of the point blocks
         for basis in (BASIS_SCALAR, BASIS_VECTOR):
-            rep = gram_spectrum(f.ev, FORM_Q1, basis, max_dim=1)
+            rep = gram_spectrum(f.ev, FORM_Q1, basis)
             dense = np.linalg.eigvalsh(rep.matrix)
             assert np.abs(rep.eigenvalues - dense).max() <= 1e-13 * rep.scale
     # the negative control keeps failing its Q1 verdict

@@ -9,6 +9,7 @@ from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
                     random_regions, solve_linfield, surface_layer_integral,
                     translation)
 from cvplab.errors import SchemaError
+from cvplab.linfield import KERNEL_THRESHOLD_REL
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, action_hessian,
                          nabla1_nabla2_L)
@@ -64,26 +65,19 @@ def test_random_jets_have_positive_residual(csp5):
         assert linfield_residual(csp5.ev, jf) > 1e-6
 
 
-def test_solve_linfield_contains_translation(csp5):
-    sol = solve_linfield(csp5.ev, threshold_rel=1e-8)
-    assert sol.dimension >= 1
+def test_solve_linfield_contains_translation(csp5, monkeypatch):
+    monkeypatch.setattr("cvplab.linfield.KERNEL_THRESHOLD_REL", 1e-8)
+    jets, _ = solve_linfield(csp5.ev)
+    assert len(jets) >= 1
     scale = float(np.abs(_operator(csp5.ev)).max())
-    for res in sol.residuals:
+    for res in linfield_residual(csp5.ev, jets):
         assert res <= 1e-8 * scale * 10
     # the translation jet lies in the returned span
     t = translation(csp5.rho.count, 1).ravel()
-    basis = sol.solutions.reshape(sol.dimension, -1)
+    basis = jets.reshape(len(jets), -1)
     coeffs = basis @ t
     projection = coeffs @ basis
     assert np.abs(projection - t).max() <= 1e-8 * np.abs(t).max()
-
-
-def test_solve_linfield_threshold_validation(csp5):
-    ev = csp5.ev
-    with pytest.raises(SchemaError):
-        solve_linfield(ev, threshold_rel=1.5)
-    exact = solve_linfield(ev, threshold_rel=0.0)
-    assert exact.dimension <= solve_linfield(ev, 1e-8).dimension
 
 
 def _svd_null_projector(matrix, threshold_rel=1e-10):
@@ -97,19 +91,34 @@ def _svd_null_projector(matrix, threshold_rel=1e-10):
 @pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d"])
 def test_solve_linfield_matches_svd_null_space(name, request):
     f = request.getfixturevalue(name)
-    sol = solve_linfield(f.ev)
-    assert sol.dimension >= 1
-    basis = sol.solutions.reshape(sol.dimension, -1)
+    jets, _ = solve_linfield(f.ev)
+    assert len(jets) >= 1
+    basis = jets.reshape(len(jets), -1)
     assert np.abs(basis.T @ basis - _svd_null_projector(_operator(f.ev))).max() <= 1e-8
     scale = float(np.abs(_operator(f.ev)).max())
-    assert max(sol.residuals) <= 1e-8 * scale
+    assert linfield_residual(f.ev, jets).max() <= 1e-8 * scale
 
 
 def test_spectrum_and_kernel_share_one_sp1_solve(csp5, gauss5, lattice2d):
+    """The kernel is cut from the full SP1 spectrum, bit for bit: its
+    threshold is KERNEL_THRESHOLD_REL times the largest |eigenvalue|, and it
+    holds one jet per eigenvalue within the threshold."""
     for f in (csp5, gauss5, lattice2d):
         spectrum = gram_spectrum(f.ev, FORM_SP1).eigenvalues
-        kernel = solve_linfield(f.ev).eigenvalues
-        assert spectrum.tobytes() == kernel.tobytes()
+        assert spectrum.tobytes() == f.ev.sp1_eigenvalues.tobytes()
+        jets, threshold = solve_linfield(f.ev)
+        assert threshold == KERNEL_THRESHOLD_REL * np.abs(spectrum).max()
+        assert len(jets) == np.count_nonzero(np.abs(spectrum) <= threshold)
+
+
+def _capped_spectra(ev):
+    """The SP1 spectra over the scalar and the vector basis, each with the
+    dense cap at its own basis dimension."""
+    n, m = ev.rho.count, ev.rho.manifold.dim
+    for basis, dim in ((BASIS_SCALAR, n), (BASIS_VECTOR, n * m)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("cvplab.jets.MAX_DENSE_DIM", dim)
+            gram_spectrum(ev, FORM_SP1, basis)
 
 
 def _count_eigh(monkeypatch) -> list:
@@ -124,15 +133,14 @@ def _count_eigh(monkeypatch) -> list:
 def test_only_the_full_sp1_spectrum_decomposes_the_full_gram(csp5,
                                                              monkeypatch):
     """The operator, its residual and every SP1 restriction read the SP1
-    Gram and run no eigh, so max_dim bounds every eigensolve of a call;
+    Gram and run no eigh, so MAX_DENSE_DIM bounds every eigensolve of a call;
     the full spectrum and the kernel solve share one eigh."""
     f = csp5
     n, m = f.rho.count, f.rho.manifold.dim
     calls = _count_eigh(monkeypatch)
     ev = FormEvaluator(f.rho, f.kernel)
     assert linfield_residual(ev, np.zeros((n, 1 + m))) == 0.0
-    gram_spectrum(ev, FORM_SP1, BASIS_SCALAR, max_dim=n)
-    gram_spectrum(ev, FORM_SP1, BASIS_VECTOR, max_dim=n * m)
+    _capped_spectra(ev)
     assert calls == []
     gram_spectrum(ev, FORM_SP1)
     solve_linfield(ev)
@@ -149,8 +157,7 @@ def test_a_lattice_spectrum_solves_only_its_symbols(lattice2d, monkeypatch):
     n, m = f.rho.count, f.rho.manifold.dim
     calls = _count_eigh(monkeypatch)
     ev = FormEvaluator(f.rho, f.kernel)
-    gram_spectrum(ev, FORM_SP1, BASIS_SCALAR, max_dim=n)
-    gram_spectrum(ev, FORM_SP1, BASIS_VECTOR, max_dim=n * m)
+    _capped_spectra(ev)
     assert calls == []
     gram_spectrum(ev, FORM_SP1)
     solve_linfield(ev)
@@ -376,7 +383,7 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
     regions = (arc_regions(f.rho) if m == 1
                else random_regions(f.rho, count=32, seed=0))
     jets = [_random_field(n, m, np.random.default_rng(9)),
-            *solve_linfield(ev).solutions]
+            *solve_linfield(ev)[0]]
     for u in jets:
         (values,) = osi_report(ev, u[None], regions)
         restricted = [inside[:, None] * u for inside in regions[0]]
@@ -394,7 +401,7 @@ def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
     regions = (arc_regions(f.rho) if m == 1
                else random_regions(f.rho, count=32, seed=0))
     rng = np.random.default_rng(12)
-    stack = np.stack([*solve_linfield(ev).solutions, translation(n, m),
+    stack = np.stack([*solve_linfield(ev)[0], translation(n, m),
                       _random_field(n, m, rng), _random_field(n, m, rng)])
     values = osi_report(ev, stack, regions)
     assert values.shape == (len(stack), len(regions[1]))
@@ -405,18 +412,20 @@ def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
         osi_report(ev, stack[0], regions)   # one jet is a stack of one
 
 
-def test_max_dim_caps_only_dense_eigensolves(csp5, lattice2d):
+def test_max_dim_caps_only_dense_eigensolves(csp5, lattice2d, monkeypatch):
     """Q1 over the full basis takes the point blocks, and a lattice's SP1
     spectra the symbols: neither runs an (N, N) eigensolve, so neither is
     capped.  The dense Grams are."""
     ev = FormEvaluator(lattice2d.rho, lattice2d.kernel)
+    monkeypatch.setattr("cvplab.jets.MAX_DENSE_DIM", 10)
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
                            (FORM_SP1, BASIS_SCALAR), (FORM_SP1, BASIS_VECTOR)):
-        gram_spectrum(ev, form_id, basis, max_dim=10)
+        gram_spectrum(ev, form_id, basis)
     with pytest.raises(SchemaError, match="exceeds cap 10"):
-        gram_spectrum(ev, FORM_SP2, max_dim=10)
-    gram_spectrum(csp5.ev, FORM_Q1, max_dim=1)
+        gram_spectrum(ev, FORM_SP2)
+    monkeypatch.setattr("cvplab.jets.MAX_DENSE_DIM", 1)
+    gram_spectrum(csp5.ev, FORM_Q1)
     for form_id, basis in ((FORM_SP1, BASIS_FULL), (FORM_SP1, BASIS_SCALAR),
                            (FORM_SP2, BASIS_FULL)):
         with pytest.raises(SchemaError, match="exceeds cap 1"):
-            gram_spectrum(csp5.ev, form_id, basis, max_dim=1)
+            gram_spectrum(csp5.ev, form_id, basis)
