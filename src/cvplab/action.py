@@ -37,8 +37,9 @@ def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel, x) -> np.ndarray:
 def el_report(ev: FormEvaluator) -> dict:
     """The `state.el_report` section: ell and grad ell on the support and
     their EL residuals (strong: max |ell|, weak: `weak_residual`), read
-    from the evaluator's ell jet and calibrated nu; builds no tables."""
-    return {"nu": ev.nu, "nu_convention": "2 * min_i row_sum_i (min row sum)",
+    from the evaluator's ell jet; builds no tables.  The calibrated nu
+    itself is `ev.nu`, the state's top-level `nu`."""
+    return {"nu_convention": "2 * min_i row_sum_i (min row sum)",
             "ell_values": ev.ell.tolist(), "ell_gradients": ev.grad_ell.tolist(),
             "strong_residual": float(np.abs(ev.ell).max()),
             "weak_residual": weak_residual(ev.ell, ev.grad_ell)}

@@ -88,11 +88,8 @@ def _get_measure(cfg: ExperimentConfig, out_dir: Path, state: RunState,
     return rho
 
 
-def _stage_report(cfg, ev, state, out_dir):
+def _stage_report(cfg, ev, state):
     rep = el_report(ev)
-    norms = np.abs(ev.grad_ell).max(axis=1)
-    _write_csv(out_dir / "el_report.csv", ["index", "ell", "grad_ell_norm"],
-               zip(range(len(norms)), rep["ell_values"], norms.tolist()))
     state.nu = ev.nu
     state.el_report = rep
     ok = rep["weak_residual"] <= cfg.tolerances["tol_weak_el"]
@@ -101,9 +98,8 @@ def _stage_report(cfg, ev, state, out_dir):
              f"({'pass' if ok else 'FAIL'})")
 
 
-def _stage_spectrum(cfg, ev, state, out_dir):
+def _stage_spectrum(cfg, ev, state):
     tau = cfg.tolerances["tau_psd"]
-    rows = []
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
                            (FORM_SP1, BASIS_SCALAR)):
         rep = gram_spectrum(ev, form_id, basis, tau_psd=tau)
@@ -112,9 +108,6 @@ def _stage_spectrum(cfg, ev, state, out_dir):
         state.verdicts[key] = rep.psd
         log.info(f"spectrum: {form_id}/{basis} min eig {rep.min_eigenvalue:.3e} "
                  f"({'pass' if rep.psd else 'FAIL'})")
-        rows += ((form_id, basis, k, lam)
-                 for k, lam in enumerate(rep.eigenvalues.tolist()))
-    _write_csv(out_dir / "spectrum.csv", ["form", "basis", "index", "eigenvalue"], rows)
 
 
 def _stage_fragment(cfg, ev, state, out_dir, seed):
@@ -132,12 +125,13 @@ def _stage_fragment(cfg, ev, state, out_dir, seed):
 
 def _stage_linfield(ev, state, out_dir):
     """Solve the linearized field equations: the kernel jets and, as a list,
-    each one's residual, which the OSI stage reports."""
+    each one's residual, which the OSI stage reads; the spectrum stage
+    records the SP1 eigenvalues the kernel was cut from."""
     jets, threshold = solve_linfield(ev)
     residuals = linfield_residual(ev, jets).tolist()
     state.linfield_summary = {
-        "dimension": len(jets), "eigenvalues": ev.sp1_eigenvalues.tolist(),
-        "threshold": threshold, "residuals": residuals, "lattice": ev.lattice,
+        "dimension": len(jets), "threshold": threshold, "residuals": residuals,
+        "lattice": ev.lattice,
         "solutions": [{"scalar": u[:, 0].tolist(), "vector": u[:, 1:].tolist()}
                       for u in jets]}
     state.verdicts["linfield_kernel_nonempty"] = len(jets) >= 1
@@ -168,7 +162,7 @@ def _stage_osi(cfg, ev, jets, residuals, state):
     ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
     # the region labels once; each report holds its values in their order
     reports = [{"solution_index": k, "osi": row.tolist(), "min_value": float(row.min()),
-                "min_region": labels[int(np.argmin(row))], "residual": residual,
+                "min_region": labels[int(np.argmin(row))],
                 "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
                 "all_positive": float(row.min()) > 0.0}
                for k, (row, residual) in enumerate(zip(values, residuals))]
@@ -193,9 +187,10 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         rho = _get_measure(cfg, out, state, seed, reuse=stage != "minimize")
         state.measure = rho.to_dict()
         ev = FormEvaluator(rho, cfg.kernel)  # for report and every later stage
-        _stage_report(cfg, ev, state, out)
-        if stage in ("spectrum", "verify-all"):
-            _stage_spectrum(cfg, ev, state, out)
+        _stage_report(cfg, ev, state)
+        # linfield and osi record the SP1 spectrum they cut the kernel from
+        if stage in ("spectrum", "linfield", "osi", "verify-all"):
+            _stage_spectrum(cfg, ev, state)
         if stage in ("fragment", "verify-all"):
             _stage_fragment(cfg, ev, state, out, seed)
         if stage in ("linfield", "osi", "verify-all"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -84,12 +85,16 @@ def project_volume(weights: np.ndarray, target_volume: float,
     """Euclidean projection onto {w >= floor, sum w = target_volume}.
 
     KKT form w*_i = max(floor, w_i + lam); the multiplier is found exactly
-    by scanning the clip count over the sorted weights.
+    by scanning the clip count over the sorted weights.  A non-finite
+    weight, or weights whose magnitudes sum beyond float range, is rejected.
     """
     w = np.asarray(weights, dtype=float)
     n = w.size
     if target_volume <= 0:
         raise SchemaError("target volume must be positive")
+    # summed as Python floats, which overflow to inf without a warning
+    if not math.isfinite(sum(np.abs(w).tolist())):
+        raise SchemaError("weights must be finite, with a finite sum")
     if n * weight_floor > target_volume:
         raise InfeasibleProjectionError(
             f"{n} weights with floor {weight_floor} cannot sum to {target_volume}")
@@ -184,8 +189,7 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     cycle forever.
 
     On return, atoms that the kernel cannot tell apart are merged
-    (`_merge`); the trace rows belong to the last iterate before that.  A
-    start that solves the equations with nothing to merge returns as is.
+    (`_merge`); the trace rows belong to the last iterate before that.
     """
     manifold = rho0.manifold
     x = rho0.points.copy()
@@ -297,6 +301,4 @@ def minimize(rho0: DiscreteMeasure, kernel: RadialKernel,
     kept, w = _merge(tables, w)
     trace.merged_points = start_index[~kept].tolist()
     trace.floored_points = start_index[kept][w <= at_floor].tolist()
-    if it == 0 and kept.all():
-        return rho0, trace
     return rho0.replace(points=x[kept], weights=w), trace

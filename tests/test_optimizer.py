@@ -47,6 +47,15 @@ def test_project_volume_infeasible():
         project_volume(np.ones(3), -1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weights", [[np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0],
+                                     [1e308, 1e308, -1e308]])
+def test_project_volume_rejects_non_finite_weights_or_sum(weights):
+    # rejected before any arithmetic that overflows or meets a nan
+    with pytest.raises(SchemaError, match="finite"):
+        project_volume(weights, 3.0)
+
+
 def test_project_volume_is_euclidean_projection():
     # against a brute scan over clip patterns on random inputs
     rng = np.random.default_rng(0)
@@ -111,7 +120,9 @@ def test_minimize_returns_immediately_at_stationary_point(single_gauss):
                           OptimizerConfig())
     assert trace.status == "converged"
     assert trace.rows[-1][0] == 0
-    assert rho is single_gauss.rho
+    # a new measure on the start's bits: no atom moved or merged
+    assert rho.points.tobytes() == single_gauss.rho.points.tobytes()
+    assert rho.weights.tobytes() == single_gauss.rho.weights.tobytes()
 
 
 def _ring8(seed: int):
