@@ -13,14 +13,13 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
                      parse_config, save_state)
 from .errors import (CvpError, DimensionMismatchError,
                      InfeasibleProjectionError, NegativeDiagonalError,
-                     NonFiniteIterateError, SchemaError, UnsupportedOrderError,
-                     WeightPositivityError)
+                     NonFiniteIterateError, SchemaError, WeightPositivityError)
 from .geometry import ChartManifold
 from .jets import (FormEvaluator, GramReport, gram_spectrum, nabla1_nabla2_L,
                    translation)
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
-                      RadialKernel, kernel_from_dict, lagrangian_derivatives,
-                      lagrangian_eval, pair_tables, verify_lagrangian)
+                      PairTables, RadialKernel, kernel_from_dict, pair_tables,
+                      verify_lagrangian)
 from .linfield import (arc_regions, linfield_residual, osi_report,
                        random_regions, solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure

@@ -6,8 +6,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .jets import FormEvaluator, weak_residual
-from .kernels import (GRAD1, RadialKernel, lagrangian_derivatives,
-                      lagrangian_eval, pair_tables)
+from .kernels import PairTables, RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
 
@@ -22,16 +21,16 @@ def ell(rho: DiscreteMeasure, kernel: RadialKernel, nu: float, x):
     """ell(x) = sum_j w_j L(x, x_j) - nu/2 at one chart point x, a float,
     or at each point of an (..., m) array of them."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    return lagrangian_eval(kernel, rho.manifold, x, rho.points) @ rho.weights \
-        - nu / 2.0
+    d = rho.manifold.displacement(x, rho.points)
+    return PairTables(kernel, d).L @ rho.weights - nu / 2.0
 
 
 def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel, x) -> np.ndarray:
     """Gradient of ell (independent of nu) at one chart point x, an (m,)
     array, or at each point of an (..., m) array of them."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    return rho.weights @ lagrangian_derivatives(kernel, rho.manifold, x,
-                                                rho.points, GRAD1)
+    d = rho.manifold.displacement(x, rho.points)
+    return rho.weights @ PairTables(kernel, d).G
 
 
 def el_report(ev: FormEvaluator) -> dict:
@@ -59,8 +58,8 @@ def action_difference(rho: DiscreteMeasure, rho_tilde: DiscreteMeasure,
     delta_w = np.concatenate([rho_tilde.weights, -rho.weights])
 
     def kernel_sum(pa, wa, pb, wb):
-        return float(wa @ lagrangian_eval(kernel, rho.manifold,
-                                          pa[:, None, :], pb) @ wb)
+        d = rho.manifold.displacement(pa[:, None, :], pb)
+        return float(wa @ PairTables(kernel, d).L @ wb)
 
     cross = kernel_sum(delta_pts, delta_w, rho.points, rho.weights)
     return 2.0 * cross + kernel_sum(delta_pts, delta_w, delta_pts, delta_w)

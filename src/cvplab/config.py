@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import SchemaError, number
+from .errors import SchemaError, known_fields, number
 from .geometry import ChartManifold
 from .kernels import CompactSupportKernel, RadialKernel, kernel_from_dict
 from .measure import DiscreteMeasure, random_measure
@@ -69,7 +69,11 @@ class ExperimentConfig:
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
-    version = data.get("schema_version", SCHEMA_VERSION)
+    known_fields(data, ("schema_version", "manifold", "lagrangian",
+                        "initial_measure", "optimizer", "tolerances", "probe"),
+                 "config")
+    version = number(data.get("schema_version", SCHEMA_VERSION),
+                     "config schema_version", integer=True)
     if version != SCHEMA_VERSION:
         raise SchemaError(
             f"config schema_version {version} unsupported (expected {SCHEMA_VERSION})")
@@ -86,12 +90,17 @@ def parse_config(data: dict) -> ExperimentConfig:
             "generator" in initial or {"points", "weights"} <= set(initial)):
         raise SchemaError(
             "initial_measure needs either a generator or explicit points/weights")
+    if "generator" in initial and {"points", "weights"} & set(initial):
+        raise SchemaError("initial_measure takes either a generator or explicit "
+                          "points/weights, not both")
+    known_fields(initial, ("generator", "points", "weights"), "initial_measure")
     # malformed points fail in initial_measure below
     count = len(initial["points"]) if isinstance(initial.get("points"), list) else 0
     if "generator" in initial:
         gen = initial["generator"]
         if not isinstance(gen, dict):
             raise SchemaError("generator must be a JSON object")
+        known_fields(gen, ("count", "seed", "total_volume", "box"), "generator")
         missing = {"count", "seed", "total_volume"} - set(gen)
         if missing:
             raise SchemaError(f"generator is missing fields: {sorted(missing)}")
@@ -100,15 +109,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         number(gen["total_volume"], "generator total_volume", above=0)
     optimizer = OptimizerConfig.from_dict(data.get("optimizer", {}))
     tolerances = {**_DEFAULT_TOLERANCES, **data.get("tolerances", {})}
-    bad = set(tolerances) - set(_DEFAULT_TOLERANCES)
-    if bad:
-        raise SchemaError(f"unknown tolerance fields: {sorted(bad)}")
+    known_fields(tolerances, _DEFAULT_TOLERANCES, "tolerance")
     for key, value in tolerances.items():
         number(value, f"tolerances {key}", above=0)
     probe = {**_DEFAULT_PROBE, **data.get("probe", {})}
-    bad = set(probe) - set(_DEFAULT_PROBE)
-    if bad:
-        raise SchemaError(f"unknown probe fields: {sorted(bad)}")
+    known_fields(probe, _DEFAULT_PROBE, "probe")
     # a probe that would run no trial or fit nothing is rejected
     for key, least in (("fragments", 1), ("trials", 1), ("seed", 0)):
         number(probe[key], f"probe {key}", integer=True, least=least)
@@ -181,7 +186,8 @@ class RunState:
     def from_dict(cls, data: dict) -> "RunState":
         if not isinstance(data, dict):
             raise SchemaError("state root must be a JSON object")
-        version = data.get("schema_version")
+        version = number(data.get("schema_version"), "state schema_version",
+                         integer=True)
         if version != SCHEMA_VERSION:
             raise SchemaError(
                 f"state schema_version {version} unsupported "

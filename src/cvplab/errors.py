@@ -1,5 +1,6 @@
-"""Structured exceptions shared across the package, and the one rule for
-every number a config or a state holds: `number`."""
+"""Structured exceptions shared across the package, the one rule for
+every number a config or a state holds, `number`, and the one rule for
+the keys of every config object, `known_fields`."""
 
 from __future__ import annotations
 
@@ -13,10 +14,6 @@ class CvpError(Exception):
 
 class DimensionMismatchError(CvpError):
     """Operands live on manifolds or index sets of different dimension."""
-
-
-class UnsupportedOrderError(CvpError):
-    """A derivative order that is not implemented for the kernel family."""
 
 
 class InfeasibleProjectionError(CvpError):
@@ -67,3 +64,11 @@ def number(value, what: str, *, integer: bool = False, least=None, above=None):
                          ((">=", least), (">", above)) if bound is not None)
         raise SchemaError(f"{what} must be {kind}{bounds}")
     return int(value) if integer else float(value)
+
+
+def known_fields(data: dict, allowed, what: str) -> None:
+    """A one-line SchemaError naming `what` and every key of `data` that
+    is not in `allowed`; nothing if there is none."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise SchemaError(f"unknown {what} fields: {sorted(unknown)}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError, number
+from .errors import DimensionMismatchError, SchemaError, known_fields, number
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -63,10 +63,6 @@ class ChartManifold:
             d[..., k] = dk
         return d
 
-    def pairwise_displacement(self, points: np.ndarray) -> np.ndarray:
-        """(n, n, m) array of displacement(points[i], points[j])."""
-        return self.displacement(points[:, None, :], points[None, :, :])
-
     def uniform_samples(self, count: int, rng: np.random.Generator,
                         box: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Uniform sample points: over the torus cell, or over a bounding box."""
@@ -91,4 +87,5 @@ class ChartManifold:
             kind, dim = data["kind"], data["dim"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad manifold descriptor: {exc}") from exc
+        known_fields(data, ("kind", "dim", "periods"), "manifold")
         return cls(kind=kind, dim=dim, periods=data.get("periods"))

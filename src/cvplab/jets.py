@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import CvpError, DimensionMismatchError, SchemaError
 from .geometry import TORUS
-from .kernels import (GRAD1, HESS12, PairTables, RadialKernel,
-                      lagrangian_derivatives, lagrangian_eval, pair_tables)
+from .kernels import PairTables, RadialKernel, pair_tables
 from .measure import DiscreteMeasure
 
 FORM_Q1 = "Q1"
@@ -420,9 +419,8 @@ def nabla1_nabla2_L(kernel: RadialKernel, manifold, x, y, jet_x, jet_y) -> float
     """D1_{jet_x} D2_{jet_y} L(x, y) at two arbitrary chart points, along
     two (1 + m,) jets: the tier-1 oracle of the double sum and the OSI."""
     (ax, ux), (ay, uy) = _as_jet(jet_x, manifold.dim), _as_jet(jet_y, manifold.dim)
-    L = lagrangian_eval(kernel, manifold, x, y)
-    g1 = lagrangian_derivatives(kernel, manifold, x, y, GRAD1)
-    h12 = lagrangian_derivatives(kernel, manifold, x, y, HESS12)
+    t = PairTables(kernel, manifold.displacement(x, y)[None])   # one-row stack
+    L, g1, h12 = t.L[0], t.G[0], -t.H11[0]
     return float(ax * ay * L + ax * (uy @ (-g1)) + ay * (ux @ g1) + ux @ h12 @ uy)
 
 

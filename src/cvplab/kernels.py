@@ -19,12 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SchemaError, UnsupportedOrderError, number
+from .errors import SchemaError, known_fields, number
 from .geometry import ChartManifold
-
-GRAD1 = "grad1"
-HESS11 = "hess11"
-HESS12 = "hess12"
 
 
 class RadialKernel:
@@ -154,6 +150,7 @@ _FAMILIES = {cls.family: cls for cls in
 def kernel_from_dict(data: dict) -> RadialKernel:
     """Build a kernel from {"family": ..., "params": {...}}; params are
     exactly the family's fields."""
+    known_fields(data, ("family", "params"), "lagrangian")
     family = data.get("family")
     if family not in _FAMILIES:
         raise SchemaError(f"unknown lagrangian family {family!r}")
@@ -180,7 +177,13 @@ class PairTables:
 
     L = L(x, y); G = grad1 L(x, y) (..., m); H11 = hess11 L(x, y)
     (..., m, m), and hess12 = -H11.  Each table is computed from D on
-    first read.
+    first read.  With D = manifold.displacement(x, y) this is the kernel
+    at any points, broadcast over the leading axes of x and y.
+
+    Build a single pair as a one-row stack, D of shape (1, m), and read
+    row 0: numpy's scalar path of `**` rounds differently from its array
+    path, so a bare (m,) displacement can differ from the same pair
+    inside a table in the last bit.
     """
 
     def __init__(self, kernel: RadialKernel, displacements: np.ndarray):
@@ -211,33 +214,8 @@ class PairTables:
 def pair_tables(kernel: RadialKernel, manifold: ChartManifold,
                 points: np.ndarray) -> PairTables:
     """The tables over the (n, n) pairs of a point configuration."""
-    return PairTables(kernel, manifold.pairwise_displacement(points))
-
-
-def lagrangian_eval(kernel: RadialKernel, manifold: ChartManifold, x, y):
-    """L(x, y), broadcast over the leading axes of x and y: a float for
-    one pair of points, evaluated as a one-row stack so that its profile
-    takes the array path of a stack and gives the same bits."""
-    d = manifold.displacement(x, y)
-    L = PairTables(kernel, np.atleast_2d(d)).L
-    return L if d.ndim > 1 else L[0]
-
-
-def lagrangian_derivatives(kernel: RadialKernel, manifold: ChartManifold,
-                           x, y, order: str) -> np.ndarray:
-    """Analytic grad1 (..., m) or hess11 / hess12 (..., m, m) of L at
-    (x, y), broadcast over the leading axes of x and y as lagrangian_eval.
-
-    The gradient in the second slot is grad1 with swapped arguments
-    (equivalently -grad1 here, since the profile is radial).
-    """
-    if order not in (GRAD1, HESS11, HESS12):
-        raise UnsupportedOrderError(f"unknown derivative order {order!r}")
-    d = manifold.displacement(x, y)
-    tables = PairTables(kernel, np.atleast_2d(d))
-    out = (tables.G if order == GRAD1
-           else tables.H11 if order == HESS11 else -tables.H11)
-    return out if d.ndim > 1 else out[0]
+    return PairTables(kernel, manifold.displacement(points[:, None, :],
+                                                    points[None, :, :]))
 
 
 @dataclass(frozen=True)
@@ -276,9 +254,9 @@ def verify_lagrangian(kernel: RadialKernel, manifold: ChartManifold,
     m = manifold.dim
 
     def L(x, y):
-        return lagrangian_eval(kernel, manifold, x, y)
+        return PairTables(kernel, manifold.displacement(x, y)).L
 
-    scale = max(float(L(np.zeros(m), np.zeros(m))), 1e-300)
+    scale = max(float(L(np.zeros((1, m)), np.zeros(m))[0]), 1e-300)
     # steps[0, a] = +step e_a and steps[1, a] = -step e_a
     steps = np.array([1.0, -1.0])[:, None, None] * (step * np.eye(m))
     x_a = xs[:, None, None] + steps             # (S, sign a, a, m)
@@ -289,9 +267,10 @@ def verify_lagrangian(kernel: RadialKernel, manifold: ChartManifold,
     fd_h11, fd_h12 = ((v[:, 0, :, 0] - v[:, 0, :, 1] - v[:, 1, :, 0]
                        + v[:, 1, :, 1]) / (4 * step**2)
                       for v in (L(x_a + steps, y), L(x_a, y + steps)))
-    errors = [np.abs(lagrangian_derivatives(kernel, manifold, xs, ys, order) - fd)
-              / np.maximum(np.abs(fd), scale)
-              for order, fd in ((GRAD1, fd_g), (HESS11, fd_h11), (HESS12, fd_h12))]
+    tables = PairTables(kernel, manifold.displacement(xs, ys))
+    errors = [np.abs(exact - fd) / np.maximum(np.abs(fd), scale)
+              for exact, fd in ((tables.G, fd_g), (tables.H11, fd_h11),
+                                (-tables.H11, fd_h12))]
     return KernelVerification(
-        float(np.abs(L(xs, ys) - L(ys, xs)).max(initial=0.0)),
+        float(np.abs(tables.L - L(ys, xs)).max(initial=0.0)),
         *(float(e.max(initial=0.0)) for e in errors))

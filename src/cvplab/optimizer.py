@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import (InfeasibleProjectionError, NonFiniteIterateError,
-                     SchemaError, number)
+                     SchemaError, known_fields, number)
 from .jets import action_hessian, weak_residual
 from .kernels import RadialKernel, pair_tables
 from .measure import DiscreteMeasure
@@ -45,10 +45,7 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
-        if bad:
-            raise SchemaError(f"unknown optimizer config fields: {sorted(bad)}")
+        known_fields(data, cls.__dataclass_fields__, "optimizer config")
         return cls(**data)
 
 
@@ -85,13 +82,13 @@ def project_volume(weights: np.ndarray, target_volume: float,
     """Euclidean projection onto {w >= floor, sum w = target_volume}.
 
     KKT form w*_i = max(floor, w_i + lam); the multiplier is found exactly
-    by scanning the clip count over the sorted weights.  A non-finite
-    weight, or weights whose magnitudes sum beyond float range, is rejected.
+    by scanning the clip count over the sorted weights.  A target that is
+    not finite and positive, a non-finite weight, or weights whose
+    magnitudes sum beyond float range, is rejected.
     """
     w = np.asarray(weights, dtype=float)
     n = w.size
-    if target_volume <= 0:
-        raise SchemaError("target volume must be positive")
+    number(target_volume, "target volume", above=0)
     # summed as Python floats, which overflow to inf without a warning
     if not math.isfinite(sum(np.abs(w).tolist())):
         raise SchemaError("weights must be finite, with a finite sum")

@@ -154,6 +154,19 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d["initial_measure"].update(
         points=[[True], [1.02], [1.97], [3.01], [4.04]]),
     lambda d: d["initial_measure"].update(weights=[True, 0.95, 1.0, 0.9, 1.05]),
+    # every config object rejects a key it does not know
+    lambda d: d.update(optimiser={"max_iterations": 10}),
+    lambda d: d.update(tolerence={"tau_psd": 1e-8}),
+    lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": 0, "total_volume": 5.0, "cont": 5}}),
+    lambda d: d["manifold"].update(perodic=True),
+    lambda d: d["lagrangian"].update(parms={"radius": 1.0}),
+    lambda d: d["initial_measure"].update(generator={
+        "count": 5, "seed": 0, "total_volume": 5.0}),
+    lambda d: d["initial_measure"].update(box=[[0.0], [1.0]]),
+    # a schema_version is an integer: neither JSON true nor 1.0
+    lambda d: d.update(schema_version=True),
+    lambda d: d.update(schema_version=1.0),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -321,6 +334,30 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
                      str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("mutate, key", [
+    (lambda d: d.update(optimiser=d.pop("optimizer")), "optimiser"),
+    (lambda d: d.update(tolerence={"tau_psd": 1e-8}), "tolerence"),
+    (lambda d: d["manifold"].update(perodic=True), "perodic"),
+    (lambda d: d["lagrangian"].update(parms={}), "parms"),
+    (lambda d: d["initial_measure"].update(generator={
+        "count": 5, "seed": 0, "total_volume": 5.0}), "generator"),
+    (lambda d: d.update(initial_measure={"generator": {
+        "count": 5, "seed": 0, "total_volume": 5.0, "cont": 5}}), "cont"),
+    (lambda d: d.update(schema_version=True), "schema_version"),
+    (lambda d: d.update(schema_version=1.0), "schema_version")],
+    ids=["optimiser", "tolerence", "perodic", "parms", "generator-and-points",
+         "cont", "version-true", "version-float"])
+def test_cli_exit_one_naming_the_offending_key(tmp_path, capsys, mutate, key):
+    """One stderr line that names the key, and no section silently dropped."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    mutate(data)
+    capsys.readouterr()
+    assert run("verify-all", _write_config(tmp_path, data), str(tmp_path / "out"),
+               quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
 def test_cli_exit_one_on_a_non_finite_action(tmp_path, capsys):
     """A generator volume near the float limit overflows the start's action:
     the optimizer stops at iteration 1 and the run exits with a message."""
@@ -405,7 +442,9 @@ def test_cli_exit_one_on_a_number_beyond_float_range(tmp_path, capsys,
     ("measure.manifold.periods", [HUGE]), ("seed", HUGE),
     # a boolean is not a number
     ("measure.points", [[True], [1.0], [2.0], [3.0], [4.0]]),
-    ("measure.weights", [1.0, 1.0, True, 1.0, 1.0])])
+    ("measure.weights", [1.0, 1.0, True, 1.0, 1.0]),
+    # a schema_version is an integer: neither JSON true nor 1.0
+    ("schema_version", True), ("schema_version", 1.0)])
 def test_cli_tampered_state_is_minimized_again(tmp_path, key, value):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"

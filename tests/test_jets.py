@@ -3,12 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (DimensionMismatchError, SchemaError, arc_regions,
-                    frag_lower_bound, frag_second_variation_rescaled,
-                    gram_spectrum, linfield_residual, osi_report,
-                    surface_layer_integral, translation)
+from cvplab import (ChartManifold, CompactSupportKernel, DimensionMismatchError,
+                    GaussianKernel, InversePowerKernel, PairTables, SchemaError,
+                    arc_regions, frag_lower_bound, frag_second_variation_rescaled,
+                    gram_spectrum, linfield_residual, osi_report, pair_tables,
+                    random_measure, surface_layer_integral, translation,
+                    verify_lagrangian)
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
-                         FORM_SP1, FORM_SP2, _basis_indices, nabla1_nabla2_L)
+                         FORM_SP1, FORM_SP2, _basis_indices, jet_pair_block,
+                         nabla1_nabla2_L)
 
 
 def _random_field(n, m, rng, scale=1.0):
@@ -190,6 +193,44 @@ def test_nabla1_nabla2_consistent_with_double_sum(csp5):
                                       _jet(u, i), _jet(u, j))
         for i in range(f.rho.count) for j in range(f.rho.count))
     assert ev.double_sum(u, u) == pytest.approx(brute, rel=1e-12)
+
+
+KERNELS = [GaussianKernel(sigma=1.1), InversePowerKernel(sigma=0.9, exponent=2.5),
+           CompactSupportKernel(radius=1.9, power=3)]
+TORUS2 = ChartManifold(kind="torus", dim=2, periods=(4.0, 5.0))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+def test_nabla1_nabla2_L_on_unit_jets_is_the_pair_block(kernel):
+    """The oracle reads one pair as its row of the configuration's tables:
+    along unit jets it gives each entry of the unweighted jet-pair block."""
+    rho = random_measure(TORUS2, count=12, total_volume=12.0, seed=3)
+    block = jet_pair_block(pair_tables(kernel, TORUS2, rho.points),
+                           np.ones(rho.count))
+    unit = np.eye(1 + TORUS2.dim)
+    for i, j in np.ndindex(rho.count, rho.count):
+        pair = [[nabla1_nabla2_L(kernel, TORUS2, rho.points[i], rho.points[j],
+                                 a, b) for b in unit] for a in unit]
+        assert np.array_equal(pair, block[i, :, j, :]), (i, j)
+
+
+def test_each_oracle_builds_its_pair_tables_once(monkeypatch, csp5):
+    shapes = []
+    init = PairTables.__init__
+
+    def counted(self, kernel, displacements):
+        shapes.append(displacements.shape)
+        init(self, kernel, displacements)
+
+    monkeypatch.setattr(PairTables, "__init__", counted)
+    x, y = csp5.rho.points[:2]
+    nabla1_nabla2_L(csp5.kernel, csp5.rho.manifold, x, y, [1.0, 0.5], [0.2, 1.0])
+    assert shapes == [(1, 1)]   # one pair, as a one-row stack
+    shapes.clear()
+    verify_lagrangian(KERNELS[1], TORUS2, sample_count=5, step=1e-4, seed=0)
+    # the coincidence scale, the three stencils and the (xs, ys) and
+    # (ys, xs) tables, whose first also gives the analytic G and H11
+    assert len(shapes) == 6, shapes
 
 
 def test_gram_spectrum_bases_and_errors(csp5, monkeypatch):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, CompactSupportKernel, GaussianKernel,
-                    InversePowerKernel, SchemaError, UnsupportedOrderError,
-                    kernel_from_dict, lagrangian_derivatives, lagrangian_eval,
-                    pair_tables, verify_lagrangian)
+                    InversePowerKernel, PairTables, SchemaError,
+                    kernel_from_dict, pair_tables, verify_lagrangian)
 
 EUC1 = ChartManifold(kind="euclidean", dim=1)
 EUC2 = ChartManifold(kind="euclidean", dim=2)
+
+
+def _one_pair(kernel, manifold, x, y) -> PairTables:
+    """The tables of one pair, built as a one-row stack."""
+    return PairTables(kernel, manifold.displacement(x, y)[None])
 
 
 def test_gaussian_frozen_values():
@@ -18,9 +22,9 @@ def test_gaussian_frozen_values():
     assert k.profile(1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
     # at coincidence: grad1 = 0, hess11 = 2 g'(0) I = -2, hess12 = +2
     x = np.array([0.3])
-    assert lagrangian_derivatives(k, EUC1, x, x, "grad1")[0] == 0.0
-    assert lagrangian_derivatives(k, EUC1, x, x, "hess11")[0, 0] == -2.0
-    assert lagrangian_derivatives(k, EUC1, x, x, "hess12")[0, 0] == 2.0
+    t = _one_pair(k, EUC1, x, x)
+    assert t.L[0] == 1.0 and t.G[0, 0] == 0.0
+    assert t.H11[0, 0, 0] == -2.0 and -t.H11[0, 0, 0] == 2.0
 
 
 def test_symmetry_bit_identical():
@@ -28,7 +32,7 @@ def test_symmetry_bit_identical():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x, y = rng.normal(size=(2, 2))
-        assert lagrangian_eval(k, EUC2, x, y) == lagrangian_eval(k, EUC2, y, x)
+        assert _one_pair(k, EUC2, x, y).L[0] == _one_pair(k, EUC2, y, x).L[0]
 
 
 def test_compact_support_vanishes_beyond_cutoff():
@@ -85,12 +89,12 @@ def test_pair_tables_structure():
     assert np.array_equal(t.L, t.L.T)
     assert np.array_equal(t.G, -t.G.transpose(1, 0, 2))
     assert np.array_equal(t.H11, t.H11.transpose(1, 0, 2, 3))
-    # entries agree with the single-pair evaluators
+    # entries agree with the single-pair tables
     for i in range(3):
         for j in range(3):
-            assert t.L[i, j] == lagrangian_eval(k, EUC1, pts[i], pts[j])
-            g = lagrangian_derivatives(k, EUC1, pts[i], pts[j], "grad1")
-            assert np.array_equal(t.G[i, j], g)
+            one = _one_pair(k, EUC1, pts[i], pts[j])
+            assert t.L[i, j] == one.L[0]
+            assert np.array_equal(t.G[i, j], one.G[0])
     # 2-D input, so the off-diagonal Hessian entries are exercised too
     k = InversePowerKernel(sigma=0.8, exponent=3.0)
     pts = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 2))
@@ -99,10 +103,11 @@ def test_pair_tables_structure():
     assert np.array_equal(t.H11, t.H11.transpose(0, 1, 3, 2))
     for i in range(4):
         for j in range(4):
-            assert t.L[i, j] == lagrangian_eval(k, EUC2, pts[i], pts[j])
-            for order, table in (("grad1", t.G), ("hess11", t.H11)):
-                exact = lagrangian_derivatives(k, EUC2, pts[i], pts[j], order)
-                np.testing.assert_allclose(table[i, j], exact, rtol=1e-14, atol=0)
+            one = _one_pair(k, EUC2, pts[i], pts[j])
+            assert t.L[i, j] == one.L[0]
+            for name in ("G", "H11"):
+                np.testing.assert_allclose(getattr(t, name)[i, j],
+                                           getattr(one, name)[0], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -167,16 +172,13 @@ def test_compact_support_profile_matches_plain_power():
     assert np.isnan(k.profile(np.array([np.nan, 0.5])))[0]
 
 
-def test_param_validation_and_orders():
+def test_param_validation():
     with pytest.raises(SchemaError):
         GaussianKernel(sigma=0.0)
     with pytest.raises(SchemaError):
         InversePowerKernel(sigma=1.0, exponent=-1.0)
     with pytest.raises(SchemaError):
         CompactSupportKernel(radius=1.0, power=2)
-    with pytest.raises(UnsupportedOrderError):
-        lagrangian_derivatives(GaussianKernel(sigma=1.0), EUC1,
-                               np.zeros(1), np.ones(1), "hess22")
 
 
 def test_kernel_from_dict_round_trip():

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
-                    FormEvaluator, GaussianKernel, arc_regions, gram_spectrum,
-                    linfield_residual, osi_report, random_measure,
-                    random_regions, solve_linfield, surface_layer_integral,
-                    translation)
+                    FormEvaluator, GaussianKernel, PairTables, arc_regions,
+                    gram_spectrum, linfield_residual, osi_report,
+                    random_measure, random_regions, solve_linfield,
+                    surface_layer_integral, translation)
 from cvplab.errors import SchemaError
 from cvplab.linfield import KERNEL_THRESHOLD_REL
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, action_hessian,
                          nabla1_nabla2_L)
-from cvplab.kernels import lagrangian_derivatives, lagrangian_eval
 
 
 def _random_field(n, m, rng):
@@ -215,9 +214,8 @@ def _pointwise_brackets(rho, kernel, nu, jf):
     out = np.zeros((rho.count, 1 + rho.manifold.dim))
     for i in range(rho.count):
         for j in range(rho.count):
-            L = lagrangian_eval(kernel, rho.manifold, x[i], x[j])
-            G = lagrangian_derivatives(kernel, rho.manifold, x[i], x[j], "grad1")
-            H11 = lagrangian_derivatives(kernel, rho.manifold, x[i], x[j], "hess11")
+            t = PairTables(kernel, rho.manifold.displacement(x[i], x[j])[None])
+            L, G, H11 = t.L[0], t.G[0], t.H11[0]
             out[i, 0] += w[j] * ((a[i] + a[j]) * L + (u[i] - u[j]) @ G)
             out[i, 1:] += w[j] * ((a[i] + a[j]) * G + H11 @ (u[i] - u[j]))
         out[i, 0] -= a[i] * nu / 2.0

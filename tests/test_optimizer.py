@@ -56,6 +56,15 @@ def test_project_volume_rejects_non_finite_weights_or_sum(weights):
         project_volume(weights, 3.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, 0.0])
+def test_project_volume_rejects_a_target_that_is_not_finite_and_positive(target):
+    # one line, before any arithmetic that would carry the target into w
+    with pytest.raises(SchemaError, match="^target volume must be a finite "
+                                          "number > 0$"):
+        project_volume([1.0, 2.0], target)
+
+
 def test_project_volume_is_euclidean_projection():
     # against a brute scan over clip patterns on random inputs
     rng = np.random.default_rng(0)
