@@ -17,20 +17,21 @@ def action(rho: DiscreteMeasure, kernel: RadialKernel) -> float:
     return float(w @ tables.L @ w)
 
 
-def ell(rho: DiscreteMeasure, kernel: RadialKernel, nu: float, x):
-    """ell(x) = sum_j w_j L(x, x_j) - nu/2 at one chart point x, a float,
-    or at each point of an (..., m) array of them."""
+def ell(ev: FormEvaluator, x):
+    """ell(x) = sum_j w_j L(x, x_j) - nu/2, nu = `ev.nu`, at one chart point
+    x, a float, or at each point of an (..., m) array of them."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    d = rho.manifold.displacement(x, rho.points)
-    return PairTables(kernel, d).L @ rho.weights - nu / 2.0
+    d = ev.rho.manifold.displacement(x, ev.rho.points)
+    return PairTables(ev.kernel, d).L @ ev.rho.weights - ev.nu / 2.0
 
 
-def ell_gradient(rho: DiscreteMeasure, kernel: RadialKernel, x) -> np.ndarray:
-    """Gradient of ell (independent of nu) at one chart point x, an (m,)
-    array, or at each point of an (..., m) array of them."""
+def ell_gradient(ev: FormEvaluator, x) -> np.ndarray:
+    """Gradient of ell at one chart point x, an (m,) array, or at each point
+    of an (..., m) array of them, by the ell jet's contraction: at the
+    support points it is `ev.grad_ell` bit for bit."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    d = rho.manifold.displacement(x, rho.points)
-    return rho.weights @ PairTables(kernel, d).G
+    d = ev.rho.manifold.displacement(x, ev.rho.points)
+    return np.einsum("...ja,j->...a", PairTables(ev.kernel, d).G, ev.rho.weights)
 
 
 def el_report(ev: FormEvaluator) -> dict:

@@ -1,8 +1,8 @@
 """Command-line pipeline: minimize, diagnose, and verify configurations.
 
 Exit codes: 0 = success with all verdicts passing, 2 = completed but some
-verdict failed (e.g. a PSD check), 1 = operational error (bad config,
-unreadable paths, numerical breakdown).
+verdict failed (e.g. a PSD check), 1 = operational error (a malformed
+command line, bad config, unreadable paths, numerical breakdown).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seeds")
     parser.add_argument("--quiet", action="store_true")
+    # a malformed command line exits 1 with one line, not 2: exit 2 is a verdict
+    parser.error = lambda message: parser.exit(1, f"error: {message}\n")
     return parser
 
 
@@ -92,7 +94,7 @@ def _stage_report(cfg, ev, state):
     rep = el_report(ev)
     state.nu = ev.nu
     state.el_report = rep
-    ok = rep["weak_residual"] <= cfg.tolerances["tol_weak_el"]
+    ok = rep["weak_residual"] <= cfg.optimizer.tolerance_weak_el
     state.verdicts["weak_el"] = bool(ok)
     log.info(f"report: weak residual {rep['weak_residual']:.3e} "
              f"({'pass' if ok else 'FAIL'})")

@@ -1,11 +1,13 @@
-"""Structured exceptions shared across the package, the one rule for
-every number a config or a state holds, `number`, and the one rule for
-the keys of every config object, `known_fields`."""
+"""Structured exceptions shared across the package, and the one rule for
+each number a config or a state holds (`number`), each array of them
+(`floats`) and the keys of every config object (`known_fields`)."""
 
 from __future__ import annotations
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class CvpError(Exception):
@@ -64,6 +66,22 @@ def number(value, what: str, *, integer: bool = False, least=None, above=None):
                          ((">=", least), (">", above)) if bound is not None)
         raise SchemaError(f"{what} must be {kind}{bounds}")
     return int(value) if integer else float(value)
+
+
+def floats(value, what: str) -> np.ndarray:
+    """value as a float array.  JSON true is not the number 1.0, so a bool
+    at any depth is rejected, as is anything numpy cannot read as floats,
+    with a one-line SchemaError naming `what`."""
+    try:
+        if isinstance(value, np.ndarray) and value.dtype != object:
+            kinds = {value.dtype.type}
+        else:   # nested lists: the type of every entry, in one pass
+            kinds = set(map(type, np.asarray(value, dtype=object).flat))
+        if bool in kinds or np.bool_ in kinds:
+            raise SchemaError(f"{what} must be numbers, not booleans")
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc
 
 
 def known_fields(data: dict, allowed, what: str) -> None:

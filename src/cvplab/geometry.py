@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError, known_fields, number
+from .errors import (DimensionMismatchError, SchemaError, floats, known_fields,
+                     number)
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -64,15 +65,26 @@ class ChartManifold:
         return d
 
     def uniform_samples(self, count: int, rng: np.random.Generator,
-                        box: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Uniform sample points: over the torus cell, or over a bounding box."""
+                        box=None) -> np.ndarray:
+        """Uniform sample points: over the torus cell, which takes no box, or
+        over a euclidean box, two finite corners [lo, hi] of length dim with
+        lo < hi on every axis."""
         if self.kind == TORUS:
-            lo = np.zeros(self.dim)
-            hi = np.asarray(self.periods)
-        else:
-            if box is None:
-                raise SchemaError("euclidean sampling needs a bounding box")
-            lo, hi = (np.asarray(b, dtype=float) for b in box)
+            if box is not None:
+                raise SchemaError("a torus samples its cell and takes no box")
+            box = (np.zeros(self.dim), self.periods)
+        elif box is None:
+            raise SchemaError("euclidean sampling needs a bounding box")
+        corners = floats(box, "box")
+        if corners.shape != (2, self.dim):
+            if corners.ndim != 2 or len(corners) != 2:
+                raise SchemaError(f"a box is two corners [lo, hi], not {corners.shape}")
+            raise DimensionMismatchError(f"box corners of dimension {corners.shape[1]}"
+                                         f" on a {self.dim}-dimensional manifold")
+        lo, hi = corners
+        with np.errstate(over="ignore"):   # a width beyond float range is rejected
+            if not (np.isfinite(hi - lo).all() and (lo < hi).all()):
+                raise SchemaError("a box needs lo < hi on every axis, a finite width apart")
         return rng.uniform(lo, hi, size=(count, self.dim))
 
     def to_dict(self) -> dict:

@@ -267,10 +267,10 @@ class FormEvaluator:
     """Pair tables, the calibrated nu, the ell jet, the (n, 1+m, 1+m) point
     blocks w_i ell_jet_i (Q1's diagonal) and the SP1 Gram.
 
-    The one handle for the forms and the linearized field equations on a
-    measure: every function that evaluates a form, reports on ell or
-    solves the linearized equations takes an instance, so build one per
-    measure.  nu = 2 min_i sum_j w_j L(x_i, x_j), so min_i ell(x_i) = 0
+    The one handle for ell, the forms and the linearized field equations
+    on a measure: every function that evaluates ell or a form, reports on
+    ell or solves the linearized equations takes an instance, so build one
+    per measure.  nu = 2 min_i sum_j w_j L(x_i, x_j), so min_i ell(x_i) = 0
     exactly; for a non-minimizing measure that is a convention.
     """
 
@@ -284,7 +284,6 @@ class FormEvaluator:
         self.ell_jet[:, 0, 0] -= self.nu / 2.0
         self.ell = self.ell_jet[:, 0, 0]
         self.grad_ell = self.ell_jet[:, 0, 1:]
-        self.hess_ell = self.ell_jet[:, 1:, 1:]
         self.point_blocks = rho.weights[:, None, None] * self.ell_jet
 
     @cached_property
@@ -360,24 +359,9 @@ class FormEvaluator:
         _, solved, order = self._sp1_solve
         return _symbol_vectors(self._symbols[1], solved, order[select])
 
-    def _check_point(self, i: int) -> None:
-        if not 0 <= i < self.rho.count:
-            raise IndexError(f"point index {i} out of range")
-
-    def nabla_ell(self, i: int, jet) -> float:
-        self._check_point(i)
-        a, u = _as_jet(jet, self.rho.manifold.dim)
-        return float(a * self.ell[i] + u @ self.grad_ell[i])
-
-    def nabla2_ell(self, i: int, jet1, jet2) -> float:
-        self._check_point(i)
-        (a1, u1), (a2, u2) = (_as_jet(j, self.rho.manifold.dim) for j in (jet1, jet2))
-        return float(a1 * a2 * self.ell[i] + a1 * (u2 @ self.grad_ell[i])
-                     + a2 * (u1 @ self.grad_ell[i]) + u1 @ self.hess_ell[i] @ u2)
-
     def q1_terms(self, u, v) -> np.ndarray:
-        """Per-point terms nabla2_ell(i, u_i, v_i) of q1: (n,) for two
-        (n, 1 + m) jet fields, (..., n) for stacks of them."""
+        """Per-point terms u_i . ell_jet_i . v_i of q1 (ell's second jet
+        derivatives): (n,) for two (n, 1 + m) fields, (..., n) for stacks."""
         u, v = _as_jets(self.rho, u), _as_jets(self.rho, v)
         return np.einsum("...ia,iab,...ib->...i", u, self.ell_jet, v)
 

@@ -6,25 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, SchemaError, floats
 from .geometry import ChartManifold
 
 WEIGHT_JITTER = 0.5   # random_measure draws weights in 1 +- this, then scales them
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """value as a float array.  JSON true is not the number 1.0, so a bool
-    at any depth is rejected, as is anything numpy cannot read as floats."""
-    try:
-        if isinstance(value, np.ndarray) and value.dtype != object:
-            kinds = {value.dtype.type}
-        else:   # nested lists: the type of every entry, in one pass
-            kinds = set(map(type, np.asarray(value, dtype=object).flat))
-        if bool in kinds or np.bool_ in kinds:
-            raise SchemaError(f"measure {what} must be numbers, not booleans")
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad measure {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -40,8 +25,8 @@ class DiscreteMeasure:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(_floats(self.points, "points"))
-        w = _floats(self.weights, "weights").ravel()
+        pts = np.atleast_2d(floats(self.points, "measure points"))
+        w = floats(self.weights, "measure weights").ravel()
         if pts.shape[1] != self.manifold.dim:
             raise DimensionMismatchError(
                 f"points of dimension {pts.shape[1]} on a "

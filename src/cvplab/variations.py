@@ -232,7 +232,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
     """Fragmented second variation of (L, n, 1 + m) jets at the
     pointwise-optimal weights.
 
-    Requires every per-point diagonal value nabla2_ell(u_a, u_a) to be
+    Requires every per-point diagonal value `ev.q1_terms(u_a, u_a)` to be
     non-negative up to tau_psd times its scale; small negatives are
     clipped to zero, larger ones abort.
     """
@@ -242,7 +242,7 @@ def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
     if (diag < -tau_psd * scale).any():
         worst = float(diag.min())
         raise NegativeDiagonalError(
-            f"nabla2_ell diagonal reaches {worst:g}; base is not a "
+            f"q1 diagonal term reaches {worst:g}; base is not a "
             f"Q1-positive point")
     diag = np.maximum(diag, 0.0)
     total = jets.sum(axis=0)

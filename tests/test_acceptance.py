@@ -117,9 +117,7 @@ def test_criterion_05_fragmentation_algebra(csp5):
         cw = rng.dirichlet(np.ones(3), size=f.rho.count).T
         val = frag_second_variation_rescaled(f.ev, jets, cw)
         min_gap = min(min_gap, val - lb)
-    ev = f.ev
-    diag = np.array([[max(ev.nabla2_ell(i, u[i], u[i]), 0.0)
-                      for u in jets] for i in range(f.rho.count)])
+    diag = np.maximum(f.ev.q1_terms(jets, jets), 0.0).T
     c_opt = np.array([optimal_weights(row)[0] for row in diag]).T
     at_opt = frag_second_variation_rescaled(f.ev, jets, c_opt)
     eq_dev = abs(at_opt - lb) / max(abs(lb), 1e-300)

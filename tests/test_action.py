@@ -3,11 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
-                    FormEvaluator, GaussianKernel, action, action_difference,
-                    el_report, ell, ell_gradient, pair_tables, random_measure)
+from cvplab import (ChartManifold, CompactSupportKernel, DimensionMismatchError,
+                    DiscreteMeasure, FormEvaluator, GaussianKernel,
+                    InversePowerKernel, action, action_difference, el_report,
+                    ell, ell_gradient, pair_tables, random_measure)
 
 TORUS = ChartManifold(kind="torus", dim=1, periods=(5.0,))
+KERNELS = [GaussianKernel(sigma=1.1), InversePowerKernel(sigma=0.9, exponent=2.5),
+           CompactSupportKernel(radius=1.9, power=3)]
 
 
 def _row_sums(rho, kernel):
@@ -37,8 +40,8 @@ def test_single_point_frozen_values(single_gauss):
     assert action(f.rho, f.kernel) == 4.0
     assert _row_sums(f.rho, f.kernel)[0] == 2.0
     assert f.nu == 4.0
-    assert ell(f.rho, f.kernel, f.nu, f.rho.points[0]) == 0.0
-    assert ell_gradient(f.rho, f.kernel, f.rho.points[0])[0] == 0.0
+    assert ell(f.ev, f.rho.points[0]) == 0.0
+    assert ell_gradient(f.ev, f.rho.points[0])[0] == 0.0
 
 
 def test_action_double_counting_identity():
@@ -58,7 +61,7 @@ def test_el_report_fields(csp5):
     assert min(rep["ell_values"]) == 0.0
     # off the support, ell at a stack of samples is one call
     samples = csp5.rho.manifold.uniform_samples(64, np.random.default_rng(1))
-    values = ell(csp5.rho, csp5.kernel, csp5.ev.nu, samples)
+    values = ell(csp5.ev, samples)
     assert values.shape == (64,) and np.isfinite(values).all()
     # nu is the state's top-level value; the section says how it was calibrated
     assert "nu" not in rep and "nu_convention" in rep
@@ -70,8 +73,8 @@ def test_el_report_fields(csp5):
 def test_calibrated_nu_zeroes_minimum():
     rho = random_measure(TORUS, count=5, total_volume=5.0, seed=7)
     kernel = GaussianKernel(sigma=1.0)
-    nu = FormEvaluator(rho, kernel).nu
-    values = [ell(rho, kernel, nu, x) for x in rho.points]
+    ev = FormEvaluator(rho, kernel)
+    values = [ell(ev, x) for x in rho.points]
     assert min(values) == pytest.approx(0.0, abs=1e-14)
     assert all(v >= -1e-14 for v in values)
 
@@ -87,6 +90,29 @@ def test_el_report_reads_evaluator_bit_for_bit(csp5, csp8, gauss5):
         assert (rep["strong_residual"], rep["weak_residual"]) == (strong, weak)
         # the optimizer's last trace row is the same residual of the same tables
         assert f.final_residual == rep["weak_residual"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+@pytest.mark.parametrize("manifold", [
+    TORUS, ChartManifold(kind="torus", dim=2, periods=(4.0, 5.0))],
+    ids=["1d", "2d"])
+def test_ell_at_the_support_is_the_ell_jet_bit_for_bit(kernel, manifold):
+    """ell and ell_gradient at the support points read the evaluator's
+    nu and contract the tables as the ell jet does: the same bits."""
+    for seed in range(4):
+        ev = FormEvaluator(random_measure(manifold, count=9, total_volume=9.0,
+                                          seed=seed), kernel)
+        points = ev.rho.points
+        # tobytes compares sign bits too: ell is +0.0 at its minimum
+        assert ell(ev, points).tobytes() == ev.ell.tobytes()
+        assert ell_gradient(ev, points).tobytes() == ev.grad_ell.tobytes()
+        one = np.array([ell_gradient(ev, x) for x in points])
+        assert one.tobytes() == ev.grad_ell.tobytes()
+        # one point is a dot product, not a row of the matrix-vector
+        # product, so ell agrees to rounding
+        scale = np.abs(ev.tables.L) @ ev.rho.weights + ev.nu / 2.0
+        one = np.array([ell(ev, x) for x in points])
+        assert (np.abs(one - ev.ell) <= 1e-13 * scale).all()
 
 
 def test_action_difference_matches_direct_subtraction():

@@ -54,20 +54,20 @@ def test_kernel_evaluators_broadcast_bit_for_bit(manifold, seed):
 @given(**CASES)
 def test_ell_and_its_gradient_broadcast(kernel, manifold, seed):
     rho = random_measure(manifold, count=7, total_volume=7.0, seed=seed % 2**31)
-    nu = FormEvaluator(rho, kernel).nu
+    ev = FormEvaluator(rho, kernel)
     xs = manifold.uniform_samples(12, np.random.default_rng(seed)).reshape(
         3, 4, manifold.dim)
-    values = ell(rho, kernel, nu, xs)
-    gradients = ell_gradient(rho, kernel, xs)
+    values = ell(ev, xs)
+    gradients = ell_gradient(ev, xs)
     assert values.shape == (3, 4) and gradients.shape == (3, 4, manifold.dim)
     # a dot product per point against a matrix-vector product per stack
     L = PairTables(kernel, manifold.displacement(xs[..., None, :], rho.points)).L
-    scale = np.abs(L) @ rho.weights + nu / 2.0
+    scale = np.abs(L) @ rho.weights + ev.nu / 2.0
     for idx in np.ndindex(3, 4):
-        one = ell(rho, kernel, nu, xs[idx])
+        one = ell(ev, xs[idx])
         assert isinstance(one, float)
         assert abs(values[idx] - one) <= 1e-13 * scale[idx]
-        assert _bits(gradients[idx]) == _bits(ell_gradient(rho, kernel, xs[idx]))
+        assert _bits(gradients[idx]) == _bits(ell_gradient(ev, xs[idx]))
 
 
 @EXAMPLES
@@ -167,8 +167,8 @@ def test_evaluators_call_the_profile_a_fixed_number_of_times(monkeypatch, kernel
         counts.append(calls[0])
     assert counts[0] > 0 and counts == [counts[0]] * 3
     # ell at a stack of off-support samples is one profile evaluation
-    nu = FormEvaluator(csp5.rho, kernel).nu
+    ev = FormEvaluator(csp5.rho, kernel)
     samples = csp5.rho.manifold.uniform_samples(200, np.random.default_rng(1))
     calls[0] = 0
-    values = ell(csp5.rho, kernel, nu, samples)
+    values = ell(ev, samples)
     assert calls[0] == 1 and values.shape == (200,)

@@ -62,6 +62,16 @@ def test_parse_config_generator_and_seed_override():
     assert not np.array_equal(a.points, c.points)
 
 
+def _generator_box(box, dim=None) -> dict:
+    """Config sections with a generator of this box, on the base torus or,
+    with dim, on a euclidean chart."""
+    sections = {"initial_measure": {"generator": {
+        "count": 5, "seed": 0, "total_volume": 5.0, "box": box}}}
+    if dim is not None:
+        sections["manifold"] = {"kind": "euclidean", "dim": dim}
+    return sections
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("manifold"),
     lambda d: d.pop("lagrangian"),
@@ -86,7 +96,8 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d.update(tolerances={"tau_psd": "x"}),
     lambda d: d.update(tolerances={"tau_psd": True}),
     lambda d: d.update(tolerances={"tau_psd": float("nan")}),
-    lambda d: d.update(tolerances={"tol_weak_el": float("inf")}),
+    # weak_el is judged at optimizer.tolerance_weak_el: tolerances holds tau_psd only
+    lambda d: d.update(tolerances={"tol_weak_el": 1e-6}),
     lambda d: d.update(optimizer={"max_iterations": "10"}),
     lambda d: d.update(optimizer={"max_iterations": 10.5}),
     lambda d: d.update(optimizer={"tolerance_weak_el": True}),
@@ -115,6 +126,15 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d.update(manifold={"kind": "euclidean", "dim": 1},
                        initial_measure={"generator": {
                            "count": 5, "seed": 0, "total_volume": 5.0, "box": "x"}}),
+    # a torus samples its cell: a generator box there is an error
+    lambda d: d.update(_generator_box([[0.0], [1.0]])),
+    # a euclidean box is two finite corners [lo, hi] with lo < hi on every axis
+    lambda d: d.update(_generator_box([0, 1], dim=2)),
+    lambda d: d.update(_generator_box([[0, 0], [0, 0]], dim=2)),
+    lambda d: d.update(_generator_box([[0, 0], [1, 1], [2, 2]], dim=2)),
+    lambda d: d.update(_generator_box([[1.0], [0.0]], dim=1)),
+    lambda d: d.update(_generator_box([[0.0], [float("inf")]], dim=1)),
+    lambda d: d.update(_generator_box([[False], [True]], dim=1)),
     # the knobs nothing read are gone
     lambda d: d.update(optimizer={"seed": 0}),
     lambda d: d.update(tolerances={"fd_rel": 1e-5}),
@@ -135,7 +155,6 @@ def test_parse_config_generator_and_seed_override():
     lambda d: d["probe"].update(trials=HUGE),
     lambda d: d["probe"].update(seed=HUGE),
     lambda d: d.update(tolerances={"tau_psd": HUGE}),
-    lambda d: d.update(tolerances={"tol_weak_el": HUGE}),
     lambda d: d["lagrangian"]["params"].update(radius=HUGE),
     lambda d: d["lagrangian"]["params"].update(power=HUGE),
     lambda d: d.update(lagrangian={"family": "gaussian",
@@ -173,6 +192,19 @@ def test_parse_config_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(SchemaError):
         parse_config(data)
+
+
+def test_parse_config_box_corner_of_the_wrong_length():
+    """A box corner of the wrong length is rejected as a measure point of
+    the wrong dimension is; neither is broadcast."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data.update(_generator_box([[0.0], [1.0]], dim=2))
+    with pytest.raises(DimensionMismatchError, match="dimension 1 on a 2-dim"):
+        parse_config(data)
+    data.update(_generator_box([[0.0, -1.0], [1.0, 2.0]], dim=2))
+    points = parse_config(data).initial_measure().points
+    assert points.shape == (5, 2)
+    assert ((points >= [0.0, -1.0]) & (points < [1.0, 2.0])).all()
 
 
 def test_parse_config_accepts_radius_of_half_the_period():
@@ -344,9 +376,11 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
     (lambda d: d.update(initial_measure={"generator": {
         "count": 5, "seed": 0, "total_volume": 5.0, "cont": 5}}), "cont"),
     (lambda d: d.update(schema_version=True), "schema_version"),
-    (lambda d: d.update(schema_version=1.0), "schema_version")],
+    (lambda d: d.update(schema_version=1.0), "schema_version"),
+    (lambda d: d.update(tolerances={"tol_weak_el": 1e-6}), "tol_weak_el"),
+    (lambda d: d.update(_generator_box([[0.0], [5.0]])), "box")],
     ids=["optimiser", "tolerence", "perodic", "parms", "generator-and-points",
-         "cont", "version-true", "version-float"])
+         "cont", "version-true", "version-float", "tol_weak_el", "torus-box"])
 def test_cli_exit_one_naming_the_offending_key(tmp_path, capsys, mutate, key):
     """One stderr line that names the key, and no section silently dropped."""
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -408,7 +442,7 @@ def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
 
 @pytest.mark.parametrize("section, name", [
     ("probe", "tau_grid"), ("probe", "fragments"), ("probe", "trials"),
-    ("probe", "seed"), ("tolerances", "tau_psd"), ("tolerances", "tol_weak_el"),
+    ("probe", "seed"), ("tolerances", "tau_psd"),
     ("lagrangian", "radius"), ("manifold", "periods"),
     ("optimizer", "max_iterations"), ("optimizer", "tolerance_weak_el"),
     ("generator", "seed"), ("generator", "total_volume")])
@@ -626,6 +660,44 @@ def test_cli_main_entry_point(tmp_path):
     code = main(["report", "--config", cfg_path,
                  "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["verify-all", "--config", "<config>", "--out", "<out>", "--seed", "x"], "--seed"),
+    (["verify-all", "--config", "<config>", "--out", "<out>", "--seed", "1.5"], "--seed"),
+    (["verify-all", "--out", "<out>"], "--config"),
+    (["verfy-all", "--config", "<config>", "--out", "<out>"], "verfy-all")],
+    ids=["seed-x", "seed-float", "no-config", "misspelled-stage"])
+def test_cli_malformed_command_line_exits_one(tmp_path, capsys, argv, word):
+    """Exit 2 is a failing verdict: a malformed command line is exit 1,
+    with one error line and no usage block."""
+    paths = {"<config>": _write_config(tmp_path), "<out>": str(tmp_path / "out")}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "verify-all" in capsys.readouterr().out
+
+
+def test_weak_el_is_judged_at_the_optimizer_tolerance(tmp_path):
+    """A run whose budget ends above its optimizer tolerance fails both
+    verdicts, though its residual is far below the default 1e-6."""
+    data = {**BASE_CONFIG,
+            "optimizer": {"tolerance_weak_el": 1e-14, "max_iterations": 12}}
+    out = tmp_path / "out"
+    assert run("report", _write_config(tmp_path, data), str(out), quiet=True) == 2
+    state = load_state(out / "state.json")
+    assert state.verdicts == {"optimizer_converged": False, "weak_el": False}
+    assert 1e-14 < state.el_report["weak_residual"] <= 1e-6
 
 
 def test_osi_stage_fails_without_solution_jet(tmp_path):

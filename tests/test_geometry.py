@@ -128,3 +128,24 @@ def test_uniform_samples_inside_cell():
     e = ChartManifold(kind="euclidean", dim=1)
     with pytest.raises(SchemaError):
         e.uniform_samples(3, rng)
+
+
+def test_uniform_samples_box_is_two_corners():
+    rng = np.random.default_rng(4)
+    torus = ChartManifold(kind="torus", dim=1, periods=(5.0,))
+    with pytest.raises(SchemaError, match="box"):
+        torus.uniform_samples(3, rng, box=[[0.0], [1.0]])
+    e = ChartManifold(kind="euclidean", dim=2)
+    s = e.uniform_samples(50, rng, box=(np.array([0.0, -2.0]), np.array([1.0, 0.5])))
+    assert s.shape == (50, 2)
+    assert ((s >= [0.0, -2.0]) & (s < [1.0, 0.5])).all()
+    # a corner of the wrong length, as a point of the wrong dimension
+    for box in ([[0.0], [1.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]):
+        with pytest.raises(DimensionMismatchError):
+            e.uniform_samples(3, rng, box=box)
+    # not two corners, not finite, or empty on some axis
+    for box in ([0.0, 1.0], [[0.0, 0.0]], "x", [[0.0, 0.0], [1.0, np.nan]],
+                [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                [[True, 0.0], [2.0, 1.0]]):
+        with pytest.raises(SchemaError):
+            e.uniform_samples(3, rng, box=box)

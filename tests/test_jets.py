@@ -46,19 +46,19 @@ def test_translation_field():
 
 
 def test_jet_validation(csp5):
+    x = csp5.rho.points[0]
     with pytest.raises(SchemaError):
-        csp5.ev.nabla_ell(0, [np.nan, 0.0])
+        nabla1_nabla2_L(csp5.kernel, csp5.rho.manifold, x, x, [np.nan, 0.0],
+                        [0.5, 1.0])
     with pytest.raises(DimensionMismatchError):
         csp5.ev.q1(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def test_pointwise_jets_are_checked_rows(csp5):
-    ev, manifold = csp5.ev, csp5.rho.manifold
+    manifold = csp5.rho.manifold
     x = csp5.rho.points[0]
     good = np.array([0.5, 1.0])
-    takers = [lambda j: ev.nabla_ell(0, j), lambda j: ev.nabla2_ell(0, j, good),
-              lambda j: ev.nabla2_ell(0, good, j),
-              lambda j: nabla1_nabla2_L(csp5.kernel, manifold, x, x, j, good),
+    takers = [lambda j: nabla1_nabla2_L(csp5.kernel, manifold, x, x, j, good),
               lambda j: nabla1_nabla2_L(csp5.kernel, manifold, x, x, good, j)]
     for call in takers:
         assert isinstance(call(good), float)
@@ -160,25 +160,22 @@ def test_translation_annihilates_sp1(csp5):
     assert abs(val) <= 1e-10 * scale
 
 
-def test_pointwise_forms_and_index_errors(csp5):
+def test_pointwise_ell_jet_contractions(csp5):
     f = csp5
     jet = np.array([0.5, 1.0])
-    # weak EL: first-order jet derivative of ell vanishes on the support
     ev = f.ev
-    for i in range(f.rho.count):
-        assert abs(ev.nabla_ell(i, jet)) <= 2e-6
-    for i in (99, -1, f.rho.count):
-        with pytest.raises(IndexError):
-            ev.nabla_ell(i, jet)
-        with pytest.raises(IndexError):
-            ev.nabla2_ell(i, jet, jet)
-    # the batched q1 terms are the pointwise nabla2_ell diagonals
+    # weak EL: the first jet derivative of ell, a * ell_i + u . grad ell_i,
+    # vanishes on the support
+    assert np.abs(ev.ell_jet[:, 0] @ jet).max() <= 2e-6
+    # the batched q1 terms are the second jet derivatives of ell, written out
     u = _random_field(f.rho.count, 1, np.random.default_rng(5))
     terms = ev.q1_terms(u, u)
     assert terms.shape == (f.rho.count,)
     for i in range(f.rho.count):
-        assert terms[i] == pytest.approx(
-            ev.nabla2_ell(i, _jet(u, i), _jet(u, i)), rel=1e-12, abs=1e-14)
+        a, v = _jet(u, i)[0], _jet(u, i)[1:]
+        ell, grad, hess = ev.ell_jet[i, 0, 0], ev.ell_jet[i, 0, 1:], ev.ell_jet[i, 1:, 1:]
+        assert terms[i] == pytest.approx(a * a * ell + 2.0 * a * (v @ grad)
+                                         + v @ hess @ v, rel=1e-12, abs=1e-14)
 
 
 def test_nabla1_nabla2_consistent_with_double_sum(csp5):
