@@ -279,10 +279,10 @@ Path("generator.json").write_text(json.dumps(cfg))
 cfg = json.loads(Path("config.json").read_text())
 cfg["initial_measure"]["generator"]["box"] = [[0.0], [1.0]]
 Path("box.json").write_text(json.dumps(cfg))
-# weak_el is judged at optimizer.tolerance_weak_el: tolerances holds tau_psd only
+# the positivity bound is cvplab.jets.TAU_PSD: a tolerances section is unknown
 cfg = json.loads(Path("config.json").read_text())
-cfg["tolerances"] = {"tol_weak_el": 1e-6}
-Path("tol_weak_el.json").write_text(json.dumps(cfg))
+cfg["tolerances"] = {"tau_psd": 1e-8}
+Path("tolerances.json").write_text(json.dumps(cfg))
 PY
 code=0
 $CVPLAB verify-all --config unknown-param.json --out unknown-param 2> param.err || code=$?
@@ -317,9 +317,9 @@ test "$code" -eq 1
 head -n 1 probe.err | grep -q "^error: probe of "
 test "$(wc -l < probe.err)" -eq 1
 # a misspelled section, a schema_version of JSON true, a generator next to
-# explicit points, a box on a torus and the tolerance that is the
-# optimizer's: one message naming the key, no section dropped
-for key in optimiser schema_version generator box tol_weak_el; do
+# explicit points, a box on a torus and the removed tolerances section:
+# one message naming the key, no section dropped
+for key in optimiser schema_version generator box tolerances; do
   code=0
   $CVPLAB verify-all --config "$key.json" --out "$key" 2> "$key.err" || code=$?
   test "$code" -eq 1

@@ -20,7 +20,7 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
                      save_state)
 from .errors import CvpError, DimensionMismatchError, SchemaError, number
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
-                   gram_spectrum)
+                   gram_spectrum, nonnegative)
 from .linfield import (arc_regions, linfield_operator, linfield_residual,
                        osi_report, random_regions, solve_linfield)
 from .measure import DiscreteMeasure
@@ -100,11 +100,10 @@ def _stage_report(cfg, ev, state):
              f"({'pass' if ok else 'FAIL'})")
 
 
-def _stage_spectrum(cfg, ev, state):
-    tau = cfg.tolerances["tau_psd"]
+def _stage_spectrum(ev, state):
     for form_id, basis in ((FORM_Q1, BASIS_FULL), (FORM_SP1, BASIS_FULL),
                            (FORM_SP1, BASIS_SCALAR)):
-        rep = gram_spectrum(ev, form_id, basis, tau_psd=tau)
+        rep = gram_spectrum(ev, form_id, basis)
         state.gram_reports.append(rep.to_dict())
         key = f"{form_id.lower()}_{basis}_psd"
         state.verdicts[key] = rep.psd
@@ -149,7 +148,7 @@ def _stage_linfield(ev, state, out_dir):
 OSI_SOLUTION_TOLERANCE = 1e-6
 
 
-def _stage_osi(cfg, ev, jets, residuals, state):
+def _stage_osi(ev, jets, residuals, state):
     rho = ev.rho
     if rho.manifold.dim == 1 or rho.count < 2:
         regions = arc_regions(rho)    # a one-point measure has none
@@ -160,8 +159,7 @@ def _stage_osi(cfg, ev, jets, residuals, state):
     values = (osi_report(ev, jets, regions) if labels and len(jets)
               else np.empty((0, 0)))   # (k, R)
     worst = float(values.min()) if values.size else None
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    ok = worst is not None and worst >= -cfg.tolerances["tau_psd"] * scale
+    ok = worst is not None and nonnegative(worst, float(np.abs(values).max()))
     # the region labels once; each report holds its values in their order
     reports = [{"solution_index": k, "osi": row.tolist(), "min_value": float(row.min()),
                 "min_region": labels[int(np.argmin(row))],
@@ -192,13 +190,13 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         _stage_report(cfg, ev, state)
         # linfield and osi record the SP1 spectrum they cut the kernel from
         if stage in ("spectrum", "linfield", "osi", "verify-all"):
-            _stage_spectrum(cfg, ev, state)
+            _stage_spectrum(ev, state)
         if stage in ("fragment", "verify-all"):
             _stage_fragment(cfg, ev, state, out, seed)
         if stage in ("linfield", "osi", "verify-all"):
             jets, residuals = _stage_linfield(ev, state, out)
         if stage in ("osi", "verify-all"):
-            _stage_osi(cfg, ev, jets, residuals, state)
+            _stage_osi(ev, jets, residuals, state)
         save_state(state, out / "state.json")
         if not state.all_verdicts_pass():
             failing = sorted(k for k, v in state.verdicts.items() if not v)

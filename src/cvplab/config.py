@@ -20,7 +20,6 @@ from .optimizer import OptimizerConfig
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_TOLERANCES = {"tau_psd": 1e-8}
 _DEFAULT_PROBE = {"fragments": 3, "trials": 100,
                   "tau_grid": [-0.02, -0.01, 0.01, 0.02], "seed": 0}
 # The probe draws all trials' weights and jets up front, and each tau step
@@ -46,7 +45,6 @@ class ExperimentConfig:
     kernel: RadialKernel
     initial: dict                  # explicit {points, weights} or {generator}
     optimizer: OptimizerConfig
-    tolerances: dict
     probe: dict
     raw: dict = field(repr=False)  # exactly what was parsed, for hashing
 
@@ -70,8 +68,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
     known_fields(data, ("schema_version", "manifold", "lagrangian",
-                        "initial_measure", "optimizer", "tolerances", "probe"),
-                 "config")
+                        "initial_measure", "optimizer", "probe"), "config")
     version = number(data.get("schema_version", SCHEMA_VERSION),
                      "config schema_version", integer=True)
     if version != SCHEMA_VERSION:
@@ -80,7 +77,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key in ("manifold", "lagrangian", "initial_measure"):
         if key not in data:
             raise SchemaError(f"config is missing the {key!r} section")
-    for key in ("manifold", "lagrangian", "optimizer", "tolerances", "probe"):
+    for key in ("manifold", "lagrangian", "optimizer", "probe"):
         if key in data and not isinstance(data[key], dict):
             raise SchemaError(f"config section {key!r} must be a JSON object")
     manifold = ChartManifold.from_dict(data["manifold"])
@@ -108,10 +105,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         number(gen["seed"], "generator seed", integer=True, least=0)
         number(gen["total_volume"], "generator total_volume", above=0)
     optimizer = OptimizerConfig.from_dict(data.get("optimizer", {}))
-    tolerances = {**_DEFAULT_TOLERANCES, **data.get("tolerances", {})}
-    known_fields(tolerances, _DEFAULT_TOLERANCES, "tolerance")
-    for key, value in tolerances.items():
-        number(value, f"tolerances {key}", above=0)
     probe = {**_DEFAULT_PROBE, **data.get("probe", {})}
     known_fields(probe, _DEFAULT_PROBE, "probe")
     # a probe that would run no trial or fit nothing is rejected
@@ -134,8 +127,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise SchemaError(f"compact-support radius {kernel.radius} exceeds "
                           f"half the smallest torus period {min(manifold.periods)}")
     cfg = ExperimentConfig(manifold=manifold, kernel=kernel, initial=initial,
-                           optimizer=optimizer, tolerances=tolerances,
-                           probe=probe, raw=data)
+                           optimizer=optimizer, probe=probe, raw=data)
     cfg.initial_measure()   # malformed points, weights or box fail here, not mid-run
     return cfg
 

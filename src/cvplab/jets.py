@@ -38,6 +38,18 @@ _BASIS_SLOTS = {BASIS_FULL: slice(None), BASIS_SCALAR: slice(0, 1),
                 BASIS_VECTOR: slice(1, None)}
 # largest basis whose Gram `gram_spectrum` gives a dense (N, N) eigensolve
 MAX_DENSE_DIM = 4096
+# the positivity rule of the Gram, OSI and fragmented-variation checks: a
+# minimum passes down to -TAU_PSD times the largest |value| it is read from
+TAU_PSD = 1e-8
+
+
+def nonnegative(minimum: float, scale: float) -> bool:
+    return bool(minimum >= -TAU_PSD * scale)
+
+
+def positive(minimum: float, scale: float) -> bool:
+    """The strict mirror of `nonnegative`."""
+    return bool(minimum > TAU_PSD * scale)
 
 
 def translation(count: int, dim: int, axis: int = 0) -> np.ndarray:
@@ -433,8 +445,8 @@ def _basis_indices(n: int, m: int, basis: str) -> np.ndarray:
     return np.arange(n * (1 + m)).reshape(n, 1 + m)[:, _BASIS_SLOTS[basis]].ravel()
 
 
-def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
-                  tau_psd: float = 1e-8) -> GramReport:
+def gram_spectrum(ev: FormEvaluator, form_id: str,
+                  basis: str = BASIS_FULL) -> GramReport:
     """Gram matrix of a form over the canonical unit-jet basis plus spectrum.
 
     Every SP1 restriction reads the evaluator's one SP1 Gram, and the full
@@ -466,6 +478,5 @@ def gram_spectrum(ev: FormEvaluator, form_id: str, basis: str = BASIS_FULL,
     min_eig = float(eigenvalues[0])
     return GramReport(form_id=form_id, basis=basis, matrix=matrix,
                       eigenvalues=eigenvalues, min_eigenvalue=min_eig,
-                      scale=scale, tau_psd=tau_psd,
-                      psd=bool(min_eig >= -tau_psd * scale),
-                      strictly_positive=bool(min_eig > tau_psd * scale))
+                      scale=scale, tau_psd=TAU_PSD, psd=nonnegative(min_eig, scale),
+                      strictly_positive=positive(min_eig, scale))

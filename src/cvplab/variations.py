@@ -19,7 +19,7 @@ import numpy as np
 
 from .action import action
 from .errors import NegativeDiagonalError, SchemaError, WeightPositivityError
-from .jets import FormEvaluator, _as_jets
+from .jets import FormEvaluator, _as_jets, nonnegative
 from .kernels import RadialKernel, _squared_norms
 from .measure import DiscreteMeasure
 
@@ -227,20 +227,18 @@ def optimal_weights(values) -> tuple[np.ndarray, float]:
     return roots / total, float(total**2)
 
 
-def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray,
-                     tau_psd: float = 1e-8) -> float:
+def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray) -> float:
     """Fragmented second variation of (L, n, 1 + m) jets at the
     pointwise-optimal weights.
 
     Requires every per-point diagonal value `ev.q1_terms(u_a, u_a)` to be
-    non-negative up to tau_psd times its scale; small negatives are
-    clipped to zero, larger ones abort.
+    non-negative by the positivity rule of `jets.nonnegative`; small
+    negatives are clipped to zero, larger ones abort.
     """
     jets = _as_jets(ev.rho, jets, ndim=3)
     diag = ev.q1_terms(jets, jets)
-    scale = max(float(np.abs(diag).max()), 1e-300)
-    if (diag < -tau_psd * scale).any():
-        worst = float(diag.min())
+    worst = float(diag.min())
+    if not nonnegative(worst, float(np.abs(diag).max())):
         raise NegativeDiagonalError(
             f"q1 diagonal term reaches {worst:g}; base is not a "
             f"Q1-positive point")

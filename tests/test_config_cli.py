@@ -79,8 +79,8 @@ def _generator_box(box, dim=None) -> dict:
     lambda d: d.update(schema_version=99),
     lambda d: d.update(lagrangian={"family": "nope", "params": {}}),
     lambda d: d.update(initial_measure={"points": [[0.0]]}),
-    lambda d: d.update(tolerances={"tau_psd": -1.0}),
-    lambda d: d.update(tolerances={"mystery": 1.0}),
+    # the positivity bound is jets.TAU_PSD, not a setting: the section is unknown
+    lambda d: d.update(tolerances={"tau_psd": 1e-8}),
     lambda d: d.update(optimizer={"bogus_knob": 2}),
     lambda d: d["probe"].update(trials=0),
     lambda d: d["probe"].update(fragments=0),
@@ -93,11 +93,6 @@ def _generator_box(box, dim=None) -> dict:
     lambda d: d["probe"].update(jet_scale=float("inf")),
     # beyond half the period 5 the wrapped kernel has a kink
     lambda d: d["lagrangian"]["params"].update(radius=2.6),
-    lambda d: d.update(tolerances={"tau_psd": "x"}),
-    lambda d: d.update(tolerances={"tau_psd": True}),
-    lambda d: d.update(tolerances={"tau_psd": float("nan")}),
-    # weak_el is judged at optimizer.tolerance_weak_el: tolerances holds tau_psd only
-    lambda d: d.update(tolerances={"tol_weak_el": 1e-6}),
     lambda d: d.update(optimizer={"max_iterations": "10"}),
     lambda d: d.update(optimizer={"max_iterations": 10.5}),
     lambda d: d.update(optimizer={"tolerance_weak_el": True}),
@@ -113,7 +108,6 @@ def _generator_box(box, dim=None) -> dict:
         "count": 5, "seed": 0, "total_volume": 0.0}}),
     lambda d: d.update(initial_measure={"generator": {
         "count": 5, "seed": 0, "total_volume": float("inf")}}),
-    lambda d: d.update(tolerances=5),
     lambda d: d.update(probe=[1]),
     lambda d: d.update(optimizer=5),
     lambda d: d.update(lagrangian=5),
@@ -137,7 +131,6 @@ def _generator_box(box, dim=None) -> dict:
     lambda d: d.update(_generator_box([[False], [True]], dim=1)),
     # the knobs nothing read are gone
     lambda d: d.update(optimizer={"seed": 0}),
-    lambda d: d.update(tolerances={"fd_rel": 1e-5}),
     # the line-search and floor constants are not settings
     lambda d: d.update(optimizer={"step_size_initial": 0.1}),
     lambda d: d.update(optimizer={"armijo_factor": 0.5}),
@@ -154,7 +147,6 @@ def _generator_box(box, dim=None) -> dict:
     lambda d: d["probe"].update(fragments=HUGE),
     lambda d: d["probe"].update(trials=HUGE),
     lambda d: d["probe"].update(seed=HUGE),
-    lambda d: d.update(tolerances={"tau_psd": HUGE}),
     lambda d: d["lagrangian"]["params"].update(radius=HUGE),
     lambda d: d["lagrangian"]["params"].update(power=HUGE),
     lambda d: d.update(lagrangian={"family": "gaussian",
@@ -186,6 +178,14 @@ def _generator_box(box, dim=None) -> dict:
     # a schema_version is an integer: neither JSON true nor 1.0
     lambda d: d.update(schema_version=True),
     lambda d: d.update(schema_version=1.0),
+    # rejections of the generator, manifold, kernel and measure parsers
+    lambda d: d.update(initial_measure={"generator": {"count": 5, "seed": 0}}),
+    lambda d: d.update(manifold={"kind": "sphere", "dim": 1}),
+    lambda d: d.update(manifold={"kind": "euclidean", "dim": 1, "periods": [5.0]}),
+    lambda d: d["lagrangian"].update(params=5),
+    lambda d: d["initial_measure"].update(weights=[1.1, 0.95, 1.0, 0.9]),
+    lambda d: d["initial_measure"].update(weights=[1.1, -0.95, 1.0, 0.9, 1.05]),
+    lambda d: d["initial_measure"].update(weights=[1.1, float("nan"), 1.0, 0.9, 1.05]),
 ])
 def test_parse_config_rejects_malformed(mutate):
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -377,10 +377,10 @@ def test_cli_exit_one_on_bad_config(tmp_path, capsys):
         "count": 5, "seed": 0, "total_volume": 5.0, "cont": 5}}), "cont"),
     (lambda d: d.update(schema_version=True), "schema_version"),
     (lambda d: d.update(schema_version=1.0), "schema_version"),
-    (lambda d: d.update(tolerances={"tol_weak_el": 1e-6}), "tol_weak_el"),
+    (lambda d: d.update(tolerances={"tau_psd": 1e-8}), "tolerances"),
     (lambda d: d.update(_generator_box([[0.0], [5.0]])), "box")],
     ids=["optimiser", "tolerence", "perodic", "parms", "generator-and-points",
-         "cont", "version-true", "version-float", "tol_weak_el", "torus-box"])
+         "cont", "version-true", "version-float", "tolerances", "torus-box"])
 def test_cli_exit_one_naming_the_offending_key(tmp_path, capsys, mutate, key):
     """One stderr line that names the key, and no section silently dropped."""
     data = json.loads(json.dumps(BASE_CONFIG))
@@ -442,8 +442,7 @@ def test_cli_exit_one_on_bad_kernel_params(tmp_path, capsys, params):
 
 @pytest.mark.parametrize("section, name", [
     ("probe", "tau_grid"), ("probe", "fragments"), ("probe", "trials"),
-    ("probe", "seed"), ("tolerances", "tau_psd"),
-    ("lagrangian", "radius"), ("manifold", "periods"),
+    ("probe", "seed"), ("lagrangian", "radius"), ("manifold", "periods"),
     ("optimizer", "max_iterations"), ("optimizer", "tolerance_weak_el"),
     ("generator", "seed"), ("generator", "total_volume")])
 def test_cli_exit_one_on_a_number_beyond_float_range(tmp_path, capsys,
@@ -451,9 +450,8 @@ def test_cli_exit_one_on_a_number_beyond_float_range(tmp_path, capsys,
     """One stderr line that names the field, not a traceback."""
     data = json.loads(json.dumps(BASE_CONFIG))
     generator = {"count": 5, "seed": 0, "total_volume": 5.0}
-    data["initial_measure"], data["tolerances"] = {"generator": generator}, {}
-    holder = {"probe": data["probe"], "tolerances": data["tolerances"],
-              "lagrangian": data["lagrangian"]["params"],
+    data["initial_measure"] = {"generator": generator}
+    holder = {"probe": data["probe"], "lagrangian": data["lagrangian"]["params"],
               "manifold": data["manifold"], "optimizer": data["optimizer"],
               "generator": generator}[section]
     holder[name] = [HUGE] if name in ("tau_grid", "periods") else HUGE
@@ -704,7 +702,7 @@ def test_osi_stage_fails_without_solution_jet(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     state = RunState(config_hash=cfg.hash)
     ev = FormEvaluator(cfg.initial_measure(), cfg.kernel)
-    _stage_osi(cfg, ev, np.empty((0, ev.rho.count, 2)), [], state)
+    _stage_osi(ev, np.empty((0, ev.rho.count, 2)), [], state)
     assert state.verdicts["osi_nonnegative"] is False
     labels = arc_regions(ev.rho)[1]
     assert state.osi_summary == {"regions": labels, "reports": [],
@@ -724,7 +722,7 @@ def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
     jets = np.stack([translation(csp5.rho.count, 1),
                      rng.normal(size=(csp5.rho.count, 2))])
     residuals = linfield_residual(csp5.ev, jets).tolist()
-    _stage_osi(cfg, csp5.ev, jets, residuals, state)
+    _stage_osi(csp5.ev, jets, residuals, state)
     reports = state.osi_summary["reports"]
     assert residuals[0] <= OSI_SOLUTION_TOLERANCE < residuals[1]
     assert [r["solution_hypothesis"] for r in reports] == [True, False]
@@ -850,14 +848,14 @@ def _cached_arrays(value, name):
             yield from _cached_arrays(item, f"{name}[{k}]")
 
 
-def _lattice_config(side: int) -> dict:
+def _lattice_config(side: int, radius: float = 1.2) -> dict:
     """The exact side x side triangular lattice of the lattice-2d benchmark."""
     i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     return dict(BASE_CONFIG,
                 manifold={"kind": "torus", "dim": 2,
                           "periods": [float(side), side * np.sqrt(3.0) / 2.0]},
                 lagrangian={"family": "compact-support-power",
-                            "params": {"radius": 1.2, "power": 3}},
+                            "params": {"radius": radius, "power": 3}},
                 initial_measure={"points": np.stack(
                     [(i + 0.5 * j).ravel() % side,
                      (j * np.sqrt(3.0) / 2.0).ravel()], axis=1).tolist(),
@@ -908,6 +906,39 @@ def test_cli_verify_all_contracts_the_solution_stack_once(tmp_path, monkeypatch)
     assert state.linfield_summary["lattice"] == [5, 20]
     assert calls == [(2, side**2, 3)]
     assert len(state.osi_summary["reports"]) == 2
+
+
+# The exact 12 x 12 triangular lattice at this power-3 radius is a saddle:
+# SP1 has an eigenvalue pair at -1.758e-7, which is -5.0e-9 times its scale
+# 35.16, while rounding reaches about 2.4e-13 times the scale.
+SADDLE_12 = dict(_lattice_config(12, radius=1.3590682224989035),
+                 optimizer={"tolerance_weak_el": 1e-6},
+                 probe={"fragments": 3, "trials": 8,
+                        "tau_grid": [-0.02, -0.01, 0.01, 0.02], "seed": 0})
+
+
+def _failing_verdicts(tmp_path) -> tuple[int, list[str]]:
+    out = tmp_path / "out"
+    code = run("verify-all", _write_config(tmp_path, SADDLE_12), str(out), quiet=True)
+    state = load_state(out / "state.json")
+    assert state.linfield_summary["lattice"] == [6, 24]   # the symbol path
+    return code, sorted(k for k, v in state.verdicts.items() if not v)
+
+
+@pytest.mark.xfail(strict=True, reason="TAU_PSD = 1e-8 passes SP1's -5.0e-9 "
+                   "times its scale; a bound from the run's own rounding would not")
+def test_cli_verify_all_fails_the_saddle_lattice(tmp_path):
+    assert _failing_verdicts(tmp_path) == (2, ["sp1_full_psd"])
+
+
+def test_every_positivity_verdict_reads_the_one_bound(tmp_path, monkeypatch):
+    """At a bound of 1e-10 the saddle fails SP1 and no other verdict: the
+    Grams read jets.TAU_PSD when they run, and record the value they read."""
+    jets = importlib.import_module("cvplab.jets")
+    monkeypatch.setattr(jets, "TAU_PSD", 1e-10)
+    assert _failing_verdicts(tmp_path) == (2, ["sp1_full_psd"])
+    reports = load_state(tmp_path / "out" / "state.json").gram_reports
+    assert [r["tau_psd"] for r in reports] == [1e-10] * 3
 
 
 README_CONFIG = dict(BASE_CONFIG, initial_measure={
