@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 out = Path("results")
-for name in ("state.json", "trace.csv", "probe.csv", "linfield_operator.npy"):
+for name in ("state.json", "trace.csv", "probe.csv", "linfield_operator.npy",
+             "osi.npy"):
     assert (out / name).is_file(), f"missing output {name}"
 # state.json holds the ell jet and the spectra: no CSV copies them
 for name in ("el_report.csv", "spectrum.csv"):
@@ -75,18 +76,20 @@ assert drift <= 1e-12 * scale, (drift, scale)
 # each solution jet: n scalars and an n x m vector block
 for jet in summary["solutions"]:
     assert len(jet["scalar"]) == 4 and np.shape(jet["vector"]) == (4, 1), jet
-# the 12 proper arcs of 4 points, one value per arc in each report
+# the 12 proper arcs of 4 points: osi.npy holds one row per report,
+# one value per arc in each row
 osi = state["osi_summary"]
-assert len(osi["regions"]) == 12, osi["regions"]
-assert all(len(r["osi"]) == 12 for r in osi["reports"]), osi["reports"]
+assert osi["region_family"] == {"kind": "arcs", "count": 12}, osi["region_family"]
+table = np.load(out / "osi.npy")
+assert table.dtype == np.float64 and table.shape == (len(osi["reports"]), 12), table.shape
 # one report per solution jet, flagged a solution from that jet's
-# residual in the linfield summary, with the minimum of its own values
+# residual in the linfield summary, with the minimum of its own row
 assert len(osi["reports"]) == summary["dimension"], osi["reports"]
-for k, report in enumerate(osi["reports"]):
-    assert "residual" not in report, (k, report)
+for k, (report, row) in enumerate(zip(osi["reports"], table)):
+    assert "residual" not in report and "osi" not in report, (k, report)
     hypothesis = summary["residuals"][k] <= 1e-6
     assert report["solution_hypothesis"] is hypothesis, (k, report)
-    assert report["min_value"] == min(report["osi"]), (k, report)
+    assert report["min_value"] == row.min(), (k, report, row)
 cfg = json.loads(Path("config.json").read_text())
 # one row per trial and tau; the summary's minimum is the column's
 with (out / "probe.csv").open(newline="") as handle:
@@ -138,9 +141,9 @@ for key in ("gram_reports", "linfield_summary", "osi_summary"):
 for verdict in ("q1_full_psd", "sp1_full_psd", "sp1_scalar_only_psd",
                 "linfield_kernel_nonempty"):
     assert alone["verdicts"][verdict] is full["verdicts"][verdict] is True
-op = "linfield_operator.npy"
-assert (Path("osi-alone", op).read_bytes()
-        == Path("results", op).read_bytes()), "operators differ"
+for name in ("linfield_operator.npy", "osi.npy"):
+    assert (Path("osi-alone", name).read_bytes()
+            == Path("results", name).read_bytes()), f"{name} differs"
 PY
 # count and period 40: converges once its floor atom is pruned, and
 # returns 34 atoms once five coincident pairs are merged
@@ -149,11 +152,16 @@ python - <<'PY'
 import json
 from pathlib import Path
 
+import numpy as np
+
 state = json.loads(Path("n40/state.json").read_text())
 assert len(state["measure"]["weights"]) == 34, "expected 39 - 5 merged atoms"
 assert state["optimizer"]["pruned_points"] == [23], state["optimizer"]
-summary = state["osi_summary"]
-assert all(len(r["osi"]) == len(summary["regions"]) for r in summary["reports"])
+# one row per report, one value per arc of the 34 atoms
+family = state["osi_summary"]["region_family"]
+assert family == {"kind": "arcs", "count": 34 * 33}, family
+table = np.load("n40/osi.npy")
+assert table.shape == (len(state["osi_summary"]["reports"]), family["count"]), table.shape
 PY
 # an exact 6 x 6 triangular lattice on its sheared torus takes its
 # SP1 spectrum from the symbols of its translation group

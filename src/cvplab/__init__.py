@@ -20,7 +20,7 @@ from .jets import (FormEvaluator, GramReport, gram_spectrum, nabla1_nabla2_L,
 from .kernels import (CompactSupportKernel, GaussianKernel, InversePowerKernel,
                       PairTables, RadialKernel, kernel_from_dict, pair_tables,
                       verify_lagrangian)
-from .linfield import (arc_regions, linfield_residual, osi_report,
+from .linfield import (arc_osi, arc_regions, linfield_residual, osi_report,
                        random_regions, solve_linfield, surface_layer_integral)
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume

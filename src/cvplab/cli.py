@@ -21,7 +21,7 @@ from .config import (ExperimentConfig, RunState, load_config, load_state,
 from .errors import CvpError, DimensionMismatchError, SchemaError, number
 from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
                    gram_spectrum, nonnegative)
-from .linfield import (arc_regions, linfield_operator, linfield_residual,
+from .linfield import (arc_label, arc_osi, linfield_operator, linfield_residual,
                        osi_report, random_regions, solve_linfield)
 from .measure import DiscreteMeasure
 from .optimizer import minimize
@@ -148,25 +148,42 @@ def _stage_linfield(ev, state, out_dir):
 OSI_SOLUTION_TOLERANCE = 1e-6
 
 
-def _stage_osi(ev, jets, residuals, state):
-    rho = ev.rho
-    if rho.manifold.dim == 1 or rho.count < 2:
-        regions = arc_regions(rho)    # a one-point measure has none
+# the region family of a measure that is not one-dimensional
+RANDOM_REGIONS = {"count": 32, "seed": 0}
+
+
+def _stage_osi(ev, jets, residuals, state, out_dir):
+    """Surface-layer integrals of the kernel jets over every proper arc of a
+    one-dimensional (or one-point) measure, or over seeded random regions:
+    the (k, R) table goes to osi.npy, each row's least value to its report."""
+    rho, n = ev.rho, ev.rho.count
+    regions = None   # on arcs: arc_osi's table, arc_label's labels
+    if rho.manifold.dim == 1 or n < 2:   # a one-point measure has no arc
+        family = {"kind": "arcs", "count": n * (n - 1)}
     else:
-        regions = random_regions(rho, count=32, seed=0)
-    labels = regions[1]
+        family = {"kind": "random", **RANDOM_REGIONS}
+        regions = random_regions(rho, **RANDOM_REGIONS)
+
+    def label(index: int) -> str:
+        return arc_label(n, index) if regions is None else regions[1][index]
+
     # with no region or no solution jet nothing is checked, so the verdict fails
-    values = (osi_report(ev, jets, regions) if labels and len(jets)
-              else np.empty((0, 0)))   # (k, R)
+    if not (family["count"] and len(jets)):
+        values = np.empty((0, 0))
+    elif regions is None:
+        values = arc_osi(ev, jets)
+    else:
+        values = osi_report(ev, jets, regions)
+    np.save(out_dir / "osi.npy", values)   # row k is jet k, in the family's order
     worst = float(values.min()) if values.size else None
     ok = worst is not None and nonnegative(worst, float(np.abs(values).max()))
-    # the region labels once; each report holds its values in their order
-    reports = [{"solution_index": k, "osi": row.tolist(), "min_value": float(row.min()),
-                "min_region": labels[int(np.argmin(row))],
+    reports = [{"solution_index": k, "min_value": float(row.min()),
+                "min_region": label(int(np.argmin(row))),
                 "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
                 "all_positive": float(row.min()) > 0.0}
                for k, (row, residual) in enumerate(zip(values, residuals))]
-    state.osi_summary = {"regions": labels, "min_value": worst, "reports": reports}
+    state.osi_summary = {"region_family": family, "min_value": worst,
+                         "reports": reports}
     state.verdicts["osi_nonnegative"] = bool(ok)
     log.info(f"osi: {len(jets)} solution jet(s), minimum value "
              f"{'none' if worst is None else f'{worst:.3e}'} "
@@ -196,7 +213,7 @@ def run(stage: str, config_path: str, out_dir: str, seed: int | None = None,
         if stage in ("linfield", "osi", "verify-all"):
             jets, residuals = _stage_linfield(ev, state, out)
         if stage in ("osi", "verify-all"):
-            _stage_osi(ev, jets, residuals, state)
+            _stage_osi(ev, jets, residuals, state, out)
         save_state(state, out / "state.json")
         if not state.all_verdicts_pass():
             failing = sorted(k for k, v in state.verdicts.items() if not v)

@@ -18,6 +18,8 @@ Jet fields are (n, 1 + m) arrays as in `cvplab.jets`, and the solutions
 one (k, n, 1 + m) array.  A region family is a pair: an (R, n) boolean
 array whose row r marks the points inside region r, and its R labels.
 `osi_report` evaluates a whole stack over a family as one (k, R) array.
+On the family of `arc_regions`, `arc_osi` returns the same table from
+prefix sums over the sorted ring, with no mask: O(n^2), not O(n^4).
 """
 
 from __future__ import annotations
@@ -69,22 +71,28 @@ def solve_linfield(ev: FormEvaluator) -> tuple[np.ndarray, float]:
     return jets, cut
 
 
+def _pair_matrix(rho: DiscreteMeasure, block: np.ndarray, u) -> np.ndarray:
+    """P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j), as (k, n, n), of a
+    (k, n, 1 + m) stack: the jet-pair block contracted with the jet at
+    both ends."""
+    u = _as_jets(rho, u, ndim=3)
+    return np.einsum("kia,iajb,kjb->kij", u, block.reshape(u.shape[1:] * 2), u)
+
+
 def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
                 u) -> np.ndarray:
     """Surface-layer integrals (k, R) of a (k, n, 1 + m) stack over R regions.
 
-    The boundary-pair matrix P_ij = w_i w_j D1_{u_i} D2_{u_j} L(x_i, x_j)
-    is the jet-pair block contracted with the jet at both ends; each
-    region is the masked sum of P over inside rows and outside columns.
-    That sum skips P_ii, so the SP1 Gram serves as the block.
+    Each region is the masked sum of the pair matrix P over inside rows
+    and outside columns.  That sum skips P_ii, so the SP1 Gram serves as
+    the block.
     """
-    u = _as_jets(rho, u, ndim=3)
     inside = np.asarray(inside, dtype=bool)
     if inside.ndim != 2 or inside.shape[1] != rho.count:
         raise DimensionMismatchError(f"region masks of shape {inside.shape} on a "
                                      f"measure with {rho.count} points")
-    pair = np.einsum("kia,iajb,kjb->kij", u, block.reshape(u.shape[1:] * 2), u)
-    values = np.empty((len(u), len(inside)))
+    pair = _pair_matrix(rho, block, u)
+    values = np.empty((len(pair), len(inside)))
     for p, out in zip(pair, values):   # two (R, n) arrays at a time, not k + 1
         mask = inside.astype(float)   # summed over rows, then turned into 1 - mask
         np.einsum("rj,rj->r", mask @ p, np.subtract(1.0, mask, out=mask), out=out)
@@ -101,6 +109,13 @@ def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
     return float(_region_osi(rho, block, np.asarray(inside)[None], u)[0, 0])
 
 
+def arc_label(n: int, index: int) -> str:
+    """Label of arc `index` of the n(n - 1) arcs on n points, which run
+    start-major, then by length."""
+    start, length = divmod(index, n - 1)
+    return f"arc(start={start}, length={length + 1})"
+
+
 def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
     """All proper contiguous arcs in the sorted order along the first axis.
 
@@ -113,8 +128,35 @@ def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
     rank = np.argsort(np.argsort(rho.points[:, 0]))
     offset = (rank - np.arange(n)[:, None]) % n   # (start, point): rank - start
     inside = (offset[:, None] < np.arange(1, n)[:, None]).reshape(-1, n)
-    return inside, [f"arc(start={s}, length={k})"
-                    for s in range(n) for k in range(1, n)]
+    return inside, [arc_label(n, r) for r in range(len(inside))]
+
+
+def arc_osi(ev: FormEvaluator, u) -> np.ndarray:
+    """Surface-layer integrals (k, n(n - 1)) of a (k, n, 1 + m) stack over
+    the arcs of `arc_regions`, in its order, without masks.
+
+    With P the pair matrix, its diagonal zeroed and its points in ring
+    order, an arc A gives osi(A) = -(sum_{a in A} r_a - sum_{a, b in A} P_ab),
+    r the row sums of P.  Both sums are read from cumulative sums over the
+    ring laid out twice, so that every arc is one contiguous run.  A
+    one-point measure has no arc: the table is (k, 0).
+    """
+    n = ev.rho.count
+    order = np.argsort(ev.rho.points[:, 0])
+    pair = _pair_matrix(ev.rho, ev.sp1_gram, u)
+    pair[:, np.arange(n), np.arange(n)] = 0.0
+    pair = pair[:, order[:, None], order]
+    # sums over [0, a) x [0, b) of the doubled ring, and over [0, a) of its row sums
+    sums = np.zeros((len(pair), 2 * n + 1, 2 * n + 1))
+    sums[:, 1:, 1:] = np.tile(pair, (1, 2, 2))
+    sums = sums.cumsum(axis=1).cumsum(axis=2)
+    rows = np.zeros((len(pair), 2 * n + 1))
+    rows[:, 1:] = np.tile(pair.sum(axis=2), 2).cumsum(axis=1)
+    start = np.repeat(np.arange(n), n - 1)
+    end = start + np.tile(np.arange(1, n), n)   # one past the arc's last point
+    within = (sums[:, end, end] - sums[:, start, end] - sums[:, end, start]
+              + sums[:, start, start])
+    return within - (rows[:, end] - rows[:, start])
 
 
 def random_regions(rho: DiscreteMeasure, count: int,

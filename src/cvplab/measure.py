@@ -25,16 +25,18 @@ class DiscreteMeasure:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(floats(self.points, "measure points"))
+        pts = floats(self.points, "measure points")
         w = floats(self.weights, "measure weights").ravel()
+        # before the dimension, which an empty list, of shape (0,), does not have
+        if pts.size == 0 and w.size == 0:
+            raise SchemaError("a measure needs at least one point")
+        pts = np.atleast_2d(pts)
         if pts.shape[1] != self.manifold.dim:
             raise DimensionMismatchError(
                 f"points of dimension {pts.shape[1]} on a "
                 f"{self.manifold.dim}-dimensional manifold")
         if pts.shape[0] != w.shape[0]:
             raise SchemaError("points and weights must have equal length")
-        if pts.shape[0] < 1:
-            raise SchemaError("a measure needs at least one point")
         if not (np.isfinite(pts).all() and np.isfinite(w).all()):
             raise SchemaError("points and weights must be finite")
         if (w <= 0).any():

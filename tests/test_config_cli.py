@@ -194,6 +194,14 @@ def test_parse_config_rejects_malformed(mutate):
         parse_config(data)
 
 
+def test_parse_config_rejects_an_empty_measure():
+    """No points at all is an empty measure, not points of dimension 0."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["initial_measure"] = {"points": [], "weights": []}
+    with pytest.raises(SchemaError, match="^a measure needs at least one point$"):
+        parse_config(data)
+
+
 def test_parse_config_box_corner_of_the_wrong_length():
     """A box corner of the wrong length is rejected as a measure point of
     the wrong dimension is; neither is broadcast."""
@@ -335,7 +343,9 @@ def test_cli_one_point_measure_checks_no_region(tmp_path, stage, point):
     assert run(stage, _write_config(tmp_path, data), str(out), quiet=True) == 2
     state = load_state(out / "state.json")
     assert state.verdicts["osi_nonnegative"] is False
-    assert state.osi_summary == {"regions": [], "reports": [], "min_value": None}
+    assert state.osi_summary == {"region_family": {"kind": "arcs", "count": 0},
+                                 "reports": [], "min_value": None}
+    assert np.load(out / "osi.npy").shape == (0, 0)
 
 
 def test_cli_exit_one_on_bad_config(tmp_path, capsys):
@@ -390,6 +400,14 @@ def test_cli_exit_one_naming_the_offending_key(tmp_path, capsys, mutate, key):
                quiet=True) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+def test_cli_exit_one_on_an_empty_measure(tmp_path, capsys):
+    data = dict(BASE_CONFIG, initial_measure={"points": [], "weights": []})
+    capsys.readouterr()
+    assert run("verify-all", _write_config(tmp_path, data), str(tmp_path / "out"),
+               quiet=True) == 1
+    assert capsys.readouterr().err == "error: a measure needs at least one point\n"
 
 
 def test_cli_exit_one_on_a_non_finite_action(tmp_path, capsys):
@@ -698,20 +716,33 @@ def test_weak_el_is_judged_at_the_optimizer_tolerance(tmp_path):
     assert 1e-14 < state.el_report["weak_residual"] <= 1e-6
 
 
+def _assert_reports_read_the_table(out_dir, rho, summary):
+    """osi.npy holds one row per report and one column per arc of rho; each
+    report's minimum is its row's, at the label of the row's argmin."""
+    values = np.load(out_dir / "osi.npy")
+    labels = arc_regions(rho)[1]
+    assert summary["region_family"] == {"kind": "arcs", "count": len(labels)}
+    assert values.shape == (len(summary["reports"]), len(labels))
+    for report, row in zip(summary["reports"], values):
+        assert "osi" not in report
+        assert report["min_value"] == row.min()
+        assert report["min_region"] == labels[int(np.argmin(row))]
+
+
 def test_osi_stage_fails_without_solution_jet(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     state = RunState(config_hash=cfg.hash)
     ev = FormEvaluator(cfg.initial_measure(), cfg.kernel)
-    _stage_osi(ev, np.empty((0, ev.rho.count, 2)), [], state)
+    _stage_osi(ev, np.empty((0, ev.rho.count, 2)), [], state, tmp_path)
     assert state.verdicts["osi_nonnegative"] is False
-    labels = arc_regions(ev.rho)[1]
-    assert state.osi_summary == {"regions": labels, "reports": [],
-                                 "min_value": None}
+    assert state.osi_summary == {"region_family": {"kind": "arcs", "count": 20},
+                                 "reports": [], "min_value": None}
+    assert np.load(tmp_path / "osi.npy").shape == (0, 0)   # nothing checked
     save_state(state, tmp_path / "state.json")
     assert load_state(tmp_path / "state.json").osi_summary["min_value"] is None
 
 
-def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
+def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5, tmp_path):
     """A report calls its jet a solution when the residual the linfield
     solve measured is within OSI_SOLUTION_TOLERANCE, and all positive when
     its least surface-layer integral is: the translation is both, a random
@@ -722,13 +753,12 @@ def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5):
     jets = np.stack([translation(csp5.rho.count, 1),
                      rng.normal(size=(csp5.rho.count, 2))])
     residuals = linfield_residual(csp5.ev, jets).tolist()
-    _stage_osi(csp5.ev, jets, residuals, state)
+    _stage_osi(csp5.ev, jets, residuals, state, tmp_path)
     reports = state.osi_summary["reports"]
     assert residuals[0] <= OSI_SOLUTION_TOLERANCE < residuals[1]
     assert [r["solution_hypothesis"] for r in reports] == [True, False]
     assert [r["all_positive"] for r in reports] == [True, False]
-    for r in reports:
-        assert r["min_value"] == min(r["osi"])
+    _assert_reports_read_the_table(tmp_path, csp5.rho, state.osi_summary)
     assert state.verdicts["osi_nonnegative"] is False
 
 
@@ -761,10 +791,11 @@ def test_cli_osi_stage_matches_verify_all(tmp_path, stage):
     assert alone.verdicts == {k: full.verdicts[k] for k in alone.verdicts}
     for key in verdicts:
         assert alone.verdicts[key] is True
-    if "linfield_summary" in sections:
-        operator = "linfield_operator.npy"
-        assert ((tmp_path / stage / operator).read_bytes()
-                == (tmp_path / "all" / operator).read_bytes())
+    for section, name in (("linfield_summary", "linfield_operator.npy"),
+                          ("osi_summary", "osi.npy")):
+        if section in sections:
+            assert ((tmp_path / stage / name).read_bytes()
+                    == (tmp_path / "all" / name).read_bytes()), name
 
 
 def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
@@ -792,13 +823,9 @@ def test_cli_verify_all_builds_one_evaluator(tmp_path, monkeypatch):
     assert sum(np.array_equal(p, final) for p in table_points) == 2
     residuals = state.linfield_summary["residuals"]
     assert len(residuals) == len(state.osi_summary["reports"]) >= 1
-    # the region labels once, one value per region in each report
-    labels = arc_regions(DiscreteMeasure.from_dict(state.measure))[1]
-    assert state.osi_summary["regions"] == labels
-    for report in state.osi_summary["reports"]:
-        assert len(report["osi"]) == len(labels)
-        assert report["min_value"] == min(report["osi"])
-        assert report["min_region"] == labels[report["osi"].index(min(report["osi"]))]
+    # one row of osi.npy per report, one value per arc in each row
+    _assert_reports_read_the_table(out, DiscreteMeasure.from_dict(state.measure),
+                                   state.osi_summary)
 
 
 def test_cli_verify_all_makes_one_eigenvector_solve(tmp_path, monkeypatch):
@@ -982,9 +1009,9 @@ STAGE_RECORDS = {
     "spectrum": ([], ["gram_reports"]),
     "fragment": (["probe.csv"], ["probe_summary"]),
     "linfield": (["linfield_operator.npy"], ["gram_reports", "linfield_summary"]),
-    "osi": (["linfield_operator.npy"],
+    "osi": (["linfield_operator.npy", "osi.npy"],
             ["gram_reports", "linfield_summary", "osi_summary"]),
-    "verify-all": (["linfield_operator.npy", "probe.csv"],
+    "verify-all": (["linfield_operator.npy", "osi.npy", "probe.csv"],
                    ["gram_reports", "linfield_summary", "osi_summary",
                     "probe_summary"]),
 }
@@ -1006,3 +1033,4 @@ def test_cli_stage_records_each_value_once(tmp_path, stage):
         assert "eigenvalues" not in raw["linfield_summary"]
     for report in raw.get("osi_summary", {}).get("reports", []):
         assert "residual" not in report   # linfield_summary.residuals
+        assert "osi" not in report   # its row of osi.npy

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvplab import (ChartManifold, DimensionMismatchError, DiscreteMeasure,
-                    FormEvaluator, GaussianKernel, PairTables, arc_regions,
-                    gram_spectrum, linfield_residual, osi_report,
-                    random_measure, random_regions, solve_linfield,
+from cvplab import (ChartManifold, CompactSupportKernel, DimensionMismatchError,
+                    DiscreteMeasure, FormEvaluator, GaussianKernel, PairTables,
+                    arc_osi, arc_regions, gram_spectrum, linfield_residual,
+                    osi_report, random_measure, random_regions, solve_linfield,
                     surface_layer_integral, translation)
 from cvplab.errors import SchemaError
 from cvplab.linfield import KERNEL_THRESHOLD_REL
@@ -180,13 +180,25 @@ def test_operator_and_sp1_restrictions_read_the_one_sp1_gram(name, request):
     assert scalar.tobytes() == ev.sp1_gram[np.ix_(idx, idx)].tobytes()
 
 
-def _even_gauss_ring() -> FormEvaluator:
-    """n=8 on a period-8 torus: the antipodal pair's wrapped displacement
-    takes its sign from rounding, and the Gaussian has a slope there."""
-    manifold = ChartManifold(kind="torus", dim=1, periods=(8.0,))
-    rho = DiscreteMeasure(manifold=manifold, points=(np.arange(8.0) + 0.37)[:, None],
-                          weights=np.ones(8))
+def _gauss_ring(n: int) -> FormEvaluator:
+    """n points a unit apart on a period-n torus.  At even n the antipodal
+    pair's wrapped displacement takes its sign from rounding, and the
+    Gaussian has a slope there."""
+    manifold = ChartManifold(kind="torus", dim=1, periods=(float(n),))
+    rho = DiscreteMeasure(manifold=manifold, points=(np.arange(n) + 0.37)[:, None],
+                          weights=np.ones(n))
     return FormEvaluator(rho, GaussianKernel(sigma=1.5))
+
+
+def _moved_ring() -> FormEvaluator:
+    """The exact n=40 unit ring of the README kernel, translated and with
+    its points shuffled, so that the point order is not the ring order."""
+    n, rng = 40, np.random.default_rng(40)
+    manifold = ChartManifold(kind="torus", dim=1, periods=(float(n),))
+    points = np.mod(np.arange(n) + rng.uniform(0.0, n), n)[rng.permutation(n)]
+    rho = DiscreteMeasure(manifold=manifold, points=points[:, None],
+                          weights=np.ones(n))
+    return FormEvaluator(rho, CompactSupportKernel(radius=np.sqrt(2.0), power=3))
 
 
 def _euclidean() -> FormEvaluator:
@@ -197,13 +209,23 @@ def _euclidean() -> FormEvaluator:
     return FormEvaluator(rho, GaussianKernel(sigma=1.0))
 
 
+# measures built for a test, beside the conftest fixtures
+BUILT = {"even-gauss-ring": lambda: _gauss_ring(8),
+         "odd-gauss-ring": lambda: _gauss_ring(7),
+         "two-point-ring": lambda: _gauss_ring(2), "moved-ring": _moved_ring,
+         "euclidean": _euclidean}
+
+
+def _evaluator(name: str, request) -> FormEvaluator:
+    return BUILT[name]() if name in BUILT else request.getfixturevalue(name).ev
+
+
 @pytest.mark.parametrize("name", ["csp5", "gauss5", "lattice2d", "even-gauss-ring",
                                   "euclidean"])
 def test_the_gram_and_the_action_hessian_are_symmetric_bit_for_bit(name, request):
     """Neither is symmetrized: L is symmetric, the wrapped displacements are
     antisymmetric (rint rounds ties to even) and H11 is symmetric."""
-    built = {"even-gauss-ring": _even_gauss_ring, "euclidean": _euclidean}
-    ev = built[name]() if name in built else request.getfixturevalue(name).ev
+    ev = _evaluator(name, request)
     for matrix in (ev.sp1_gram, action_hessian(ev.tables, ev.rho.weights)):
         assert matrix.tobytes() == matrix.T.tobytes()
 
@@ -283,7 +305,7 @@ def test_additivity_splitting(csp5):
     assert abs(full - (inside + outside + 2.0 * cross)) <= 1e-12 * scale
 
 
-def test_arc_regions_enumeration(csp5):
+def test_arc_regions_enumeration(csp5, single_gauss):
     masks, labels = arc_regions(csp5.rho)
     n = csp5.rho.count
     assert len(labels) == n * (n - 1) == len(masks)
@@ -301,6 +323,10 @@ def test_arc_regions_enumeration(csp5):
             assert np.array_equal(inside, expected)
             assert label == f"arc(start={start}, length={length})"
     assert next(arcs, None) is None
+    # a one-point measure has no arc, and a stack no value on one
+    masks, labels = arc_regions(single_gauss.rho)
+    assert masks.shape == (0, 1) and labels == []
+    assert arc_osi(single_gauss.ev, np.ones((3, 1, 2))).shape == (3, 0)
 
 
 def test_osi_report_translation_positive(csp5):
@@ -333,9 +359,11 @@ def _pointwise_osi(rho, kernel, inside, jf):
         for j in np.flatnonzero(~inside))
 
 
-def _assert_osi_matches_oracle(ev, jf, regions):
+def _assert_osi_matches_oracle(ev, jf, regions, values=None):
+    """osi_report's values, or the given ones, against the pointwise sums."""
     rho, kernel = ev.rho, ev.kernel
-    (values,) = osi_report(ev, jf[None], regions)
+    if values is None:
+        (values,) = osi_report(ev, jf[None], regions)
     masks, labels = regions
     assert len(values) == len(labels)
     for val, inside in zip(values, masks):
@@ -348,6 +376,8 @@ def test_osi_report_matches_pointwise_oracle_on_arcs(csp5):
     n = csp5.rho.count
     for jf in (translation(n, 1), _random_field(n, 1, rng)):
         _assert_osi_matches_oracle(csp5.ev, jf, arc_regions(csp5.rho))
+        (values,) = arc_osi(csp5.ev, jf[None])
+        _assert_osi_matches_oracle(csp5.ev, jf, arc_regions(csp5.rho), values)
 
 
 def test_osi_report_matches_pointwise_oracle_in_2d():
@@ -390,14 +420,16 @@ def test_osi_is_the_sp1_defect_of_the_restricted_jet(name, request):
         assert np.abs(values - identity).max() <= 1e-12 * np.abs(values).max()
 
 
-@pytest.mark.parametrize("name", ["csp5", "lattice2d"])
+@pytest.mark.parametrize("name", ["csp5", "lattice2d", "moved-ring",
+                                  "odd-gauss-ring", "two-point-ring"])
 def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
     """One row per jet of a (k, n, 1+m) stack, bit for bit the row of that
-    jet alone."""
-    f = request.getfixturevalue(name)
-    ev, n, m = f.ev, f.rho.count, f.rho.manifold.dim
-    regions = (arc_regions(f.rho) if m == 1
-               else random_regions(f.rho, count=32, seed=0))
+    jet alone.  On a one-dimensional measure arc_osi gives the table over
+    the arcs from prefix sums, to rounding."""
+    ev = _evaluator(name, request)
+    n, m = ev.rho.count, ev.rho.manifold.dim
+    regions = (arc_regions(ev.rho) if m == 1
+               else random_regions(ev.rho, count=32, seed=0))
     rng = np.random.default_rng(12)
     stack = np.stack([*solve_linfield(ev)[0], translation(n, m),
                       _random_field(n, m, rng), _random_field(n, m, rng)])
@@ -408,6 +440,15 @@ def test_osi_report_on_a_stack_is_its_single_jet_reports(name, request):
         assert row.tobytes() == alone.tobytes()
     with pytest.raises(DimensionMismatchError):
         osi_report(ev, stack[0], regions)   # one jet is a stack of one
+    if m == 1:
+        # the translation and a random jet, then the whole stack
+        for u in (stack[-3:-1], stack):
+            arcs = arc_osi(ev, u)
+            expected = osi_report(ev, u, regions)
+            assert arcs.shape == expected.shape
+            assert np.abs(arcs - expected).max() <= 1e-12 * np.abs(expected).max()
+        with pytest.raises(DimensionMismatchError):
+            arc_osi(ev, stack[0])
 
 
 def test_max_dim_caps_only_dense_eigensolves(csp5, lattice2d, monkeypatch):
