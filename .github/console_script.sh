@@ -90,6 +90,9 @@ for k, (report, row) in enumerate(zip(osi["reports"], table)):
     hypothesis = summary["residuals"][k] <= 1e-6
     assert report["solution_hypothesis"] is hypothesis, (k, report)
     assert report["min_value"] == row.min(), (k, report, row)
+    # the OSI of a solution is conserved: every arc ties with the minimum
+    # up to rounding, and min_region names the first of them
+    assert report["min_region"] == "arc(start=0, length=1)", (k, report)
 cfg = json.loads(Path("config.json").read_text())
 # one row per trial and tau; the summary's minimum is the column's
 with (out / "probe.csv").open(newline="") as handle:

@@ -25,8 +25,7 @@ from .linfield import (arc_osi, arc_regions, linfield_residual, osi_report,
 from .measure import DiscreteMeasure, random_measure
 from .optimizer import OptimizerConfig, OptimizerTrace, minimize, project_volume
 from .variations import (deformed_actions, frag_lower_bound,
-                         frag_second_variation, frag_second_variation_rescaled,
-                         fragment_deform, optimal_weights, sample_scheme,
+                         frag_second_variation, fragment_deform, sample_scheme,
                          second_variation_fd, stability_probe, volume_preserved)
 
 __version__ = "0.1.0"

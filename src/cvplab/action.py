@@ -19,7 +19,9 @@ def action(rho: DiscreteMeasure, kernel: RadialKernel) -> float:
 
 def ell(ev: FormEvaluator, x):
     """ell(x) = sum_j w_j L(x, x_j) - nu/2, nu = `ev.nu`, at one chart point
-    x, a float, or at each point of an (..., m) array of them."""
+    x, a float, or at each point of an (..., m) array of them.  Evaluate
+    many points as one stack: at the support points the stack is `ev.ell`
+    bit for bit, while one point at a time can be an ulp or two off."""
     x = np.asarray(x, dtype=float)[..., None, :]
     d = ev.rho.manifold.displacement(x, ev.rho.points)
     return PairTables(ev.kernel, d).L @ ev.rho.weights - ev.nu / 2.0

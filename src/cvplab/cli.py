@@ -19,8 +19,8 @@ from .action import el_report
 from .config import (ExperimentConfig, RunState, load_config, load_state,
                      save_state)
 from .errors import CvpError, DimensionMismatchError, SchemaError, number
-from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, FormEvaluator,
-                   gram_spectrum, nonnegative)
+from .jets import (BASIS_FULL, BASIS_SCALAR, FORM_Q1, FORM_SP1, TAU_PSD,
+                   FormEvaluator, gram_spectrum, nonnegative)
 from .linfield import (arc_label, arc_osi, linfield_operator, linfield_residual,
                        osi_report, random_regions, solve_linfield)
 from .measure import DiscreteMeasure
@@ -176,9 +176,12 @@ def _stage_osi(ev, jets, residuals, state, out_dir):
         values = osi_report(ev, jets, regions)
     np.save(out_dir / "osi.npy", values)   # row k is jet k, in the family's order
     worst = float(values.min()) if values.size else None
-    ok = worst is not None and nonnegative(worst, float(np.abs(values).max()))
+    scale = float(np.abs(values).max(initial=0.0))
+    ok = worst is not None and nonnegative(worst, scale)
+    # the first region within the verdict's band of its row's minimum: the
+    # OSI of a solution is conserved, so on a ring every arc ties to rounding
     reports = [{"solution_index": k, "min_value": float(row.min()),
-                "min_region": label(int(np.argmin(row))),
+                "min_region": label(int(np.argmax(row <= row.min() + TAU_PSD * scale))),
                 "solution_hypothesis": residual <= OSI_SOLUTION_TOLERANCE,
                 "all_positive": float(row.min()) > 0.0}
                for k, (row, residual) in enumerate(zip(values, residuals))]

@@ -91,12 +91,8 @@ def _region_osi(rho: DiscreteMeasure, block: np.ndarray, inside: np.ndarray,
     if inside.ndim != 2 or inside.shape[1] != rho.count:
         raise DimensionMismatchError(f"region masks of shape {inside.shape} on a "
                                      f"measure with {rho.count} points")
-    pair = _pair_matrix(rho, block, u)
-    values = np.empty((len(pair), len(inside)))
-    for p, out in zip(pair, values):   # two (R, n) arrays at a time, not k + 1
-        mask = inside.astype(float)   # summed over rows, then turned into 1 - mask
-        np.einsum("rj,rj->r", mask @ p, np.subtract(1.0, mask, out=mask), out=out)
-    return -values
+    mask = inside.astype(float)
+    return -np.einsum("krj,rj->kr", mask @ _pair_matrix(rho, block, u), 1.0 - mask)
 
 
 def surface_layer_integral(rho: DiscreteMeasure, kernel: RadialKernel,
@@ -119,10 +115,10 @@ def arc_label(n: int, index: int) -> str:
 def arc_regions(rho: DiscreteMeasure) -> tuple[np.ndarray, list[str]]:
     """All proper contiguous arcs in the sorted order along the first axis.
 
-    Intended for one-dimensional supports, where arcs exhaust the
-    connected regions up to cyclic relabeling.  Arc (start, length)
-    holds the points of rank start, ..., start + length - 1 (mod n); a
-    one-point measure has none.
+    Intended for one-dimensional supports, where arcs exhaust the connected
+    regions up to cyclic relabeling.  Arc (start, length) holds the points of
+    rank start, ..., start + length - 1 (mod n); a one-point measure has
+    none.  With `osi_report`, the tier-1 oracle of `arc_osi`.
     """
     n = rho.count
     rank = np.argsort(np.argsort(rho.points[:, 0]))

@@ -20,7 +20,7 @@ import numpy as np
 from .action import action
 from .errors import NegativeDiagonalError, SchemaError, WeightPositivityError
 from .jets import FormEvaluator, _as_jets, nonnegative
-from .kernels import RadialKernel, _squared_norms
+from .kernels import PairTables, RadialKernel, _squared_norms
 from .measure import DiscreteMeasure
 
 
@@ -146,7 +146,7 @@ def deformed_actions(ev: FormEvaluator, c, u, taus) -> np.ndarray:
                                               np.take(x, qs, axis=2))
                 total[rows] += (
                     np.take(w, ps, axis=2) * np.take(w, qs, axis=2)
-                    * kernel.profile(_squared_norms(d))) @ twice[start:start + span]
+                    * PairTables(kernel, d).L) @ twice[start:start + span]
     # at tau = 0 the deformed measure is rho itself
     total[:, taus == 0.0] = rho.weights @ ev.tables.L @ rho.weights
     return total.reshape(stack + taus.shape)
@@ -190,49 +190,13 @@ def frag_second_variation(ev: FormEvaluator, c, u) -> float | np.ndarray:
             + (c * ev.q1_terms(u, u)).sum(axis=-2) @ ev.rho.weights)
 
 
-def frag_second_variation_rescaled(ev: FormEvaluator, jets: np.ndarray,
-                                   weights: np.ndarray) -> float:
-    """The transformed fragmented second variation over (L, n, 1 + m) jets
-    and (L, n) weights: weights only divide the diagonal term (with
-    0/0 := 0)."""
-    jets = _as_jets(ev.rho, jets, ndim=3)
-    diag = ev.q1_terms(jets, jets)
-    c = np.atleast_2d(np.asarray(weights, dtype=float))
-    live = c > 0
-    scale = np.maximum(np.abs(diag).max(axis=1, keepdims=True), 1.0)
-    bad = np.flatnonzero((np.where(live, 0.0, np.abs(diag))
-                          > 1e-12 * scale).any(axis=1))
-    if bad.size:
-        raise SchemaError(
-            f"fragment {bad[0]} has zero weight but non-zero diagonal term")
-    ratio = np.divide(diag, c, out=np.zeros(diag.shape), where=live)
-    total = jets.sum(axis=0)
-    return ev.double_sum(total, total) + float((ratio @ ev.rho.weights).sum())
-
-
-def optimal_weights(values) -> tuple[np.ndarray, float]:
-    """Minimize sum_a A_a / c_a over the simplex: c_a = sqrt(A_a)/sum sqrt(A).
-
-    The minimized value equals lambda = (sum_a sqrt(A_a))^2; vanishing
-    entries get zero weight (their contribution is zero in the limit).
-    All-zero input returns uniform weights and lambda = 0.
-    """
-    a = np.asarray(values, dtype=float)
-    if (a < 0).any():
-        raise NegativeDiagonalError(f"negative entries in {a.tolist()}")
-    roots = np.sqrt(a)
-    total = roots.sum()
-    if total == 0.0:
-        return np.full(a.size, 1.0 / a.size), 0.0
-    return roots / total, float(total**2)
-
-
 def frag_lower_bound(ev: FormEvaluator, jets: np.ndarray) -> float:
-    """Fragmented second variation of (L, n, 1 + m) jets at the
-    pointwise-optimal weights.
+    """min over c of frag_second_variation(ev, c, v / c), for (L, n, 1 + m)
+    jets v: at c_a = sqrt(q_a) / sum_b sqrt(q_b), q_a = `ev.q1_terms(v_a,
+    v_a)`, each point's term sum_a q_a / c_a is (sum_a sqrt(q_a))^2.
 
-    Requires every per-point diagonal value `ev.q1_terms(u_a, u_a)` to be
-    non-negative by the positivity rule of `jets.nonnegative`; small
+    Its tier-1 oracle is `frag_second_variation` at those weights.  Every
+    q_a must be non-negative by the rule of `jets.nonnegative`; small
     negatives are clipped to zero, larger ones abort.
     """
     jets = _as_jets(ev.rho, jets, ndim=3)

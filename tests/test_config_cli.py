@@ -12,11 +12,13 @@ import pytest
 from cvplab import (DimensionMismatchError, DiscreteMeasure, FormEvaluator,
                     SchemaError, arc_regions, load_config, load_state,
                     pair_tables, parse_config, save_state)
-from cvplab.cli import OSI_SOLUTION_TOLERANCE, _stage_osi, main, run
+from cvplab.cli import (OSI_SOLUTION_TOLERANCE, RANDOM_REGIONS, _stage_osi,
+                        main, run)
 from cvplab.config import (_PROBE_VALUES_CAP, ExperimentConfig, RunState,
                            config_hash)
-from cvplab.jets import jet_pair_block, translation
-from cvplab.linfield import KERNEL_THRESHOLD_REL, linfield_residual
+from cvplab.jets import TAU_PSD, jet_pair_block, translation
+from cvplab.linfield import (KERNEL_THRESHOLD_REL, linfield_residual,
+                             random_regions)
 
 HUGE = 10**400   # an integer that no float holds
 # json reads no integer of more than 4300 digits, so it is written as text
@@ -718,15 +720,18 @@ def test_weak_el_is_judged_at_the_optimizer_tolerance(tmp_path):
 
 def _assert_reports_read_the_table(out_dir, rho, summary):
     """osi.npy holds one row per report and one column per arc of rho; each
-    report's minimum is its row's, at the label of the row's argmin."""
+    report's minimum is its row's, at the label of the first arc within
+    TAU_PSD times the table's largest |value| of it."""
     values = np.load(out_dir / "osi.npy")
     labels = arc_regions(rho)[1]
     assert summary["region_family"] == {"kind": "arcs", "count": len(labels)}
     assert values.shape == (len(summary["reports"]), len(labels))
+    band = TAU_PSD * np.abs(values).max(initial=0.0)
     for report, row in zip(summary["reports"], values):
         assert "osi" not in report
         assert report["min_value"] == row.min()
-        assert report["min_region"] == labels[int(np.argmin(row))]
+        first = np.flatnonzero(row - row.min() <= band)[0]
+        assert report["min_region"] == labels[first]
 
 
 def test_osi_stage_fails_without_solution_jet(tmp_path):
@@ -760,6 +765,28 @@ def test_osi_stage_flags_each_jet_from_its_residual_and_values(csp5, tmp_path):
     assert [r["all_positive"] for r in reports] == [True, False]
     _assert_reports_read_the_table(tmp_path, csp5.rho, state.osi_summary)
     assert state.verdicts["osi_nonnegative"] is False
+
+
+def test_osi_min_region_is_the_first_region_of_a_tie(lattice2d, tmp_path):
+    """The OSI of a solution is conserved, so on the README ring all 12 arcs
+    tie up to rounding and `min_region` names the first; a row with one
+    clear minimum, a random jet's over random regions, names its argmin."""
+    data = {**BASE_CONFIG, "optimizer": {"tolerance_weak_el": 1e-6},
+            "initial_measure": {"generator": {"count": 5, "seed": 0,
+                                              "total_volume": 5.0}}}
+    out = tmp_path / "readme"
+    assert run("osi", _write_config(tmp_path, data), str(out), quiet=True) == 0
+    (row,) = np.load(out / "osi.npy")
+    assert row.size == 12 and np.ptp(row) <= 1e-12 * np.abs(row).max()
+    (report,) = load_state(out / "state.json").osi_summary["reports"]
+    assert report["min_region"] == "arc(start=0, length=1)"
+    state = RunState(config_hash=parse_config(BASE_CONFIG).hash)
+    jets = np.random.default_rng(6).normal(size=(1, lattice2d.rho.count, 3))
+    _stage_osi(lattice2d.ev, jets, [1.0], state, tmp_path)
+    (row,) = np.load(tmp_path / "osi.npy")
+    assert np.sort(row)[1] - row.min() > 1e-3 * np.abs(row).max()   # one clear minimum
+    labels = random_regions(lattice2d.rho, **RANDOM_REGIONS)[1]
+    assert state.osi_summary["reports"][0]["min_region"] == labels[np.argmin(row)]
 
 
 # The state sections and the verdicts each stage writes on its own: the

@@ -5,10 +5,9 @@ import pytest
 
 from cvplab import (ChartManifold, CompactSupportKernel, DimensionMismatchError,
                     GaussianKernel, InversePowerKernel, PairTables, SchemaError,
-                    arc_regions, frag_lower_bound, frag_second_variation_rescaled,
-                    gram_spectrum, linfield_residual, osi_report, pair_tables,
-                    random_measure, surface_layer_integral, translation,
-                    verify_lagrangian)
+                    arc_regions, frag_lower_bound, gram_spectrum,
+                    linfield_residual, osi_report, pair_tables, random_measure,
+                    surface_layer_integral, translation, verify_lagrangian)
 from cvplab.jets import (BASIS_FULL, BASIS_SCALAR, BASIS_VECTOR, FORM_Q1,
                          FORM_SP1, FORM_SP2, _basis_indices, jet_pair_block,
                          nabla1_nabla2_L)
@@ -85,7 +84,6 @@ def _field_takers(f, good):
         lambda u: surface_layer_integral(f.rho, f.kernel, np.arange(n) < 2, u),
         # the fragment-jet functions take L such fields stacked on a first axis
         lambda u: frag_lower_bound(ev, u[None]),
-        lambda u: frag_second_variation_rescaled(ev, u[None], np.ones((1, n))),
     ]
 
 

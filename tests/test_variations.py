@@ -12,10 +12,10 @@ from cvplab import (ChartManifold, CompactSupportKernel, DiscreteMeasure,
                     SchemaError, WeightPositivityError, action,
                     deformed_actions, el_report, FormEvaluator,
                     frag_lower_bound, frag_second_variation,
-                    frag_second_variation_rescaled, fragment_deform,
-                    optimal_weights, random_measure, sample_scheme,
-                    second_variation_fd, stability_probe, translation,
-                    volume_preserved)
+                    fragment_deform, gram_spectrum, random_measure,
+                    sample_scheme, second_variation_fd, stability_probe,
+                    translation, volume_preserved)
+from cvplab.jets import BASIS_FULL, FORM_Q1
 from cvplab.variations import _EVALUATIONS_PER_CHUNK, _draw_trials
 
 
@@ -341,30 +341,38 @@ def test_fd_oracle_agrees_with_frag_second_variation(csp5):
         checked += 1
 
 
-def test_substitution_identity(csp5):
-    """Pre-substitution formula equals the transformed form at v = c*u."""
-    rng = np.random.default_rng(7)
-    c, u = sample_scheme(csp5.rho, fragments=3, rng=rng)
-    rescaled_jets = c[:, :, None] * u
-    pre = frag_second_variation(csp5.ev, c, u)
-    post = frag_second_variation_rescaled(csp5.ev, rescaled_jets, c)
-    assert pre == pytest.approx(post, rel=1e-12)
+@pytest.mark.parametrize("name", ["csp5", "lattice2d"])
+def test_frag_second_variation_is_at_least_sp1_of_the_average(name, request):
+    """On a measure whose Q1 is PSD every point term q_i is convex, so by
+    Jensen a fragmented curve lies above the sp1 form of its c-averaged
+    jet, with equality when every fragment carries the same jet."""
+    f = request.getfixturevalue(name)
+    assert gram_spectrum(f.ev, FORM_Q1, BASIS_FULL).psd
+    n, m = f.rho.count, f.rho.manifold.dim
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        c = rng.dirichlet(np.ones(3), size=n).T
+        u = rng.normal(size=(3, n, 1 + m))
+        average = (c[:, :, None] * u).sum(axis=0)
+        assert frag_second_variation(f.ev, c, u) > f.ev.sp1(average, average)
+        same = np.broadcast_to(u[0], u.shape)
+        assert frag_second_variation(f.ev, c, same) == pytest.approx(
+            f.ev.sp1(u[0], u[0]), rel=1e-12)
 
 
-def test_optimal_weights_closed_form():
-    c, lam = optimal_weights([1.0, 4.0])
-    assert np.allclose(c, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
-    assert lam == 9.0
-    # the minimized value sum A_a / c_a equals lambda
-    assert 1.0 / c[0] + 4.0 / c[1] == pytest.approx(lam, rel=1e-14)
-    c, lam = optimal_weights([1.0, 1.0])
-    assert np.allclose(c, [0.5, 0.5])
-    c, lam = optimal_weights([0.0, 1.0])
-    assert np.array_equal(c, [0.0, 1.0]) and lam == 1.0
-    c, lam = optimal_weights([0.0, 0.0])
-    assert np.allclose(c, [0.5, 0.5]) and lam == 0.0
-    with pytest.raises(NegativeDiagonalError):
-        optimal_weights([-1.0, 2.0])
+def test_frag_second_variation_splits_to_the_q1_minimum(gauss5):
+    """Where Q1 is not PSD, splitting the worst point into two half-weight
+    fragments along +-e, e the bottom eigenvector of its point block,
+    leaves the average jet zero: the value is Q1's minimum eigenvalue."""
+    report = gram_spectrum(gauss5.ev, FORM_Q1, BASIS_FULL)
+    assert not report.psd
+    values, vectors = np.linalg.eigh(gauss5.ev.point_blocks)
+    worst = int(np.argmin(values[:, 0]))
+    c = np.full((2, gauss5.rho.count), 0.5)
+    u = np.zeros((2, gauss5.rho.count, 2))
+    u[0, worst], u[1, worst] = vectors[worst, :, 0], -vectors[worst, :, 0]
+    assert frag_second_variation(gauss5.ev, c, u) == pytest.approx(
+        report.min_eigenvalue, rel=1e-12)
 
 
 def test_frag_lower_bound_single_field_is_sp1(csp5):
@@ -381,8 +389,13 @@ def test_frag_lower_bound_is_minimum_over_weights(csp5):
     lb = frag_lower_bound(csp5.ev, jets)
     for _ in range(50):
         c = rng.dirichlet(np.ones(3), size=csp5.rho.count).T
-        val = frag_second_variation_rescaled(csp5.ev, jets, c)
+        val = frag_second_variation(csp5.ev, c, jets / c[..., None])
         assert val >= lb - 1e-10
+    # it is reached at the weights sqrt(q_a) / sum_b sqrt(q_b)
+    roots = np.sqrt(csp5.ev.q1_terms(jets, jets))
+    best = roots / roots.sum(axis=0)
+    val = frag_second_variation(csp5.ev, best, jets / best[..., None])
+    assert val == pytest.approx(lb, rel=1e-12)
 
 
 def test_frag_lower_bound_rejects_indefinite_base(single_gauss):
